@@ -229,8 +229,9 @@ type sddmmRunState struct {
 
 	out    *tensor.Tensor
 	chunks []partition.Range
-	lo, hi int  // active tile bounds: reduce axis (dot) or output axis
-	dot    bool // dot fast path vs generic compiled path
+	tile   partition.Range // active tile: reduce axis (dot) or output axis
+	dot    bool            // dot fast path vs generic compiled path
+	acc    bool            // dot: accumulate onto an earlier reduce tile
 
 	// Per-run accounting (see spmmRunState).
 	edges  atomic.Uint64
@@ -280,48 +281,7 @@ func (st *sddmmRunState) runChunk(slot, ci int) {
 		st.stolen.Add(1)
 	}
 	st.edges.Add(uint64(r.Hi - r.Lo))
-	k := st.k
-	ed := k.edges
-	odata := st.out.Data()
-	faultinject.Hit(faultinject.SiteSDDMMCPUWorker, st.rc.done, st.rc.quit)
-
-	if st.dot {
-		x, y := k.match.X, k.match.Y
-		xd, xs := x.Data(), x.RowStride()
-		yd, ys := y.Data(), y.RowStride()
-		klo, khi := st.lo, st.hi
-		for clo := r.Lo; clo < r.Hi; clo += cancelChunk {
-			if st.rc.stop() {
-				return
-			}
-			for i := clo; i < min(clo+cancelChunk, r.Hi); i++ {
-				u, v := int(ed.Col[i]), int(ed.Row[i])+k.dstBase
-				xrow := xd[u*xs+klo : u*xs+khi]
-				yrow := yd[v*ys+klo : v*ys+khi]
-				var s float32
-				for f := range xrow {
-					s += xrow[f] * yrow[f]
-				}
-				odata[ed.EID[i]] += s
-			}
-		}
-		faultinject.CorruptFloats(faultinject.SiteSDDMMCPUOutput, odata[r.Lo:r.Hi])
-		return
-	}
-
-	env := st.envs[slot]
-	ostride := st.out.RowStride()
-	lo, hi := st.lo, st.hi
-	for clo := r.Lo; clo < r.Hi; clo += cancelChunk {
-		if st.rc.stop() {
-			return
-		}
-		for i := clo; i < min(clo+cancelChunk, r.Hi); i++ {
-			eid := int(ed.EID[i])
-			k.compiled.Eval(env, ed.Col[i], ed.Row[i]+int32(k.dstBase), ed.EID[i], odata[eid*ostride+lo:eid*ostride+hi], lo, hi)
-		}
-	}
-	faultinject.CorruptFloats(faultinject.SiteSDDMMCPUOutput, odata[r.Lo*ostride:r.Hi*ostride])
+	st.k.cpuEdges(&st.rc, st.envs[slot], st.out, r.Lo, r.Hi, st.tile, st.dot, st.acc)
 }
 
 // runCPUEngine executes the SDDMM CPU schedule on the persistent engine:
@@ -345,37 +305,17 @@ func (k *SDDMMKernel) runCPUEngine(ctx context.Context, out *tensor.Tensor, stat
 	st.stolen.Store(0)
 	tracing := telemetry.TraceActive()
 
-	var phaseStart time.Time
-	if k.match.Pattern == codegen.DotSrcDst {
-		if !k.partial {
-			out.Zero()
-		}
-		st.dot = true
-		for kti, kt := range k.redTiles {
-			if st.rc.stop() {
-				return stallCause(ctx, st.rc.verdict())
-			}
-			st.lo, st.hi = kt.Lo, kt.Hi
-			st.site.tile = kti
-			if tracing {
-				phaseStart = time.Now()
-			}
-			pool.Run(&st.job, len(st.chunks), threads)
-			if tracing {
-				telemetry.RecordSpan("sddmm.phase", 0, phaseStart, time.Since(phaseStart), "tile", int64(kti), "", 0, 1)
-			}
-		}
-		stats.EdgesProcessed = st.edges.Load()
-		stats.ChunksStolen = st.stolen.Load()
-		return stallCause(ctx, st.rc.verdict())
+	st.dot = k.match.Pattern == codegen.DotSrcDst
+	tiles := k.tiles
+	if st.dot {
+		tiles = k.redTiles
 	}
-
-	st.dot = false
-	for ti, tile := range k.tiles {
+	var phaseStart time.Time
+	for ti, tile := range tiles {
 		if st.rc.stop() {
 			return stallCause(ctx, st.rc.verdict())
 		}
-		st.lo, st.hi = tile.Lo, tile.Hi
+		st.tile, st.acc = tile, ti > 0
 		st.site.tile = ti
 		if tracing {
 			phaseStart = time.Now()

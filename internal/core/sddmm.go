@@ -338,73 +338,68 @@ func (k *SDDMMKernel) runCPU(ctx context.Context, out *tensor.Tensor, stats *Run
 func (k *SDDMMKernel) runCPULegacy(ctx context.Context, out *tensor.Tensor) error {
 	rc := newRunControl(ctx)
 	threads := max(k.opts.NumThreads, 1)
-	nnz := k.adj.NNZ()
-	ed := k.edges
-
-	if k.match.Pattern == codegen.DotSrcDst {
-		// Dot fast path with reduce-axis tiling: tiles outer, edges
-		// inner, accumulating partial dot products into the output.
-		x, y := k.match.X, k.match.Y
-		xd, xs := x.Data(), x.RowStride()
-		yd, ys := y.Data(), y.RowStride()
-		odata := out.Data()
-		if !k.partial {
-			out.Zero()
-		}
-		for kti, kt := range k.redTiles {
-			if rc.stop() {
-				return rc.verdict()
-			}
-			klo, khi := kt.Lo, kt.Hi
-			site := workerSite{kernel: "sddmm", target: CPU, tile: kti, part: -1}
-			parallelFor(rc, site, nnz, threads, func(_, elo, ehi int) {
-				faultinject.Hit(faultinject.SiteSDDMMCPUWorker, rc.done, rc.quit)
-				for clo := elo; clo < ehi; clo += cancelChunk {
-					if rc.stop() {
-						return
-					}
-					for i := clo; i < min(clo+cancelChunk, ehi); i++ {
-						u, v := int(ed.Col[i]), int(ed.Row[i])+k.dstBase
-						xrow := xd[u*xs+klo : u*xs+khi]
-						yrow := yd[v*ys+klo : v*ys+khi]
-						var s float32
-						for f := range xrow {
-							s += xrow[f] * yrow[f]
-						}
-						odata[ed.EID[i]] += s
-					}
-				}
-				faultinject.CorruptFloats(faultinject.SiteSDDMMCPUOutput, odata[elo:ehi])
-			})
-		}
-		return rc.verdict()
+	dot := k.match.Pattern == codegen.DotSrcDst
+	tiles := k.tiles
+	if dot {
+		tiles = k.redTiles
 	}
-
-	// Generic path: evaluate the compiled UDF per edge per output tile,
-	// writing directly into the edge's output row (no aggregation in
-	// SDDMM).
-	ostride := out.RowStride()
-	odata := out.Data()
-	for ti, tile := range k.tiles {
+	for ti, tile := range tiles {
 		if rc.stop() {
-			return rc.verdict()
+			break
 		}
-		lo, hi := tile.Lo, tile.Hi
 		site := workerSite{kernel: "sddmm", target: CPU, tile: ti, part: -1}
-		parallelFor(rc, site, nnz, threads, func(_, elo, ehi int) {
-			faultinject.Hit(faultinject.SiteSDDMMCPUWorker, rc.done, rc.quit)
-			env := k.compiled.NewEnv()
-			for clo := elo; clo < ehi; clo += cancelChunk {
-				if rc.stop() {
-					return
-				}
-				for i := clo; i < min(clo+cancelChunk, ehi); i++ {
-					eid := int(ed.EID[i])
-					k.compiled.Eval(env, ed.Col[i], ed.Row[i]+int32(k.dstBase), ed.EID[i], odata[eid*ostride+lo:eid*ostride+hi], lo, hi)
-				}
+		parallelFor(rc, site, k.adj.NNZ(), threads, func(_, elo, ehi int) {
+			var env *codegen.Env
+			if !dot {
+				env = k.compiled.NewEnv()
 			}
-			faultinject.CorruptFloats(faultinject.SiteSDDMMCPUOutput, odata[elo*ostride:ehi*ostride])
+			k.cpuEdges(rc, env, out, elo, ehi, tile, dot, ti > 0)
 		})
 	}
 	return rc.verdict()
+}
+
+// cpuEdges computes traversal positions [elo, ehi) of one phase, polling the
+// run control every cancelChunk edges. It is the one body behind both the
+// engine's chunks and the legacy scheduler's splits, so the two agree
+// bitwise by construction. dot selects the dot fast path over reduce tile
+// t (see dotEdges); otherwise the compiled UDF writes output columns t of
+// each edge's row directly (no aggregation in SDDMM).
+func (k *SDDMMKernel) cpuEdges(rc *runControl, env *codegen.Env, out *tensor.Tensor, elo, ehi int, t partition.Range, dot, acc bool) {
+	faultinject.Hit(faultinject.SiteSDDMMCPUWorker, rc.done, rc.quit)
+	ed := k.edges
+	odata, ostride := out.Data(), out.RowStride()
+	for clo := elo; clo < ehi; clo += cancelChunk {
+		if rc.stop() {
+			return
+		}
+		chi := min(clo+cancelChunk, ehi)
+		if dot {
+			k.dotEdges(odata, clo, chi, t, acc)
+			continue
+		}
+		for i := clo; i < chi; i++ {
+			eid := int(ed.EID[i])
+			k.compiled.Eval(env, ed.Col[i], ed.Row[i]+int32(k.dstBase), ed.EID[i], odata[eid*ostride+t.Lo:eid*ostride+t.Hi], t.Lo, t.Hi)
+		}
+	}
+	faultinject.CorruptFloats(faultinject.SiteSDDMMCPUOutput, odata[elo*ostride:ehi*ostride])
+}
+
+// dotEdges is the dot fast path over traversal positions [elo, ehi) and
+// reduce-axis tile t. The first tile stores its partial dot product and
+// later tiles accumulate onto it, so the output needs no zeroing pass and a
+// single-tile schedule never reads it.
+func (k *SDDMMKernel) dotEdges(odata []float32, elo, ehi int, t partition.Range, acc bool) {
+	xd, xs := k.match.X.Data(), k.match.X.RowStride()
+	yd, ys := k.match.Y.Data(), k.match.Y.RowStride()
+	rows, eids := k.edges.Row[elo:ehi], k.edges.EID[elo:ehi]
+	for i, c := range k.edges.Col[elo:ehi] {
+		u, v := int(c)*xs, (int(rows[i])+k.dstBase)*ys
+		s := dot8(xd[u+t.Lo:u+t.Hi], yd[v+t.Lo:v+t.Hi])
+		if acc {
+			s += odata[eids[i]]
+		}
+		odata[eids[i]] = s
+	}
 }

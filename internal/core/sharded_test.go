@@ -30,6 +30,12 @@ func newMemShardSource(a *sparse.CSR, targetEdges int) *memShardSource {
 	return &memShardSource{a: a, shards: shards, cache: make([]*sparse.CSR, len(shards))}
 }
 
+// NewMemShardSource hands the source to the external test package
+// (blocked_test.go), which cannot see unexported names.
+func NewMemShardSource(a *sparse.CSR, targetEdges int) ShardSource {
+	return newMemShardSource(a, targetEdges)
+}
+
 func (s *memShardSource) Dims() (int, int, int64) {
 	return s.a.NumRows, s.a.NumCols, int64(s.a.NNZ())
 }

@@ -432,7 +432,6 @@ type spmmScratch struct {
 // cpuRows processes rows [rlo, rhi) of one partition for one feature tile.
 func (k *SpMMKernel) cpuRows(out *tensor.Tensor, part *sparse.CSR, tile partition.Range, sc *spmmScratch, rlo, rhi int) {
 	lo, hi := tile.Lo, tile.Hi
-	tl := hi - lo
 	ostride := out.RowStride()
 	odata := out.Data()
 
@@ -442,14 +441,7 @@ func (k *SpMMKernel) cpuRows(out *tensor.Tensor, part *sparse.CSR, tile partitio
 		x := k.match.X
 		xd, xs := x.Data(), x.RowStride()
 		for r := rlo; r < rhi; r++ {
-			orow := odata[r*ostride+lo : r*ostride+hi]
-			for p := part.RowPtr[r]; p < part.RowPtr[r+1]; p++ {
-				c := int(part.ColIdx[p])
-				xrow := xd[c*xs+lo : c*xs+hi]
-				for f := range orow {
-					orow[f] += xrow[f]
-				}
-			}
+			sumRows(odata[r*ostride+lo:r*ostride+hi], xd, xs, lo, part.ColIdx[part.RowPtr[r]:part.RowPtr[r+1]])
 		}
 
 	case k.match.Pattern == codegen.CopySrc && (k.agg == AggMax || k.agg == AggMin):
@@ -482,78 +474,44 @@ func (k *SpMMKernel) cpuRows(out *tensor.Tensor, part *sparse.CSR, tile partitio
 		xd, xs := x.Data(), x.RowStride()
 		ed := e.Data()
 		for r := rlo; r < rhi; r++ {
-			orow := odata[r*ostride+lo : r*ostride+hi]
-			for p := part.RowPtr[r]; p < part.RowPtr[r+1]; p++ {
-				c := int(part.ColIdx[p])
-				wgt := ed[part.EID[p]]
-				xrow := xd[c*xs+lo : c*xs+hi]
-				for f := range orow {
-					orow[f] += wgt * xrow[f]
-				}
-			}
+			plo, phi := part.RowPtr[r], part.RowPtr[r+1]
+			scaledSumRows(odata[r*ostride+lo:r*ostride+hi], xd, xs, lo, part.ColIdx[plo:phi], part.EID[plo:phi], ed)
 		}
 
 	case k.match.Pattern == codegen.CopyEdge && (k.agg == AggSum || k.agg == AggMean):
 		e := k.match.E
 		ed, es := e.Data(), e.RowStride()
 		for r := rlo; r < rhi; r++ {
-			orow := odata[r*ostride+lo : r*ostride+hi]
-			for p := part.RowPtr[r]; p < part.RowPtr[r+1]; p++ {
-				eid := int(part.EID[p])
-				erow := ed[eid*es+lo : eid*es+hi]
-				for f := range orow {
-					orow[f] += erow[f]
-				}
-			}
+			sumRows(odata[r*ostride+lo:r*ostride+hi], ed, es, lo, part.EID[part.RowPtr[r]:part.RowPtr[r+1]])
 		}
 
 	case k.match.Pattern == codegen.MLPSrcDst:
 		// MLP aggregation with the scheduled loop order: the combined
-		// feature x_src+x_dst is computed once per edge, then the matrix
-		// product streams rows of W (contiguous) instead of columns —
-		// the optimization the blackbox baselines cannot apply.
+		// feature x_src+x_dst is computed once per edge, then the product
+		// walks rows of W (contiguous) an 8-column register block at a time
+		// — the optimization the blackbox baselines cannot apply.
 		x, w := k.match.X, k.match.W
 		xd, xs := x.Data(), x.RowStride()
-		wd, ws := w.Data(), w.RowStride()
-		d1 := w.Dim(0)
-		tmp := sc.tmp[:d1]
-		msg := sc.msg[:tl]
+		wd, ws := w.Data()[lo:], w.RowStride()
+		tmp := sc.tmp[:w.Dim(0)]
 		for r := rlo; r < rhi; r++ {
 			orow := odata[r*ostride+lo : r*ostride+hi]
 			// Dst features live at the global row; out at the local one
 			// (identical for non-sharded kernels, where dstBase is 0).
-			xv := xd[(r+k.dstBase)*xs : (r+k.dstBase)*xs+d1]
+			xv := xd[(r+k.dstBase)*xs:][:len(tmp)]
 			for p := part.RowPtr[r]; p < part.RowPtr[r+1]; p++ {
-				c := int(part.ColIdx[p])
-				xu := xd[c*xs : c*xs+d1]
+				xu := xd[int(part.ColIdx[p])*xs:][:len(tmp)]
 				for kk := range tmp {
 					tmp[kk] = xu[kk] + xv[kk]
 				}
-				clear(msg)
-				for kk, a := range tmp {
-					if a == 0 {
-						continue
-					}
-					wrow := wd[kk*ws+lo : kk*ws+hi]
-					for f := range msg {
-						msg[f] += a * wrow[f]
-					}
-				}
-				if k.match.Relu {
-					for f := range msg {
-						if msg[f] < 0 {
-							msg[f] = 0
-						}
-					}
-				}
-				aggInto(k.agg, orow, msg)
+				mlpFold(k.agg, orow, tmp, wd, ws, k.match.Relu)
 			}
 		}
 
 	default:
 		// Generic path: evaluate the compiled UDF per edge over the tile
 		// sub-range, then fold with the aggregation operator.
-		msg := sc.msg[:tl]
+		msg := sc.msg[:hi-lo]
 		for r := rlo; r < rhi; r++ {
 			orow := odata[r*ostride+lo : r*ostride+hi]
 			for p := part.RowPtr[r]; p < part.RowPtr[r+1]; p++ {

@@ -2,7 +2,6 @@ package partition
 
 import (
 	"math/bits"
-	"sort"
 
 	"featgraph/internal/sparse"
 )
@@ -33,23 +32,43 @@ func HilbertD2XY(k uint, d uint64) (x, y uint32) {
 }
 
 // HilbertXY2D converts (x, y) on a 2^k × 2^k grid to the distance along the
-// Hilbert curve of order k.
+// Hilbert curve of order k: HilbertD2XY's inverse, four curve levels per
+// table lookup. Ordering edges calls it once per edge, and the bit-serial
+// form's branches on data bits dominated that build.
 func HilbertXY2D(k uint, x, y uint32) uint64 {
+	steps := (k + 3) / 4
+	// Levels padded above k see (0,0), which emits digit 0 and toggles the
+	// exchange; starting an odd padding exchanged cancels it.
+	state := uint32(steps*4-k) & 1
 	var d uint64
-	x64, y64 := uint64(x), uint64(y)
-	for s := uint64(1) << (k - 1); s > 0; s >>= 1 {
-		var rx, ry uint64
-		if x64&s > 0 {
-			rx = 1
-		}
-		if y64&s > 0 {
-			ry = 1
-		}
-		d += s * s * ((3 * rx) ^ ry)
-		x64, y64 = hilbertRot(s, x64, y64, rx, ry)
+	for i := int(steps-1) * 4; i >= 0; i -= 4 {
+		e := hilbertStep[state<<8|(x>>i&15)<<4|(y>>i&15)]
+		d, state = d<<8|uint64(e>>2), uint32(e&3)
 	}
 	return d
 }
+
+// hilbertStep maps (state, 4 bits of x, 4 bits of y) to the 8 distance bits
+// of those four levels and the state below them. The state is hilbertRot's
+// two transforms carried as pending bits rather than applied to the
+// coordinates — bit 0: x↔y exchanged, bit 1: lower bits complemented; the
+// two commute, so two bits suffice.
+var hilbertStep = func() (tab [1 << 10]uint16) {
+	for i := range tab {
+		swap, flip := uint32(i>>8)&1, uint32(i>>9)
+		var d uint16
+		for b := 7; b >= 4; b-- {
+			bx, by := uint32(i>>b)&1^flip, uint32(i>>(b-4))&1^flip
+			t := (bx ^ by) & swap
+			rx, ry := bx^t, by^t
+			d = d<<2 | uint16((3*rx)^ry)
+			flip ^= rx &^ ry
+			swap ^= ry ^ 1
+		}
+		tab[i] = d<<2 | uint16(flip<<1|swap)
+	}
+	return tab
+}()
 
 func hilbertRot(s, x, y, rx, ry uint64) (uint64, uint64) {
 	if ry == 0 {
@@ -82,36 +101,62 @@ type HilbertEdges struct {
 	Val []float32
 }
 
-// Hilbert produces the edges of a in Hilbert-curve order.
+// Hilbert produces the edges of a in Hilbert-curve order. Edges are sorted
+// by their 2k-bit curve distance with a stable LSD radix sort; equal keys
+// (possible only if a stores duplicate edges) keep row-major order.
 func Hilbert(a *sparse.CSR) *HilbertEdges {
 	k := hilbertOrderFor(a.NumRows, a.NumCols)
 	nnz := a.NNZ()
-	type rec struct {
-		key uint64
-		pos int32
-	}
-	recs := make([]rec, nnz)
+	keys := make([]uint64, nnz)
+	pos := make([]int32, nnz)
 	rows := make([]int32, nnz)
 	for r := 0; r < a.NumRows; r++ {
 		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
-			rows[p] = int32(r)
-			recs[p] = rec{HilbertXY2D(k, uint32(r), uint32(a.ColIdx[p])), p}
+			rows[p], pos[p] = int32(r), p
+			keys[p] = HilbertXY2D(k, uint32(r), uint32(a.ColIdx[p]))
 		}
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
+	pos = radixSortByKey(keys, pos, 2*k)
 	out := &HilbertEdges{
 		Row: make([]int32, nnz),
 		Col: make([]int32, nnz),
 		EID: make([]int32, nnz),
 		Val: make([]float32, nnz),
 	}
-	for i, rc := range recs {
-		out.Row[i] = rows[rc.pos]
-		out.Col[i] = a.ColIdx[rc.pos]
-		out.EID[i] = a.EID[rc.pos]
-		out.Val[i] = a.Val[rc.pos]
+	for i, p := range pos {
+		out.Row[i] = rows[p]
+		out.Col[i] = a.ColIdx[p]
+		out.EID[i] = a.EID[p]
+		out.Val[i] = a.Val[p]
 	}
 	return out
+}
+
+// radixSortByKey returns vals stably reordered by the low keyBits bits of the
+// matching keys: least-significant digit first, radixBits bits per pass, so
+// the cost is linear in len(keys) where a comparison sort pays a log factor
+// and a closure call per comparison. keys is clobbered.
+func radixSortByKey(keys []uint64, vals []int32, keyBits uint) []int32 {
+	const radixBits = 11 // 2048 counters stay L1-resident
+	keys2, vals2 := make([]uint64, len(keys)), make([]int32, len(vals))
+	var next [1 << radixBits]int
+	for shift := uint(0); shift < keyBits; shift += radixBits {
+		clear(next[:])
+		for _, key := range keys {
+			next[(key>>shift)&(1<<radixBits-1)]++
+		}
+		sum := 0
+		for d, c := range next {
+			next[d], sum = sum, sum+c
+		}
+		for i, key := range keys {
+			d := (key >> shift) & (1<<radixBits - 1)
+			keys2[next[d]], vals2[next[d]] = key, vals[i]
+			next[d]++
+		}
+		keys, keys2, vals, vals2 = keys2, keys, vals2, vals
+	}
+	return vals
 }
 
 // Locality scores an edge visit order by summing |Δrow| + |Δcol| between

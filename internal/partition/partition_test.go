@@ -2,9 +2,12 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"featgraph/internal/graphgen"
 	"featgraph/internal/sparse"
 )
 
@@ -263,6 +266,55 @@ func TestHilbertEdgesPreserveEdgeSet(t *testing.T) {
 		if !set[edge{h.Row[i], h.Col[i], h.EID[i]}] {
 			t.Fatalf("hilbert edge %d not in original set", i)
 		}
+	}
+}
+
+// TestHilbertMatchesComparisonSort pins the radix-sorted traversal order to
+// the comparison sort it replaced: by curve distance, ties by row-major
+// position.
+func TestHilbertMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	empty, _ := sparse.FromCOO(&sparse.COO{NumRows: 5, NumCols: 5})
+	graphs := []*sparse.CSR{
+		empty,
+		sparse.Random(rng, 1, 300, 40),     // single row
+		sparse.Random(rng, 300, 1, 1),      // single column
+		graphgen.Skewed(rng, 3000, 9, 1.4), // 24-bit keys: three radix passes
+	}
+	for i := 0; i < 40; i++ {
+		graphs = append(graphs, graphgen.Tiny(rng, 24))
+	}
+	for gi, a := range graphs {
+		k := hilbertOrderFor(a.NumRows, a.NumCols)
+		rm := RowMajorEdges(a)
+		order := make([]int, a.NNZ())
+		for p := range order {
+			order[p] = p
+		}
+		key := func(p int) uint64 { return HilbertXY2D(k, uint32(rm.Row[p]), uint32(rm.Col[p])) }
+		sort.SliceStable(order, func(i, j int) bool { return key(order[i]) < key(order[j]) })
+		want := &HilbertEdges{}
+		for _, p := range order {
+			want.Row = append(want.Row, rm.Row[p])
+			want.Col = append(want.Col, rm.Col[p])
+			want.EID = append(want.EID, rm.EID[p])
+			want.Val = append(want.Val, rm.Val[p])
+		}
+		got := Hilbert(a)
+		if !slices.Equal(got.Row, want.Row) || !slices.Equal(got.Col, want.Col) ||
+			!slices.Equal(got.EID, want.EID) || !slices.Equal(got.Val, want.Val) {
+			t.Fatalf("graph %d (%dx%d, %d edges): radix order differs from the comparison sort", gi, a.NumRows, a.NumCols, a.NNZ())
+		}
+	}
+}
+
+// TestRadixSortByKeyIsStable covers what Hilbert cannot reach without
+// duplicate edges: equal keys keep their input order.
+func TestRadixSortByKeyIsStable(t *testing.T) {
+	keys := []uint64{5, 1 << 20, 5, 0, 1 << 20, 5}
+	got := radixSortByKey(keys, []int32{0, 1, 2, 3, 4, 5}, 21)
+	if want := []int32{3, 0, 2, 5, 1, 4}; !slices.Equal(got, want) {
+		t.Fatalf("radixSortByKey = %v, want %v", got, want)
 	}
 }
 
