@@ -7,7 +7,6 @@
 //	featbench -exp table3a         # run one experiment
 //	featbench -exp all             # run the whole evaluation
 //	featbench -exp table4a -full   # closer-to-paper sizing (slow)
-//	featbench -json bench.json     # machine-readable engine report
 //	featbench -fusedjson fused.json # machine-readable fused-attention report
 //	featbench -oocjson ooc.json    # machine-readable out-of-core report
 //	featbench -servejson serve.json # machine-readable serving report
@@ -43,26 +42,17 @@ func main() {
 		seed      = flag.Int64("seed", 1, "dataset seed")
 		threads   = flag.Int("threads", 16, "max CPU worker count")
 		reps      = flag.Int("reps", 0, "timed repetitions per measurement (0 = scale default)")
-		jsonOut   = flag.String("json", "", "write the execution-engine report (engine vs legacy scheduler, plan cache) to this file and exit")
 		fusedOut  = flag.String("fusedjson", "", "write the fused-attention report (fused vs three-pass GAT layer) to this file and exit")
 		oocOut    = flag.String("oocjson", "", "write the out-of-core report (sharded vs in-memory SpMM) to this file and exit")
 		serveOut  = flag.String("servejson", "", "write the serving report (micro-batched vs unbatched inference) to this file and exit")
 		mutateOut = flag.String("mutatejson", "", "write the mutation report (serve p99 during live commits vs stop-the-world rebuild) to this file and exit")
-		rounds    = flag.Int("rounds", 3, "interleaved measurement rounds for -json / -fusedjson / -oocjson / -servejson / -mutatejson")
+		rounds    = flag.Int("rounds", 3, "interleaved measurement rounds for -fusedjson / -oocjson / -servejson / -mutatejson")
 		metrics   = flag.Bool("metrics", false, "run the telemetry smoke workload and print the Prometheus metrics snapshot")
 	)
 	flag.Parse()
 
 	if *metrics {
 		if err := bench.MetricsSmoke(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "featbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonOut != "" {
-		if err := writeEngineReport(ctx, *jsonOut, *rounds); err != nil {
 			fmt.Fprintf(os.Stderr, "featbench: %v\n", err)
 			os.Exit(1)
 		}

@@ -20,30 +20,6 @@ func gitRev() string {
 	return strings.TrimSpace(string(out))
 }
 
-// writeEngineReport runs the engine-vs-legacy measurements and writes the
-// JSON report to path. A cancelled ctx (SIGINT/SIGTERM) stops measuring
-// but still writes the partial report.
-func writeEngineReport(ctx context.Context, path string, rounds int) error {
-	if rounds <= 0 {
-		return fmt.Errorf("-rounds must be positive, got %d", rounds)
-	}
-	rep, err := bench.RunEngineReport(ctx, os.Stderr, gitRev(), rounds)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	fmt.Printf("engine report written to %s (speedups: %v, alloc reduction: %.0fx, plan-cache hits: %d)\n",
-		path, rep.SkewedSpeedup, rep.AllocReduction, rep.PlanCache.HitsAfterLoop)
-	return f.Close()
-}
-
 // writeFusedReport runs the fused-vs-three-pass attention measurements and
 // writes the JSON report to path (checked in as BENCH_PR7.json).
 func writeFusedReport(ctx context.Context, path string, rounds int) error {

@@ -1,7 +1,6 @@
-// Benchmarks for the persistent execution engine (PR 2): skewed-degree
-// scheduling, steady-state allocation behavior, and plan-cache reuse in the
-// dgl training loop. featbench -json runs the same measurements and emits
-// machine-readable results (see BENCH_PR2.json).
+// Benchmarks for the persistent execution engine: skewed-degree scheduling,
+// steady-state allocation behavior, and telemetry overhead. fgbench's
+// kernels_inmem workload carries the end-to-end numbers (benchmark/).
 package featgraph_test
 
 import (
@@ -37,28 +36,23 @@ func BenchmarkEngineSkewedSpMM(b *testing.B) {
 	x := tensor.New(n, d)
 	x.FillUniform(rng, -1, 1)
 	out := tensor.New(n, d)
-	for _, sched := range []struct {
-		name   string
-		legacy bool
-	}{{"engine", false}, {"legacy", true}} {
-		for _, threads := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s/threads-%d", sched.name, threads), func(b *testing.B) {
-				udf := expr.CopySrc(n, d)
-				fds := schedule.New().Split(udf.OutAxes[0], d/2)
-				k, err := core.BuildSpMM(adj, udf, []*tensor.Tensor{x}, core.AggSum, fds,
-					core.Options{Target: core.CPU, NumThreads: threads, GraphPartitions: 8, LegacySched: sched.legacy})
-				if err != nil {
+	for _, threads := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("threads-%d", threads), func(b *testing.B) {
+			udf := expr.CopySrc(n, d)
+			fds := schedule.New().Split(udf.OutAxes[0], d/2)
+			k, err := core.BuildSpMM(adj, udf, []*tensor.Tensor{x}, core.AggSum, fds,
+				core.Options{Target: core.CPU, NumThreads: threads, GraphPartitions: 8})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := k.Run(out); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := k.Run(out); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -72,39 +66,34 @@ func BenchmarkEngineSteadyStateAllocs(b *testing.B) {
 	x := tensor.New(n, d)
 	x.FillUniform(rng, -1, 1)
 	out := tensor.New(n, d)
-	for _, sched := range []struct {
-		name   string
-		legacy bool
-	}{{"engine", false}, {"legacy", true}} {
-		opts := core.Options{Target: core.CPU, NumThreads: 4, LegacySched: sched.legacy}
-		b.Run("spmm-cpu/"+sched.name, func(b *testing.B) {
-			k, err := core.BuildSpMM(adj, expr.CopySrc(n, d), []*tensor.Tensor{x}, core.AggSum, nil, opts)
-			if err != nil {
+	opts := core.Options{Target: core.CPU, NumThreads: 4}
+	b.Run("spmm-cpu", func(b *testing.B) {
+		k, err := core.BuildSpMM(adj, expr.CopySrc(n, d), []*tensor.Tensor{x}, core.AggSum, nil, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := k.Run(out); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := k.Run(out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("sddmm-cpu/"+sched.name, func(b *testing.B) {
-			att := tensor.New(adj.NNZ(), 1)
-			k, err := core.BuildSDDMM(adj, expr.DotAttention(n, d), []*tensor.Tensor{x}, nil, opts)
-			if err != nil {
+		}
+	})
+	b.Run("sddmm-cpu", func(b *testing.B) {
+		att := tensor.New(adj.NNZ(), 1)
+		k, err := core.BuildSDDMM(adj, expr.DotAttention(n, d), []*tensor.Tensor{x}, nil, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := k.Run(att); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := k.Run(att); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkEngineTelemetryOverhead measures the observability layer's cost

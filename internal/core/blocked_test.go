@@ -194,46 +194,49 @@ func TestBlockedLoopsMatchReferenceOnTails(t *testing.T) {
 }
 
 // The blocked loops keep the engine's steady state allocation-free, at a
-// width and degree that exercise both their blocks and their tails.
+// width and degree that exercise both their blocks and their tails, with
+// telemetry off and with Options.Metrics recording every run.
 func TestBlockedLoopsAreAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(171))
 	const n, d, d1 = 10, 65, 5
 	a := tailGraph(t, rng, 9)
 	x, e1, ed := randT(rng, n, d), randT(rng, a.NNZ(), 1), randT(rng, a.NNZ(), d)
 	x5, w := randT(rng, n, d1), randT(rng, d1, d)
-	opts := core.Options{Target: core.CPU, NumThreads: 2}
 	dot, red := dotUDF(n, d)
 
-	cases := map[string]kernel{}
-	spmm := func(name string, udf *expr.UDF, agg core.AggOp, inputs ...*tensor.Tensor) {
-		k, err := core.BuildSpMM(a, udf, inputs, agg, nil, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases[name] = k
-	}
-	spmm("copy-src", expr.CopySrc(n, d), core.AggSum, x)
-	spmm("src-mul-edge-scalar", expr.SrcMulEdgeScalar(n, a.NNZ(), d), core.AggSum, x, e1)
-	spmm("copy-edge", expr.CopyEdge(a.NNZ(), d), core.AggMean, ed)
-	spmm("mlp", mlpUDF(n, d1, d, true), core.AggMax, x5, w)
-	for name, fds := range map[string]*schedule.FDS{"dot": nil, "dot-3-reduce-tiles": schedule.New().Split(red, 22)} {
-		k, err := core.BuildSDDMM(a, dot, []*tensor.Tensor{x}, fds, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases[name] = k
-	}
-	for name, k := range cases {
-		rows, cols := k.OutShape()
-		out := tensor.New(rows, cols)
-		run := func() {
-			if _, err := k.Run(out); err != nil {
+	for _, metrics := range []bool{false, true} {
+		opts := core.Options{Target: core.CPU, NumThreads: 2, Metrics: metrics}
+		cases := map[string]kernel{}
+		spmm := func(name string, udf *expr.UDF, agg core.AggOp, inputs ...*tensor.Tensor) {
+			k, err := core.BuildSpMM(a, udf, inputs, agg, nil, opts)
+			if err != nil {
 				t.Fatal(err)
 			}
+			cases[name] = k
 		}
-		run() // the first run may finish lazy per-slot scratch
-		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-			t.Errorf("%s: %v allocs per steady-state run, want 0", name, allocs)
+		spmm("copy-src", expr.CopySrc(n, d), core.AggSum, x)
+		spmm("src-mul-edge-scalar", expr.SrcMulEdgeScalar(n, a.NNZ(), d), core.AggSum, x, e1)
+		spmm("copy-edge", expr.CopyEdge(a.NNZ(), d), core.AggMean, ed)
+		spmm("mlp", mlpUDF(n, d1, d, true), core.AggMax, x5, w)
+		for name, fds := range map[string]*schedule.FDS{"dot": nil, "dot-3-reduce-tiles": schedule.New().Split(red, 22)} {
+			k, err := core.BuildSDDMM(a, dot, []*tensor.Tensor{x}, fds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases[name] = k
+		}
+		for name, k := range cases {
+			rows, cols := k.OutShape()
+			out := tensor.New(rows, cols)
+			run := func() {
+				if _, err := k.Run(out); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // the first run may finish lazy per-slot scratch
+			if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+				t.Errorf("%s metrics=%v: %v allocs per steady-state run, want 0", name, metrics, allocs)
+			}
 		}
 	}
 }

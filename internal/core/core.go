@@ -20,7 +20,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -32,7 +31,6 @@ import (
 	"featgraph/internal/expr"
 	"featgraph/internal/faultinject"
 	"featgraph/internal/sparse"
-	"featgraph/internal/telemetry"
 	"featgraph/internal/tensor"
 )
 
@@ -156,14 +154,6 @@ type Options struct {
 	// BreakerCooldown is how long an open breaker routes straight to CPU
 	// before half-open probing; 0 uses admission.DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-
-	// LegacySched runs CPU kernels on the pre-engine scheduler: fresh
-	// goroutines per (tile, partition) phase with a uniform contiguous row
-	// split and per-run scratch allocation. It exists as the ablation
-	// baseline for the persistent engine (see engine.go and featbench's
-	// perf experiment); behavior and results are identical, only the
-	// dispatch strategy differs.
-	LegacySched bool
 }
 
 // RunStats reports per-run execution statistics. SimCycles is nonzero only
@@ -181,7 +171,7 @@ type RunStats struct {
 	EdgesProcessed uint64
 	// ChunksStolen counts engine chunks executed by pool helpers rather
 	// than the submitting goroutine — the work-stealing imbalance signal.
-	// Zero under Options.LegacySched and on the GPU path.
+	// Zero on the GPU path.
 	ChunksStolen uint64
 
 	// Fallback reports that the GPU target failed to build or run and the
@@ -271,10 +261,10 @@ func walkLoads(e expr.Expr, f func(*expr.Load)) {
 // cooperative cancellation (from the caller's context) and first-error-wins
 // failure collection (from recovered worker panics). Once stopped — by
 // cancellation or by a failing worker — the remaining workers observe stop()
-// at their next poll, abandon their work, and drain; the dispatcher
-// (workpool phase or parallelFor) still waits for all of them, so no
-// goroutine outlives the Run call. A runControl is resettable so pooled run
-// states reuse one across executions without allocating.
+// at their next poll, abandon their work, and drain; the workpool phase
+// still waits for all of them, so no goroutine outlives the Run call. A
+// runControl is resettable so pooled run states reuse one across executions
+// without allocating.
 type runControl struct {
 	ctx     context.Context // nil only for the zero value before reset
 	done    <-chan struct{} // ctx.Done(); may be nil
@@ -290,12 +280,6 @@ type runControl struct {
 	// quitClosed (under mu) guarding the close-once.
 	quit       chan struct{}
 	quitClosed bool
-}
-
-func newRunControl(ctx context.Context) *runControl {
-	rc := &runControl{}
-	rc.reset(ctx)
-	return rc
 }
 
 // reset rearms rc for a new execution under ctx. It must not be called
@@ -363,7 +347,7 @@ func (rc *runControl) verdict() error {
 	return rc.ctx.Err()
 }
 
-// workerSite locates a parallelFor call in the kernel schedule for
+// workerSite locates an engine phase in the kernel schedule for
 // KernelError reporting. Tile/part are -1 outside tile/partition loops.
 type workerSite struct {
 	kernel string
@@ -372,60 +356,10 @@ type workerSite struct {
 	part   int
 }
 
-// parallelFor splits [0, n) into numWorkers contiguous chunks and runs body
-// on each concurrently under rc's supervision: a panicking worker is
-// recovered into a *KernelError recorded on rc (first error wins) and the
-// remaining workers drain. numWorkers <= 1 runs inline with the same panic
-// isolation. Bodies poll rc.stop() between row/edge chunks so cancellation
-// and failures stop the run promptly.
-func parallelFor(rc *runControl, site workerSite, n, numWorkers int, body func(worker, lo, hi int)) {
-	guarded := func(w, lo, hi int) {
-		defer func() {
-			if r := recover(); r != nil {
-				if telemetry.Enabled() {
-					mRecoveredPanics.Inc()
-				}
-				rc.fail(&KernelError{
-					Kernel: site.kernel, Target: site.target,
-					Worker: w, Tile: site.tile, Part: site.part, Value: r,
-				})
-			}
-		}()
-		body(w, lo, hi)
-	}
-	if numWorkers <= 1 || n <= 1 {
-		guarded(0, 0, n)
-		return
-	}
-	if numWorkers > n {
-		numWorkers = n
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < numWorkers; w++ {
-		lo := w * n / numWorkers
-		hi := (w + 1) * n / numWorkers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			guarded(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
-
 // cancelChunk is how many rows or edges a worker processes between
 // cancellation polls: small enough to stop promptly, large enough to keep
 // the poll off the inner loops.
 const cancelChunk = 64
-
-// ctxDone reports whether err is the run context's cancellation rather than
-// a device or kernel failure — cancellations must not trigger CPU fallback.
-func ctxDone(ctx context.Context, err error) bool {
-	return ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
 
 // aggInto folds msg into acc elementwise with op. Mean accumulates like sum
 // and is normalized at the end of the run.

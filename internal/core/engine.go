@@ -13,11 +13,9 @@
 // Phases dispatch over precomputed chunk lists (see chunks.go): SpMM row
 // phases use edge-balanced chunks so skewed degree distributions cannot
 // starve the pool, SDDMM edge phases and aggregation finalization use
-// uniform chunks. Panic isolation, cancellation polling, and faultinject
-// sites keep the exact semantics of the legacy scheduler (core.parallelFor,
-// still available via Options.LegacySched): a panicking chunk becomes a
-// *KernelError attributing the failing runner slot and schedule position,
-// and every runner polls the run control between cancelChunk rows/edges.
+// uniform chunks. A panicking chunk becomes a *KernelError attributing the
+// failing runner slot and schedule position, and every runner polls the run
+// control between cancelChunk rows/edges.
 package core
 
 import (
@@ -40,24 +38,85 @@ import (
 // concurrent Runs fall back to transient states.
 const runStatePoolCap = 2
 
-// guard wraps a chunk body with the engine's panic isolation: a panicking
-// chunk is recorded on rc as a *KernelError attributing the runner slot and
-// the schedule position site points at. site is read at recovery time, which
-// is safe because phases are barriers — site only changes between phases.
-func guard(rc *runControl, site *workerSite, body func(slot, chunk int)) func(slot, chunk int) {
-	return func(slot, chunk int) {
+// engineState is the head every pooled CPU run state embeds: run control,
+// the reusable pool job, and the per-run accounting folded into RunStats.
+type engineState struct {
+	rc   runControl
+	job  workpool.Job
+	site workerSite
+	out  *tensor.Tensor
+
+	// Edge traversals performed and chunks executed by helper slots (stolen
+	// from the submitter). Atomic because chunks retire on concurrent pool
+	// runners; two uncontended-in-practice adds per chunk, cheap enough to
+	// populate RunStats unconditionally.
+	edges  atomic.Uint64
+	stolen atomic.Uint64
+
+	// beacon is the progress counter the stall watchdog scans; the pool
+	// ticks it once per retired chunk via job.Progress.
+	beacon admission.Beacon
+}
+
+// arm creates the job's closures once, so runs allocate nothing. body runs
+// under the engine's panic isolation: a panicking chunk is recorded on rc as
+// a *KernelError attributing the runner slot and the schedule position site
+// points at. site is read at recovery time, which is safe because phases are
+// barriers — site only changes between phases.
+func (e *engineState) arm(site workerSite, body func(slot, chunk int)) {
+	e.site = site
+	e.job.Body = func(slot, chunk int) {
 		defer func() {
 			if r := recover(); r != nil {
 				if telemetry.Enabled() {
 					mRecoveredPanics.Inc()
 				}
-				rc.fail(&KernelError{
-					Kernel: site.kernel, Target: site.target,
-					Worker: slot, Tile: site.tile, Part: site.part, Value: r,
+				e.rc.fail(&KernelError{
+					Kernel: e.site.kernel, Target: e.site.target,
+					Worker: slot, Tile: e.site.tile, Part: e.site.part, Value: r,
 				})
 			}
 		}()
 		body(slot, chunk)
+	}
+	e.job.Stop = e.rc.stop
+	e.job.Progress = e.beacon.Counter()
+}
+
+// begin rearms e for one execution into out, under gov's stall watchdog when
+// it has one. The caller defers the returned watch's end and finishes with
+// the returned context.
+func (e *engineState) begin(ctx context.Context, gov *admission.Governor, site string, out *tensor.Tensor) (context.Context, watch) {
+	ctx, w := startWatch(ctx, gov, &e.beacon, site)
+	e.rc.reset(ctx)
+	e.out = out
+	e.edges.Store(0)
+	e.stolen.Store(0)
+	return ctx, w
+}
+
+// finish returns the run's accounting and its verdict.
+func (e *engineState) finish(ctx context.Context) (RunStats, error) {
+	e.out = nil
+	return RunStats{EdgesProcessed: e.edges.Load(), ChunksStolen: e.stolen.Load()}, stallCause(ctx, e.rc.verdict())
+}
+
+// getState draws a run state from a kernel's freelist, or builds a transient
+// one when concurrent Runs have drained it.
+func getState[S any, K interface{ newRunState() *S }](k K, pool chan *S) *S {
+	select {
+	case st := <-pool:
+		return st
+	default:
+		return k.newRunState()
+	}
+}
+
+// putState returns st to the freelist, dropping it when the list is full.
+func putState[S any](pool chan *S, st *S) {
+	select {
+	case pool <- st:
+	default:
 	}
 }
 
@@ -72,36 +131,21 @@ func scratchSlots(numThreads int) int {
 
 // spmmRunState is one execution's worth of reusable SpMM state.
 type spmmRunState struct {
-	k    *SpMMKernel
-	rc   runControl
-	job  workpool.Job
-	site workerSite
+	engineState
+	k *SpMMKernel
 
 	// Per-phase dispatch parameters, set between pool runs (phases are
 	// barriers, so runners never observe a mutation mid-phase).
-	out      *tensor.Tensor
 	part     *sparse.CSR
 	tile     partition.Range
 	chunks   []partition.Range
 	finalize bool
 
-	// Per-run accounting, reset by runCPUEngine and folded into RunStats:
-	// edge traversals performed and chunks executed by helper slots
-	// (stolen from the submitter). Atomic because chunks retire on
-	// concurrent pool runners; two uncontended-in-practice adds per chunk,
-	// cheap enough to populate RunStats unconditionally.
-	edges  atomic.Uint64
-	stolen atomic.Uint64
-
-	// beacon is the progress counter the stall watchdog scans; the pool
-	// ticks it once per retired chunk via job.Progress.
-	beacon admission.Beacon
-
 	scratch []*spmmScratch // indexed by runner slot
 }
 
 func (k *SpMMKernel) newRunState() *spmmRunState {
-	st := &spmmRunState{k: k, site: workerSite{kernel: "spmm", target: CPU}}
+	st := &spmmRunState{k: k}
 	st.scratch = make([]*spmmScratch, scratchSlots(k.opts.NumThreads))
 	for w := range st.scratch {
 		st.scratch[w] = &spmmScratch{
@@ -110,29 +154,8 @@ func (k *SpMMKernel) newRunState() *spmmRunState {
 			tmp: make([]float32, k.tmpLen),
 		}
 	}
-	st.job.Body = guard(&st.rc, &st.site, st.runChunk)
-	st.job.Stop = st.rc.stop
-	st.job.Progress = st.beacon.Counter()
+	st.arm(workerSite{kernel: "spmm", target: CPU}, st.runChunk)
 	return st
-}
-
-func (k *SpMMKernel) getRunState() *spmmRunState {
-	select {
-	case st := <-k.states:
-		return st
-	default:
-		return k.newRunState()
-	}
-}
-
-func (k *SpMMKernel) putRunState(st *spmmRunState) {
-	st.out = nil
-	st.part = nil
-	st.chunks = nil
-	select {
-	case k.states <- st:
-	default:
-	}
 }
 
 // runChunk processes one chunk of the current phase: a row range of the
@@ -159,26 +182,19 @@ func (st *spmmRunState) runChunk(slot, ci int) {
 	faultinject.CorruptFloats(faultinject.SiteSpMMCPUOutput, odata[r.Lo*ostride:r.Hi*ostride])
 }
 
-// runCPUEngine executes the tiled, partitioned CPU schedule on the
-// persistent engine: the same loop structure as the legacy scheduler
-// (feature tiles outermost, partitions next, rows innermost) but with rows
-// split into edge-balanced chunks drained from the shared pool, and zero
-// per-run allocation.
-func (k *SpMMKernel) runCPUEngine(ctx context.Context, out *tensor.Tensor, stats *RunStats) error {
+// runCPU executes the tiled, partitioned, multi-threaded CPU schedule:
+// feature tiles outermost (each tile re-traverses the topology, the
+// trade-off of Figure 6), graph partitions next (all threads cooperate on
+// one partition at a time, §IV-A), rows innermost — split into
+// edge-balanced chunks drained from the shared pool, with zero per-run
+// allocation.
+func (k *SpMMKernel) runCPU(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
 	threads := max(k.opts.NumThreads, 1)
 	pool := workpool.Default()
-	st := k.getRunState()
-	defer k.putRunState(st)
-	if gov := admission.Resolve(k.opts.Admission); gov.WatchdogEnabled() {
-		wctx, cancel := context.WithCancelCause(ctx)
-		defer cancel(nil)
-		defer gov.Watch(cancel, &st.beacon, "spmm/cpu-engine")()
-		ctx = wctx
-	}
-	st.rc.reset(ctx)
-	st.out = out
-	st.edges.Store(0)
-	st.stolen.Store(0)
+	st := getState(k, k.states)
+	defer putState(k.states, st)
+	ctx, w := st.begin(ctx, k.opts.Admission, "spmm/cpu-engine", out)
+	defer w.end()
 	tracing := telemetry.TraceActive()
 	if !k.partial {
 		out.Fill(k.agg.identity())
@@ -188,7 +204,7 @@ func (k *SpMMKernel) runCPUEngine(ctx context.Context, out *tensor.Tensor, stats
 	for ti, tile := range k.tiles {
 		for pi, part := range k.parts {
 			if st.rc.stop() {
-				return stallCause(ctx, st.rc.verdict())
+				return st.finish(ctx)
 			}
 			st.tile, st.part, st.chunks, st.finalize = tile, part, k.chunks[pi], false
 			st.site.tile, st.site.part = ti, pi
@@ -213,65 +229,32 @@ func (k *SpMMKernel) runCPUEngine(ctx context.Context, out *tensor.Tensor, stats
 			telemetry.RecordSpan("spmm.finalize", 0, phaseStart, time.Since(phaseStart), "chunks", int64(len(k.finChunks)), "", 0, 1)
 		}
 	}
-	stats.EdgesProcessed = st.edges.Load()
-	stats.ChunksStolen = st.stolen.Load()
-	return stallCause(ctx, st.rc.verdict())
+	return st.finish(ctx)
 }
 
 // --- SDDMM ---
 
 // sddmmRunState is one execution's worth of reusable SDDMM state.
 type sddmmRunState struct {
-	k    *SDDMMKernel
-	rc   runControl
-	job  workpool.Job
-	site workerSite
+	engineState
+	k *SDDMMKernel
 
-	out    *tensor.Tensor
 	chunks []partition.Range
 	tile   partition.Range // active tile: reduce axis (dot) or output axis
 	dot    bool            // dot fast path vs generic compiled path
 	acc    bool            // dot: accumulate onto an earlier reduce tile
 
-	// Per-run accounting (see spmmRunState).
-	edges  atomic.Uint64
-	stolen atomic.Uint64
-
-	// beacon is the progress counter the stall watchdog scans (see
-	// spmmRunState.beacon).
-	beacon admission.Beacon
-
 	envs []*codegen.Env // indexed by runner slot (generic path)
 }
 
 func (k *SDDMMKernel) newRunState() *sddmmRunState {
-	st := &sddmmRunState{k: k, site: workerSite{kernel: "sddmm", target: CPU, part: -1}}
+	st := &sddmmRunState{k: k}
 	st.envs = make([]*codegen.Env, scratchSlots(k.opts.NumThreads))
 	for w := range st.envs {
 		st.envs[w] = k.compiled.NewEnv()
 	}
-	st.job.Body = guard(&st.rc, &st.site, st.runChunk)
-	st.job.Stop = st.rc.stop
-	st.job.Progress = st.beacon.Counter()
+	st.arm(workerSite{kernel: "sddmm", target: CPU, part: -1}, st.runChunk)
 	return st
-}
-
-func (k *SDDMMKernel) getRunState() *sddmmRunState {
-	select {
-	case st := <-k.states:
-		return st
-	default:
-		return k.newRunState()
-	}
-}
-
-func (k *SDDMMKernel) putRunState(st *sddmmRunState) {
-	st.out = nil
-	st.chunks = nil
-	select {
-	case k.states <- st:
-	default:
-	}
 }
 
 // runChunk processes one edge chunk of the current phase.
@@ -284,25 +267,17 @@ func (st *sddmmRunState) runChunk(slot, ci int) {
 	st.k.cpuEdges(&st.rc, st.envs[slot], st.out, r.Lo, r.Hi, st.tile, st.dot, st.acc)
 }
 
-// runCPUEngine executes the SDDMM CPU schedule on the persistent engine:
-// one pooled phase per tile over uniform edge chunks of the traversal order
+// runCPU executes the SDDMM CPU schedule on the persistent engine: one
+// pooled phase per tile over uniform edge chunks of the traversal order
 // (Hilbert or row-major), with zero per-run allocation.
-func (k *SDDMMKernel) runCPUEngine(ctx context.Context, out *tensor.Tensor, stats *RunStats) error {
+func (k *SDDMMKernel) runCPU(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
 	threads := max(k.opts.NumThreads, 1)
 	pool := workpool.Default()
-	st := k.getRunState()
-	defer k.putRunState(st)
-	if gov := admission.Resolve(k.opts.Admission); gov.WatchdogEnabled() {
-		wctx, cancel := context.WithCancelCause(ctx)
-		defer cancel(nil)
-		defer gov.Watch(cancel, &st.beacon, "sddmm/cpu-engine")()
-		ctx = wctx
-	}
-	st.rc.reset(ctx)
-	st.out = out
+	st := getState(k, k.states)
+	defer putState(k.states, st)
+	ctx, w := st.begin(ctx, k.opts.Admission, "sddmm/cpu-engine", out)
+	defer w.end()
 	st.chunks = k.edgeChunks
-	st.edges.Store(0)
-	st.stolen.Store(0)
 	tracing := telemetry.TraceActive()
 
 	st.dot = k.match.Pattern == codegen.DotSrcDst
@@ -313,7 +288,7 @@ func (k *SDDMMKernel) runCPUEngine(ctx context.Context, out *tensor.Tensor, stat
 	var phaseStart time.Time
 	for ti, tile := range tiles {
 		if st.rc.stop() {
-			return stallCause(ctx, st.rc.verdict())
+			break
 		}
 		st.tile, st.acc = tile, ti > 0
 		st.site.tile = ti
@@ -325,7 +300,5 @@ func (k *SDDMMKernel) runCPUEngine(ctx context.Context, out *tensor.Tensor, stat
 			telemetry.RecordSpan("sddmm.phase", 0, phaseStart, time.Since(phaseStart), "tile", int64(ti), "", 0, 1)
 		}
 	}
-	stats.EdgesProcessed = st.edges.Load()
-	stats.ChunksStolen = st.stolen.Load()
-	return stallCause(ctx, st.rc.verdict())
+	return st.finish(ctx)
 }

@@ -78,128 +78,65 @@ func TestUniformChunksCoverRange(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesLegacySched checks the persistent engine reproduces the
-// legacy per-run-goroutine scheduler bit for bit: chunking changes which
-// worker computes a row, never the per-row arithmetic order.
-func TestEngineMatchesLegacySched(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	const n, d = 300, 24
-	adj := graphgen.TwoTier(rng, n, 0.2, 30, 3).Transpose()
-	x := randTensor(rng, n, d)
-	e1 := randTensor(rng, adj.NNZ(), 1)
-	x8 := randTensor(rng, n, 8)
-	w := randTensor(rng, 8, d)
-
-	opts := Options{Target: CPU, NumThreads: 4, GraphPartitions: 4}
-	legacy := opts
-	legacy.LegacySched = true
-
-	spmmWorkloads := []struct {
-		name   string
-		udf    *expr.UDF
-		inputs []*tensor.Tensor
-	}{
-		{"copy-src", expr.CopySrc(n, d), []*tensor.Tensor{x}},
-		{"src-mul-edge-scalar", expr.SrcMulEdgeScalar(n, adj.NNZ(), d), []*tensor.Tensor{x, e1}},
-		{"mlp", expr.MLPMessage(n, 8, d), []*tensor.Tensor{x8, w}},
-	}
-	for _, wl := range spmmWorkloads {
-		for _, agg := range []AggOp{AggSum, AggMax, AggMean} {
-			fds := schedule.New().Split(wl.udf.OutAxes[0], 8)
-			got := runSpMMConfig(t, adj, wl.udf, wl.inputs, agg, fds, opts)
-			want := runSpMMConfig(t, adj, wl.udf, wl.inputs, agg, fds, legacy)
-			for i, v := range got.Data() {
-				if v != want.Data()[i] {
-					t.Fatalf("spmm %s/%s: engine diverges from legacy at %d: %v != %v", wl.name, agg, i, v, want.Data()[i])
-				}
-			}
-		}
-	}
-
-	sddmmWorkloads := []struct {
-		name   string
-		udf    *expr.UDF
-		inputs []*tensor.Tensor
-	}{
-		{"dot", expr.DotAttention(n, d), []*tensor.Tensor{x}},
-		{"add-src-dst", expr.AddSrcDst(n, d), []*tensor.Tensor{x}},
-	}
-	for _, wl := range sddmmWorkloads {
-		run := func(o Options) *tensor.Tensor {
-			k, err := BuildSDDMM(adj, wl.udf, wl.inputs, schedule.New().Split(wl.udf.OutAxes[0], 8), o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, cols := k.OutShape()
-			out := tensor.New(rows, cols)
-			if _, err := k.Run(out); err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}
-		got, want := run(opts), run(legacy)
-		for i, v := range got.Data() {
-			if v != want.Data()[i] {
-				t.Fatalf("sddmm %s: engine diverges from legacy at %d: %v != %v", wl.name, i, v, want.Data()[i])
-			}
-		}
-	}
-}
-
 // TestRunCtxZeroAllocSteadyState asserts the headline engine property: after
 // the first run, repeated RunCtx calls on a built kernel allocate nothing —
-// CPU and simulated GPU alike.
+// every in-memory kernel, CPU and simulated GPU alike, with telemetry off and
+// with Options.Metrics recording every run.
 func TestRunCtxZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const n, d = 512, 16
 	adj := sparse.Random(rng, n, n, 6)
+	adjT := adj.Transpose()
 	x := randTensor(rng, n, d)
+	dout := randTensor(rng, n, d)
 	dev := cudasim.NewDevice(cudasim.Config{})
 
-	type kernelCase struct {
-		name string
-		run  func() error
-	}
-	var cases []kernelCase
-
-	addSpMM := func(name string, opts Options) {
-		udf := expr.CopySrc(n, d)
-		k, err := BuildSpMM(adj, udf, []*tensor.Tensor{x}, AggSum, schedule.New().Split(udf.OutAxes[0], 8), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := tensor.New(n, d)
-		cases = append(cases, kernelCase{name, func() error { _, err := k.Run(out); return err }})
-	}
-	addSDDMM := func(name string, opts Options) {
-		k, err := BuildSDDMM(adj, expr.DotAttention(n, d), []*tensor.Tensor{x}, nil, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := tensor.New(adj.NNZ(), 1)
-		cases = append(cases, kernelCase{name, func() error { _, err := k.Run(out); return err }})
-	}
-	addSpMM("spmm-cpu", Options{Target: CPU, NumThreads: 4, GraphPartitions: 4})
-	addSpMM("spmm-gpu", Options{Target: GPU, Device: dev})
-	addSDDMM("sddmm-cpu", Options{Target: CPU, NumThreads: 4})
-	addSDDMM("sddmm-gpu", Options{Target: GPU, Device: dev})
-
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			// First run may finish lazy per-slot scratch; steady state
-			// starts after it.
-			if err := c.run(); err != nil {
-				t.Fatal(err)
+	builders := map[string]func(Options) (Kernel, error){
+		"spmm": func(o Options) (Kernel, error) {
+			udf := expr.CopySrc(n, d)
+			return BuildSpMM(adj, udf, []*tensor.Tensor{x}, AggSum, schedule.New().Split(udf.OutAxes[0], 8), o)
+		},
+		"sddmm": func(o Options) (Kernel, error) {
+			return BuildSDDMM(adj, expr.DotAttention(n, d), []*tensor.Tensor{x}, nil, o)
+		},
+		"fusedattn": func(o Options) (Kernel, error) {
+			k, _, _ := buildFused(t, adj, x, x, gatCfg, o)
+			return k, nil
+		},
+		"fusedattn-bwd": func(o Options) (Kernel, error) {
+			fwd, alpha, deriv := buildFused(t, adj, x, x, gatCfg, o)
+			if _, err := fwd.Run(tensor.New(n, d)); err != nil {
+				return nil, err
 			}
-			allocs := testing.AllocsPerRun(10, func() {
-				if err := c.run(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s: %v allocs per steady-state run, want 0", c.name, allocs)
+			return BuildFusedAttentionBwd(adj, adjT, x, x, alpha, deriv, dout, o)
+		},
+	}
+	targets := map[string]Options{
+		"cpu": {Target: CPU, NumThreads: 4, GraphPartitions: 4},
+		"gpu": {Target: GPU, Device: dev},
+	}
+	for kernel, build := range builders {
+		for target, opts := range targets {
+			for _, metrics := range []bool{false, true} {
+				opts.Metrics = metrics
+				t.Run(fmt.Sprintf("%s-%s/metrics=%v", kernel, target, metrics), func(t *testing.T) {
+					k, err := build(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out := tensor.New(k.OutShape())
+					run := func() {
+						if _, err := k.Run(out); err != nil {
+							t.Fatal(err)
+						}
+					}
+					run() // the first run may finish lazy per-slot scratch
+					if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+						t.Errorf("%v allocs per steady-state run, want 0", allocs)
+					}
+				})
 			}
-		})
+		}
 	}
 }
 

@@ -28,11 +28,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"featgraph/internal/admission"
 	"featgraph/internal/faultinject"
 	"featgraph/internal/partition"
 	"featgraph/internal/sparse"
@@ -65,12 +62,12 @@ type FusedAttnConfig struct {
 // which belong to the build, so concurrent runs of the *same* built kernel
 // race on them. dgl serializes per-op Applies, which satisfies both.
 type FusedAttnKernel struct {
+	governed
 	adj      *sparse.CSR
 	x, y     *tensor.Tensor // [NumCols, d] source / [NumRows, d] destination features
 	alpha    *tensor.Tensor // [≥m, 1] softmax probabilities, written per run
 	deriv    *tensor.Tensor // [≥m, 1] dscore/ddot factors, written per run
 	cfg      FusedAttnConfig
-	opts     Options
 	d        int
 	maxInDeg int
 
@@ -79,12 +76,7 @@ type FusedAttnKernel struct {
 	states chan *fusedAttnRunState
 
 	// GPU state; nil when the target is CPU.
-	gpu         *fusedAttnGPU
-	breaker     *admission.Breaker
-	memEstimate int64
-
-	lastMu sync.Mutex
-	last   RunStats
+	gpu *fusedAttnGPU
 }
 
 // BuildFusedAttention builds the fused attention forward kernel. x holds
@@ -97,7 +89,7 @@ type FusedAttnKernel struct {
 // the row softmax needs a destination's full in-edge set and the dot
 // product the full feature row, so the only parallel axis is the
 // destination row, dispatched as edge-balanced chunks on the shared worker
-// pool (Options.LegacySched selects a plain uniform row split instead).
+// pool.
 func BuildFusedAttention(adj *sparse.CSR, x, y, alpha, deriv *tensor.Tensor, cfg FusedAttnConfig, opts Options) (*FusedAttnKernel, error) {
 	tracing := telemetry.TraceActive()
 	var buildStart time.Time
@@ -127,7 +119,8 @@ func BuildFusedAttention(adj *sparse.CSR, x, y, alpha, deriv *tensor.Tensor, cfg
 	if opts.Target != CPU && opts.Target != GPU {
 		return nil, fmt.Errorf("core: unknown target %d", opts.Target)
 	}
-	k := &FusedAttnKernel{adj: adj, x: x, y: y, alpha: alpha, deriv: deriv, cfg: cfg, opts: opts, d: d}
+	k := &FusedAttnKernel{adj: adj, x: x, y: y, alpha: alpha, deriv: deriv, cfg: cfg, d: d}
+	k.init("fusedattn", "fused attention", fusedattnMetrics, opts, adj.NumRows, d)
 	k.maxInDeg = maxRowDegree(adj)
 	threads := max(opts.NumThreads, 1)
 	k.chunks = edgeBalancedChunks(adj, numChunksFor(threads, adj.NumRows, m))
@@ -135,9 +128,7 @@ func BuildFusedAttention(adj *sparse.CSR, x, y, alpha, deriv *tensor.Tensor, cfg
 
 	if opts.Target == GPU {
 		k.gpu = buildFusedAttnGPU(k.opts)
-		if opts.BreakerThreshold >= 0 {
-			k.breaker = admission.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, fusedattnMetrics.breakerHook())
-		}
+		k.armGPU()
 	}
 
 	// Admission memory estimate: the output surface, the per-edge alpha and
@@ -176,122 +167,16 @@ func (k *FusedAttnKernel) Describe() string {
 		k.opts.Target, k.adj.NumRows, k.adj.NNZ(), k.d, k.maxInDeg, k.cfg.NegSlope, k.cfg.Scale)
 }
 
-// LastStats returns the statistics of the most recently completed RunCtx.
-func (k *FusedAttnKernel) LastStats() RunStats {
-	k.lastMu.Lock()
-	defer k.lastMu.Unlock()
-	return k.last
-}
-
 // Run executes the kernel into out (Run = RunCtx under context.Background()).
 func (k *FusedAttnKernel) Run(out *tensor.Tensor) (RunStats, error) {
 	return k.RunCtx(context.Background(), out)
 }
 
 // RunCtx executes the fused forward into out ([NumRows, d]) under ctx and
-// the kernel's serving policy — the same governed shape as the template
-// kernels: admission (concurrency/memory/deadline), the GPU path behind the
-// circuit breaker with CPU fallback, stall-watchdog cancellation, numeric
-// checking, and retry with jittered backoff. See SpMMKernel.RunCtx for the
-// full semantics. As a side effect a successful run fills the alpha and
-// deriv buffers passed at build time.
+// the kernel's serving policy; see governed.go. As a side effect a
+// successful run fills the alpha and deriv buffers passed at build time.
 func (k *FusedAttnKernel) RunCtx(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
-	if out.Dim(0) != k.adj.NumRows || out.Len() != k.adj.NumRows*k.d {
-		return RunStats{}, fmt.Errorf("core: fused attention output shape %v, want [%d, %d]", out.Shape(), k.adj.NumRows, k.d)
-	}
-	if err := ctx.Err(); err != nil {
-		return RunStats{}, err
-	}
-	gov := admission.Resolve(k.opts.Admission)
-	if k.opts.Deadline > 0 {
-		dctx, cancel := context.WithTimeout(ctx, k.opts.Deadline)
-		defer cancel()
-		ctx = dctx
-	}
-	tk, err := gov.Admit(ctx, k.memEstimate)
-	if err != nil {
-		return RunStats{}, err
-	}
-	stats, err := k.runAttempts(ctx, out, tk.Queued())
-	gov.Release(tk)
-	return stats, err
-}
-
-// runAttempts drives runAttempt under the kernel's retry policy.
-func (k *FusedAttnKernel) runAttempts(ctx context.Context, out *tensor.Tensor, queued time.Duration) (RunStats, error) {
-	for attempt := 0; ; attempt++ {
-		stats, err := k.runAttempt(ctx, out, queued, attempt)
-		if err == nil || attempt >= k.opts.Retries || !retryable(err) || ctx.Err() != nil {
-			return stats, err
-		}
-		admission.RecordRetry()
-		if !admission.SleepBackoff(ctx, attempt) {
-			return stats, err
-		}
-	}
-}
-
-// runAttempt is one execution attempt: GPU behind the breaker with CPU
-// fallback, or the CPU path, plus numeric checking and stats publication.
-func (k *FusedAttnKernel) runAttempt(ctx context.Context, out *tensor.Tensor, queued time.Duration, attempt int) (RunStats, error) {
-	metricsOn := k.opts.Metrics || telemetry.Enabled()
-	tracing := telemetry.TraceActive()
-	start := time.Now()
-	stats := RunStats{Queued: queued, Retries: attempt}
-	if k.opts.Target == GPU && k.breaker.Allow() {
-		gstats, err := k.runGPU(ctx, out)
-		if err == nil {
-			k.breaker.RecordSuccess()
-			gstats.Queued, gstats.Retries = queued, attempt
-			stats = gstats
-		} else {
-			if ctxDone(ctx, err) {
-				k.breaker.RecordCancel()
-				return RunStats{}, err
-			}
-			k.breaker.RecordFailure()
-			if k.opts.NoFallback {
-				return RunStats{}, err
-			}
-			stats = RunStats{Queued: queued, Retries: attempt}
-			if cpuErr := k.runCPU(ctx, out, &stats); cpuErr != nil {
-				return RunStats{}, fmt.Errorf("core: gpu run failed (%v); cpu fallback failed: %w", err, cpuErr)
-			}
-			stats.Fallback = true
-			stats.FallbackReason = err.Error()
-			if metricsOn {
-				fusedattnMetrics.recordFallback(false)
-			}
-			if tracing {
-				telemetry.RecordInstant("fusedattn.fallback", 0, "run_stage", 1, 1)
-			}
-		}
-	} else {
-		if err := k.runCPU(ctx, out, &stats); err != nil {
-			return RunStats{}, err
-		}
-		if k.opts.Target == GPU {
-			// The circuit breaker is open: routed straight to CPU.
-			stats.Fallback = true
-			stats.FallbackReason = "gpu circuit breaker open"
-			if metricsOn {
-				fusedattnMetrics.recordBreakerReroute()
-			}
-			if tracing {
-				telemetry.RecordInstant("fusedattn.fallback", 0, "breaker_open", 1, 1)
-			}
-		}
-	}
-	if k.breaker != nil {
-		stats.BreakerState = k.breaker.State().String()
-	}
-	if k.opts.CheckNumerics {
-		if err := checkNumerics("fusedattn", out); err != nil {
-			return stats, err
-		}
-	}
-	finishRun("fusedattn.run", fusedattnMetrics, k.opts.Target, &k.lastMu, &k.last, start, &stats, metricsOn, tracing)
-	return stats, nil
+	return k.run(ctx, k, out)
 }
 
 // fusedAttnScratch is one runner slot's row-local score buffer, sized by
@@ -302,46 +187,19 @@ type fusedAttnScratch struct {
 
 // fusedAttnRunState is one execution's worth of reusable engine state.
 type fusedAttnRunState struct {
-	k    *FusedAttnKernel
-	rc   runControl
-	job  workpool.Job
-	site workerSite
-
-	out    *tensor.Tensor
-	edges  atomic.Uint64
-	stolen atomic.Uint64
-	beacon admission.Beacon
-
+	engineState
+	k       *FusedAttnKernel
 	scratch []*fusedAttnScratch
 }
 
 func (k *FusedAttnKernel) newRunState() *fusedAttnRunState {
-	st := &fusedAttnRunState{k: k, site: workerSite{kernel: "fusedattn", target: CPU, tile: -1, part: -1}}
+	st := &fusedAttnRunState{k: k}
 	st.scratch = make([]*fusedAttnScratch, scratchSlots(k.opts.NumThreads))
 	for w := range st.scratch {
 		st.scratch[w] = &fusedAttnScratch{scores: make([]float32, k.maxInDeg)}
 	}
-	st.job.Body = guard(&st.rc, &st.site, st.runChunk)
-	st.job.Stop = st.rc.stop
-	st.job.Progress = st.beacon.Counter()
+	st.arm(workerSite{kernel: "fusedattn", target: CPU, tile: -1, part: -1}, st.runChunk)
 	return st
-}
-
-func (k *FusedAttnKernel) getRunState() *fusedAttnRunState {
-	select {
-	case st := <-k.states:
-		return st
-	default:
-		return k.newRunState()
-	}
-}
-
-func (k *FusedAttnKernel) putRunState(st *fusedAttnRunState) {
-	st.out = nil
-	select {
-	case k.states <- st:
-	default:
-	}
 }
 
 // runChunk processes one edge-balanced row chunk of the forward pass.
@@ -364,36 +222,16 @@ func (st *fusedAttnRunState) runChunk(slot, ci int) {
 	faultinject.CorruptFloats(faultinject.SiteFusedAttnCPUOutput, odata[r.Lo*ostride:r.Hi*ostride])
 }
 
-// runCPU dispatches to the engine or the legacy scheduler.
-func (k *FusedAttnKernel) runCPU(ctx context.Context, out *tensor.Tensor, stats *RunStats) error {
-	if k.opts.LegacySched {
-		err := k.runCPULegacy(ctx, out)
-		if err == nil {
-			stats.EdgesProcessed = uint64(k.adj.NNZ())
-		}
-		return err
-	}
-	return k.runCPUEngine(ctx, out, stats)
-}
-
-// runCPUEngine executes the single fused row phase on the persistent
-// engine: edge-balanced chunks drained from the shared pool, zero per-run
+// runCPU executes the single fused row phase on the persistent engine:
+// edge-balanced chunks drained from the shared pool, zero per-run
 // allocation.
-func (k *FusedAttnKernel) runCPUEngine(ctx context.Context, out *tensor.Tensor, stats *RunStats) error {
+func (k *FusedAttnKernel) runCPU(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
 	threads := max(k.opts.NumThreads, 1)
 	pool := workpool.Default()
-	st := k.getRunState()
-	defer k.putRunState(st)
-	if gov := admission.Resolve(k.opts.Admission); gov.WatchdogEnabled() {
-		wctx, cancel := context.WithCancelCause(ctx)
-		defer cancel(nil)
-		defer gov.Watch(cancel, &st.beacon, "fusedattn/cpu-engine")()
-		ctx = wctx
-	}
-	st.rc.reset(ctx)
-	st.out = out
-	st.edges.Store(0)
-	st.stolen.Store(0)
+	st := getState(k, k.states)
+	defer putState(k.states, st)
+	ctx, w := st.begin(ctx, k.opts.Admission, "fusedattn/cpu-engine", out)
+	defer w.end()
 	tracing := telemetry.TraceActive()
 	out.Zero()
 
@@ -405,35 +243,7 @@ func (k *FusedAttnKernel) runCPUEngine(ctx context.Context, out *tensor.Tensor, 
 	if tracing {
 		telemetry.RecordSpan("fusedattn.phase", 0, phaseStart, time.Since(phaseStart), "chunks", int64(len(k.chunks)), "", 0, 1)
 	}
-	stats.EdgesProcessed = st.edges.Load()
-	stats.ChunksStolen = st.stolen.Load()
-	return stallCause(ctx, st.rc.verdict())
-}
-
-// runCPULegacy is the pre-engine scheduler: fresh goroutines over a uniform
-// contiguous row split with per-run scratch, kept as the ablation baseline.
-func (k *FusedAttnKernel) runCPULegacy(ctx context.Context, out *tensor.Tensor) error {
-	rc := newRunControl(ctx)
-	threads := max(k.opts.NumThreads, 1)
-	out.Zero()
-	scratch := make([]*fusedAttnScratch, threads)
-	for w := range scratch {
-		scratch[w] = &fusedAttnScratch{scores: make([]float32, k.maxInDeg)}
-	}
-	site := workerSite{kernel: "fusedattn", target: CPU, tile: -1, part: -1}
-	ostride := out.RowStride()
-	odata := out.Data()
-	parallelFor(rc, site, k.adj.NumRows, threads, func(w, rlo, rhi int) {
-		faultinject.Hit(faultinject.SiteFusedAttnCPUWorker, rc.done, rc.quit)
-		for lo := rlo; lo < rhi; lo += cancelChunk {
-			if rc.stop() {
-				return
-			}
-			k.fwdRows(out, scratch[w], lo, min(lo+cancelChunk, rhi))
-		}
-		faultinject.CorruptFloats(faultinject.SiteFusedAttnCPUOutput, odata[rlo*ostride:rhi*ostride])
-	})
-	return rc.verdict()
+	return st.finish(ctx)
 }
 
 // fwdRows runs the fused forward for destination rows [rlo, rhi): scores

@@ -26,11 +26,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"featgraph/internal/admission"
 	"featgraph/internal/faultinject"
 	"featgraph/internal/partition"
 	"featgraph/internal/sparse"
@@ -41,12 +38,12 @@ import (
 
 // FusedAttnBwdKernel is the built fused backward kernel.
 type FusedAttnBwdKernel struct {
+	governed
 	adj, adjT *sparse.CSR
 	x, y      *tensor.Tensor // the forward's feature inputs
 	alpha     *tensor.Tensor // [≥m, 1] softmax probabilities from the forward
 	deriv     *tensor.Tensor // [≥m, 1] dscore/ddot factors from the forward
 	dout      *tensor.Tensor // [NumRows, d] upstream gradient, staged by the caller
-	opts      Options
 	d         int
 	maxInDeg  int
 
@@ -54,12 +51,7 @@ type FusedAttnBwdKernel struct {
 	chunksAdjT []partition.Range // phase 2: source rows of adjT
 	states     chan *fusedAttnBwdRunState
 
-	gpu         *fusedAttnGPU
-	breaker     *admission.Breaker
-	memEstimate int64
-
-	lastMu sync.Mutex
-	last   RunStats
+	gpu *fusedAttnGPU
 }
 
 // BuildFusedAttentionBwd builds the fused backward kernel. adjT must be the
@@ -95,7 +87,8 @@ func BuildFusedAttentionBwd(adj, adjT *sparse.CSR, x, y, alpha, deriv, dout *ten
 	if opts.Target != CPU && opts.Target != GPU {
 		return nil, fmt.Errorf("core: unknown target %d", opts.Target)
 	}
-	k := &FusedAttnBwdKernel{adj: adj, adjT: adjT, x: x, y: y, alpha: alpha, deriv: deriv, dout: dout, opts: opts, d: d}
+	k := &FusedAttnBwdKernel{adj: adj, adjT: adjT, x: x, y: y, alpha: alpha, deriv: deriv, dout: dout, d: d}
+	k.init("fusedattn.bwd", "fused attention backward", fusedattnMetrics, opts, adj.NumCols+adj.NumRows, d)
 	k.maxInDeg = maxRowDegree(adj)
 	threads := max(opts.NumThreads, 1)
 	k.chunksAdj = edgeBalancedChunks(adj, numChunksFor(threads, adj.NumRows, m))
@@ -104,9 +97,7 @@ func BuildFusedAttentionBwd(adj, adjT *sparse.CSR, x, y, alpha, deriv, dout *ten
 
 	if opts.Target == GPU {
 		k.gpu = buildFusedAttnGPU(k.opts)
-		if opts.BreakerThreshold >= 0 {
-			k.breaker = admission.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, fusedattnMetrics.breakerHook())
-		}
+		k.armGPU()
 	}
 
 	// Memory estimate: the [NumCols+NumRows, d] gradient surface, the
@@ -137,116 +128,17 @@ func (k *FusedAttnBwdKernel) Describe() string {
 		k.opts.Target, k.adj.NumRows, k.adj.NNZ(), k.d, k.maxInDeg)
 }
 
-// LastStats returns the statistics of the most recently completed RunCtx.
-func (k *FusedAttnBwdKernel) LastStats() RunStats {
-	k.lastMu.Lock()
-	defer k.lastMu.Unlock()
-	return k.last
-}
-
 // Run executes the kernel into out (Run = RunCtx under context.Background()).
 func (k *FusedAttnBwdKernel) Run(out *tensor.Tensor) (RunStats, error) {
 	return k.RunCtx(context.Background(), out)
 }
 
 // RunCtx executes the fused backward into out ([NumCols+NumRows, d]) under
-// the same governed semantics as the forward kernel. The alpha/deriv
+// ctx and the kernel's serving policy; see governed.go. The alpha/deriv
 // buffers must hold the most recent forward's values and dout the upstream
 // gradient.
 func (k *FusedAttnBwdKernel) RunCtx(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
-	wantRows := k.adj.NumCols + k.adj.NumRows
-	if out.Dim(0) != wantRows || out.Len() != wantRows*k.d {
-		return RunStats{}, fmt.Errorf("core: fused attention backward output shape %v, want [%d, %d]", out.Shape(), wantRows, k.d)
-	}
-	if err := ctx.Err(); err != nil {
-		return RunStats{}, err
-	}
-	gov := admission.Resolve(k.opts.Admission)
-	if k.opts.Deadline > 0 {
-		dctx, cancel := context.WithTimeout(ctx, k.opts.Deadline)
-		defer cancel()
-		ctx = dctx
-	}
-	tk, err := gov.Admit(ctx, k.memEstimate)
-	if err != nil {
-		return RunStats{}, err
-	}
-	stats, err := k.runAttempts(ctx, out, tk.Queued())
-	gov.Release(tk)
-	return stats, err
-}
-
-func (k *FusedAttnBwdKernel) runAttempts(ctx context.Context, out *tensor.Tensor, queued time.Duration) (RunStats, error) {
-	for attempt := 0; ; attempt++ {
-		stats, err := k.runAttempt(ctx, out, queued, attempt)
-		if err == nil || attempt >= k.opts.Retries || !retryable(err) || ctx.Err() != nil {
-			return stats, err
-		}
-		admission.RecordRetry()
-		if !admission.SleepBackoff(ctx, attempt) {
-			return stats, err
-		}
-	}
-}
-
-func (k *FusedAttnBwdKernel) runAttempt(ctx context.Context, out *tensor.Tensor, queued time.Duration, attempt int) (RunStats, error) {
-	metricsOn := k.opts.Metrics || telemetry.Enabled()
-	tracing := telemetry.TraceActive()
-	start := time.Now()
-	stats := RunStats{Queued: queued, Retries: attempt}
-	if k.opts.Target == GPU && k.breaker.Allow() {
-		gstats, err := k.runGPU(ctx, out)
-		if err == nil {
-			k.breaker.RecordSuccess()
-			gstats.Queued, gstats.Retries = queued, attempt
-			stats = gstats
-		} else {
-			if ctxDone(ctx, err) {
-				k.breaker.RecordCancel()
-				return RunStats{}, err
-			}
-			k.breaker.RecordFailure()
-			if k.opts.NoFallback {
-				return RunStats{}, err
-			}
-			stats = RunStats{Queued: queued, Retries: attempt}
-			if cpuErr := k.runCPU(ctx, out, &stats); cpuErr != nil {
-				return RunStats{}, fmt.Errorf("core: gpu run failed (%v); cpu fallback failed: %w", err, cpuErr)
-			}
-			stats.Fallback = true
-			stats.FallbackReason = err.Error()
-			if metricsOn {
-				fusedattnMetrics.recordFallback(false)
-			}
-			if tracing {
-				telemetry.RecordInstant("fusedattn.bwd.fallback", 0, "run_stage", 1, 1)
-			}
-		}
-	} else {
-		if err := k.runCPU(ctx, out, &stats); err != nil {
-			return RunStats{}, err
-		}
-		if k.opts.Target == GPU {
-			stats.Fallback = true
-			stats.FallbackReason = "gpu circuit breaker open"
-			if metricsOn {
-				fusedattnMetrics.recordBreakerReroute()
-			}
-			if tracing {
-				telemetry.RecordInstant("fusedattn.bwd.fallback", 0, "breaker_open", 1, 1)
-			}
-		}
-	}
-	if k.breaker != nil {
-		stats.BreakerState = k.breaker.State().String()
-	}
-	if k.opts.CheckNumerics {
-		if err := checkNumerics("fusedattn.bwd", out); err != nil {
-			return stats, err
-		}
-	}
-	finishRun("fusedattn.bwd.run", fusedattnMetrics, k.opts.Target, &k.lastMu, &k.last, start, &stats, metricsOn, tracing)
-	return stats, nil
+	return k.run(ctx, k, out)
 }
 
 // fusedAttnBwdRunState is one execution's worth of reusable engine state.
@@ -255,49 +147,23 @@ func (k *FusedAttnBwdKernel) runAttempt(ctx context.Context, out *tensor.Tensor,
 // row), phase 2 reads after the pool barrier, so it is race-free without
 // atomics.
 type fusedAttnBwdRunState struct {
-	k    *FusedAttnBwdKernel
-	rc   runControl
-	job  workpool.Job
-	site workerSite
-
-	out    *tensor.Tensor
+	engineState
+	k      *FusedAttnBwdKernel
 	phase2 bool
-	edges  atomic.Uint64
-	stolen atomic.Uint64
-	beacon admission.Beacon
 
 	dEdge   []float32
 	scratch []*fusedAttnScratch // per-slot dα row buffers
 }
 
 func (k *FusedAttnBwdKernel) newRunState() *fusedAttnBwdRunState {
-	st := &fusedAttnBwdRunState{k: k, site: workerSite{kernel: "fusedattn.bwd", target: CPU, tile: -1, part: -1}}
+	st := &fusedAttnBwdRunState{k: k}
 	st.dEdge = make([]float32, k.adj.NNZ())
 	st.scratch = make([]*fusedAttnScratch, scratchSlots(k.opts.NumThreads))
 	for w := range st.scratch {
 		st.scratch[w] = &fusedAttnScratch{scores: make([]float32, k.maxInDeg)}
 	}
-	st.job.Body = guard(&st.rc, &st.site, st.runChunk)
-	st.job.Stop = st.rc.stop
-	st.job.Progress = st.beacon.Counter()
+	st.arm(workerSite{kernel: "fusedattn.bwd", target: CPU, tile: -1, part: -1}, st.runChunk)
 	return st
-}
-
-func (k *FusedAttnBwdKernel) getRunState() *fusedAttnBwdRunState {
-	select {
-	case st := <-k.states:
-		return st
-	default:
-		return k.newRunState()
-	}
-}
-
-func (k *FusedAttnBwdKernel) putRunState(st *fusedAttnBwdRunState) {
-	st.out = nil
-	select {
-	case k.states <- st:
-	default:
-	}
 }
 
 // runChunk processes one row chunk of the active phase.
@@ -336,35 +202,16 @@ func (st *fusedAttnBwdRunState) runChunk(slot, ci int) {
 	faultinject.CorruptFloats(faultinject.SiteFusedAttnCPUOutput, odata[(base+r.Lo)*ostride:(base+r.Hi)*ostride])
 }
 
-func (k *FusedAttnBwdKernel) runCPU(ctx context.Context, out *tensor.Tensor, stats *RunStats) error {
-	if k.opts.LegacySched {
-		err := k.runCPULegacy(ctx, out)
-		if err == nil {
-			stats.EdgesProcessed = 2 * uint64(k.adj.NNZ())
-		}
-		return err
-	}
-	return k.runCPUEngine(ctx, out, stats)
-}
-
-// runCPUEngine executes the two backward phases on the persistent engine.
-// The pool run between them is the barrier that makes phase 2's dEdge reads
-// see phase 1's writes.
-func (k *FusedAttnBwdKernel) runCPUEngine(ctx context.Context, out *tensor.Tensor, stats *RunStats) error {
+// runCPU executes the two backward phases on the persistent engine. The
+// pool run between them is the barrier that makes phase 2's dEdge reads see
+// phase 1's writes.
+func (k *FusedAttnBwdKernel) runCPU(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
 	threads := max(k.opts.NumThreads, 1)
 	pool := workpool.Default()
-	st := k.getRunState()
-	defer k.putRunState(st)
-	if gov := admission.Resolve(k.opts.Admission); gov.WatchdogEnabled() {
-		wctx, cancel := context.WithCancelCause(ctx)
-		defer cancel(nil)
-		defer gov.Watch(cancel, &st.beacon, "fusedattn.bwd/cpu-engine")()
-		ctx = wctx
-	}
-	st.rc.reset(ctx)
-	st.out = out
-	st.edges.Store(0)
-	st.stolen.Store(0)
+	st := getState(k, k.states)
+	defer putState(k.states, st)
+	ctx, w := st.begin(ctx, k.opts.Admission, "fusedattn.bwd/cpu-engine", out)
+	defer w.end()
 	tracing := telemetry.TraceActive()
 	out.Zero()
 
@@ -389,44 +236,7 @@ func (k *FusedAttnBwdKernel) runCPUEngine(ctx context.Context, out *tensor.Tenso
 			telemetry.RecordSpan("fusedattn.bwd.phase", 0, phaseStart, time.Since(phaseStart), "phase", 2, "chunks", int64(len(k.chunksAdjT)), 2)
 		}
 	}
-	stats.EdgesProcessed = st.edges.Load()
-	stats.ChunksStolen = st.stolen.Load()
-	return stallCause(ctx, st.rc.verdict())
-}
-
-// runCPULegacy runs both phases on the pre-engine scheduler.
-func (k *FusedAttnBwdKernel) runCPULegacy(ctx context.Context, out *tensor.Tensor) error {
-	rc := newRunControl(ctx)
-	threads := max(k.opts.NumThreads, 1)
-	out.Zero()
-	dEdge := make([]float32, k.adj.NNZ())
-	scratch := make([]*fusedAttnScratch, threads)
-	for w := range scratch {
-		scratch[w] = &fusedAttnScratch{scores: make([]float32, k.maxInDeg)}
-	}
-	site := workerSite{kernel: "fusedattn.bwd", target: CPU, tile: -1, part: 0}
-	parallelFor(rc, site, k.adj.NumRows, threads, func(w, rlo, rhi int) {
-		faultinject.Hit(faultinject.SiteFusedAttnCPUWorker, rc.done, rc.quit)
-		for lo := rlo; lo < rhi; lo += cancelChunk {
-			if rc.stop() {
-				return
-			}
-			k.bwdDstRows(out, dEdge, scratch[w], lo, min(lo+cancelChunk, rhi))
-		}
-	})
-	if !rc.stop() {
-		site.part = 1
-		parallelFor(rc, site, k.adjT.NumRows, threads, func(_, rlo, rhi int) {
-			faultinject.Hit(faultinject.SiteFusedAttnCPUWorker, rc.done, rc.quit)
-			for lo := rlo; lo < rhi; lo += cancelChunk {
-				if rc.stop() {
-					return
-				}
-				k.bwdSrcRows(out, dEdge, lo, min(lo+cancelChunk, rhi))
-			}
-		})
-	}
-	return rc.verdict()
+	return st.finish(ctx)
 }
 
 // bwdDstRows runs phase 1 for destination rows [rlo, rhi): per-edge dα,

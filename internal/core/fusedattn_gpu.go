@@ -114,12 +114,8 @@ func (k *FusedAttnKernel) runGPU(ctx context.Context, out *tensor.Tensor) (RunSt
 	g := k.gpu
 	st := g.getLaunch(k.newGPULaunch)
 	defer g.putLaunch(st)
-	if gov := admission.Resolve(k.opts.Admission); gov.WatchdogEnabled() {
-		wctx, cancel := context.WithCancelCause(ctx)
-		defer cancel(nil)
-		defer gov.Watch(cancel, &st.beacon, "fusedattn/gpu")()
-		ctx = wctx
-	}
+	ctx, w := startWatch(ctx, k.opts.Admission, &st.beacon, "fusedattn/gpu")
+	defer w.end()
 	st.out = out
 	out.Zero()
 	blocks, threads := fusedAttnLaunchDims(k.opts, k.adj.NumRows, k.d)
@@ -216,12 +212,8 @@ func (k *FusedAttnBwdKernel) runGPU(ctx context.Context, out *tensor.Tensor) (Ru
 	g := k.gpu
 	st := g.getLaunch(k.newGPULaunch)
 	defer g.putLaunch(st)
-	if gov := admission.Resolve(k.opts.Admission); gov.WatchdogEnabled() {
-		wctx, cancel := context.WithCancelCause(ctx)
-		defer cancel(nil)
-		defer gov.Watch(cancel, &st.beacon, "fusedattn.bwd/gpu")()
-		ctx = wctx
-	}
+	ctx, w := startWatch(ctx, k.opts.Admission, &st.beacon, "fusedattn.bwd/gpu")
+	defer w.end()
 	st.out = out
 	out.Zero()
 	var total uint64

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"featgraph/internal/cudasim"
-	"featgraph/internal/faultinject"
 	"featgraph/internal/sparse"
 	"featgraph/internal/tensor"
 )
@@ -153,7 +151,6 @@ func TestFusedAttentionMatchesReference(t *testing.T) {
 	}{
 		{"engine-1t", Options{Target: CPU}},
 		{"engine-4t", Options{Target: CPU, NumThreads: 4}},
-		{"legacy", Options{Target: CPU, LegacySched: true, NumThreads: 3}},
 	}
 	for _, cfg := range configs {
 		k, alpha, _ := buildFused(t, adj, x, y, gatCfg, cfg.opts)
@@ -268,7 +265,6 @@ func TestFusedAttentionBwdMatchesReference(t *testing.T) {
 	}{
 		{"engine-1t", Options{Target: CPU}},
 		{"engine-4t", Options{Target: CPU, NumThreads: 4}},
-		{"legacy", Options{Target: CPU, LegacySched: true, NumThreads: 2}},
 		{"gpu", Options{Target: GPU, Device: dev}},
 	}
 	for _, cfg := range configs {
@@ -388,37 +384,6 @@ func TestFusedAttentionValidation(t *testing.T) {
 	}
 	if k.Describe() == "" {
 		t.Fatal("Describe should not be empty")
-	}
-}
-
-func TestFusedAttentionWorkerPanicIsKernelError(t *testing.T) {
-	defer faultinject.Arm(faultinject.SiteFusedAttnCPUWorker,
-		&faultinject.Fault{Kind: faultinject.Panic, Value: "bad edge"})()
-	rng := rand.New(rand.NewSource(47))
-	const n, d = 24, 8
-	adj := sparse.Random(rng, n, n, 3)
-	x := randTensor(rng, n, d)
-	k, _, _ := buildFused(t, adj, x, x, gatCfg, Options{Target: CPU, NumThreads: 4})
-	_, err := k.Run(tensor.New(n, d))
-	var ke *KernelError
-	if !errors.As(err, &ke) {
-		t.Fatalf("want KernelError, got %v", err)
-	}
-	if ke.Kernel != "fusedattn" {
-		t.Fatalf("KernelError.Kernel = %q", ke.Kernel)
-	}
-}
-
-func TestFusedAttentionNumericCheckCatchesCorruption(t *testing.T) {
-	defer faultinject.Arm(faultinject.SiteFusedAttnCPUOutput,
-		&faultinject.Fault{Kind: faultinject.NaN})()
-	rng := rand.New(rand.NewSource(48))
-	const n, d = 24, 8
-	adj := sparse.Random(rng, n, n, 3)
-	x := randTensor(rng, n, d)
-	k, _, _ := buildFused(t, adj, x, x, gatCfg, Options{Target: CPU, CheckNumerics: true})
-	if _, err := k.Run(tensor.New(n, d)); err == nil {
-		t.Fatal("NaN-poisoned output should fail the numeric check")
 	}
 }
 

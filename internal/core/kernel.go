@@ -16,8 +16,9 @@ type Kernel interface {
 	// Run executes the kernel into out (Run = RunCtx under
 	// context.Background()).
 	Run(out *tensor.Tensor) (RunStats, error)
-	// RunCtx executes the kernel into out under ctx; see the concrete
-	// types for cancellation, panic-isolation, and fallback semantics.
+	// RunCtx executes the kernel into out under ctx and the kernel's
+	// serving policy; governed.go describes the cancellation,
+	// panic-isolation, fallback and retry semantics every kernel shares.
 	RunCtx(ctx context.Context, out *tensor.Tensor) (RunStats, error)
 	// Describe returns a one-line human-readable description of the built
 	// kernel (template, aggregation, target, pattern, shape), making
@@ -49,22 +50,8 @@ func (k *SpMMKernel) Describe() string {
 		k.agg, k.opts.Target, k.Pattern(), k.adj.NumRows, k.adj.NNZ(), k.outLen, len(k.tiles), len(k.parts))
 }
 
-// LastStats returns the statistics of the most recently completed RunCtx.
-func (k *SpMMKernel) LastStats() RunStats {
-	k.lastMu.Lock()
-	defer k.lastMu.Unlock()
-	return k.last
-}
-
 // Describe returns a one-line description of the built SDDMM kernel.
 func (k *SDDMMKernel) Describe() string {
 	return fmt.Sprintf("sddmm{target:%s pattern:%s rows:%d nnz:%d out:%d tiles:%d}",
 		k.opts.Target, k.Pattern(), k.adj.NumRows, k.adj.NNZ(), k.outLen, len(k.tiles))
-}
-
-// LastStats returns the statistics of the most recently completed RunCtx.
-func (k *SDDMMKernel) LastStats() RunStats {
-	k.lastMu.Lock()
-	defer k.lastMu.Unlock()
-	return k.last
 }

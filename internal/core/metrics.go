@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-	"time"
-
 	"featgraph/internal/admission"
 	"featgraph/internal/telemetry"
 )
@@ -125,23 +122,5 @@ func (m *kernelMetrics) breakerHook() func(admission.BreakerState) {
 			m.brkToClosed.Inc()
 			m.brkOpen.Set(0)
 		}
-	}
-}
-
-// finishRun is the common tail of both templates' RunCtx: it stamps the
-// run duration, publishes LastStats, and records metrics and the run trace
-// span. It is a plain call (no defer, no closure) so the steady-state run
-// path stays allocation-free.
-func finishRun(kernel string, m *kernelMetrics, target Target, lastMu *sync.Mutex, last *RunStats, start time.Time, stats *RunStats, metricsOn, tracing bool) {
-	stats.Duration = time.Since(start)
-	lastMu.Lock()
-	*last = *stats
-	lastMu.Unlock()
-	if metricsOn {
-		m.record(target, stats)
-	}
-	if tracing {
-		telemetry.RecordSpan(kernel, 0, start, stats.Duration,
-			"edges", int64(stats.EdgesProcessed), "chunks_stolen", int64(stats.ChunksStolen), 2)
 	}
 }

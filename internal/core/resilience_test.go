@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -30,33 +29,6 @@ func buildTestSpMM(t *testing.T, seed int64, opts Options) (*SpMMKernel, *tensor
 		t.Fatal(err)
 	}
 	return k, tensor.New(n, d), adj, []*tensor.Tensor{x}
-}
-
-func TestSpMMRunCtxPreCancelled(t *testing.T) {
-	for _, target := range []Target{CPU, GPU} {
-		k, out, _, _ := buildTestSpMM(t, 20, Options{Target: target, NumThreads: 2})
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := k.RunCtx(ctx, out); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: want context.Canceled, got %v", target, err)
-		}
-	}
-}
-
-func TestSDDMMRunCtxPreCancelled(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	const n, d = 32, 8
-	adj := sparse.Random(rng, n, n, 4)
-	x := randTensor(rng, n, d)
-	k, err := BuildSDDMM(adj, expr.DotAttention(n, d), []*tensor.Tensor{x}, nil, Options{Target: CPU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := k.RunCtx(ctx, tensor.New(adj.NNZ(), 1)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
 }
 
 // waitGoroutines polls until the goroutine count drops back to at most want.
@@ -112,112 +84,6 @@ func TestSpMMGPUCancelDuringStalledBlocks(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-func TestSpMMWorkerPanicIsKernelError(t *testing.T) {
-	defer faultinject.Arm(faultinject.SiteSpMMCPUWorker,
-		&faultinject.Fault{Kind: faultinject.Panic, Value: "bad UDF"})()
-	k, out, _, _ := buildTestSpMM(t, 24, Options{Target: CPU, NumThreads: 4})
-	_, err := k.Run(out)
-	var ke *KernelError
-	if !errors.As(err, &ke) {
-		t.Fatalf("want *KernelError, got %v", err)
-	}
-	if ke.Kernel != "spmm" || ke.Target != CPU || ke.Value != "bad UDF" {
-		t.Fatalf("bad KernelError fields: %+v", ke)
-	}
-	if !strings.Contains(ke.Error(), "spmm/cpu") || !strings.Contains(ke.Error(), "bad UDF") {
-		t.Fatalf("unhelpful message: %q", ke.Error())
-	}
-}
-
-func TestSDDMMWorkerPanicIsKernelError(t *testing.T) {
-	defer faultinject.Arm(faultinject.SiteSDDMMCPUWorker,
-		&faultinject.Fault{Kind: faultinject.Panic})()
-	rng := rand.New(rand.NewSource(25))
-	const n, d = 32, 8
-	adj := sparse.Random(rng, n, n, 4)
-	x := randTensor(rng, n, d)
-	for _, hilbert := range []bool{false, true} {
-		k, err := BuildSDDMM(adj, expr.DotAttention(n, d), []*tensor.Tensor{x}, nil,
-			Options{Target: CPU, NumThreads: 4, Hilbert: hilbert})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = k.Run(tensor.New(adj.NNZ(), 1))
-		var ke *KernelError
-		if !errors.As(err, &ke) {
-			t.Fatalf("hilbert=%v: want *KernelError, got %v", hilbert, err)
-		}
-		if ke.Kernel != "sddmm" || ke.Target != CPU {
-			t.Fatalf("bad KernelError fields: %+v", ke)
-		}
-	}
-}
-
-func TestSpMMGPURunFallsBackToCPU(t *testing.T) {
-	// A device fault fails the launch; the kernel retries on the CPU path,
-	// records the fallback, and still produces the correct result.
-	defer faultinject.Arm(faultinject.SiteCudasimBlock,
-		&faultinject.Fault{Kind: faultinject.Panic, Value: "device fault"})()
-	k, out, adj, inputs := buildTestSpMM(t, 26, Options{Target: GPU})
-	stats, err := k.Run(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Fallback || !strings.Contains(stats.FallbackReason, "device fault") {
-		t.Fatalf("want recorded fallback, got %+v", stats)
-	}
-	want, err := ReferenceSpMM(adj, expr.CopySrc(adj.NumCols, 8), inputs, AggSum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.AllClose(want, 1e-4) {
-		t.Fatalf("fallback output wrong, max diff %v", out.MaxAbsDiff(want))
-	}
-}
-
-func TestSpMMGPUNoFallbackSurfacesKernelError(t *testing.T) {
-	defer faultinject.Arm(faultinject.SiteCudasimBlock,
-		&faultinject.Fault{Kind: faultinject.Panic, Value: "device fault"})()
-	k, out, _, _ := buildTestSpMM(t, 27, Options{Target: GPU, NoFallback: true})
-	_, err := k.Run(out)
-	var ke *KernelError
-	if !errors.As(err, &ke) {
-		t.Fatalf("want *KernelError, got %v", err)
-	}
-	if ke.Kernel != "spmm" || ke.Target != GPU || ke.Value != "device fault" {
-		t.Fatalf("bad KernelError fields: %+v", ke)
-	}
-}
-
-func TestSDDMMGPURunFallsBackToCPU(t *testing.T) {
-	defer faultinject.Arm(faultinject.SiteCudasimBlock,
-		&faultinject.Fault{Kind: faultinject.Panic, Value: "device fault"})()
-	rng := rand.New(rand.NewSource(28))
-	const n, d = 32, 8
-	adj := sparse.Random(rng, n, n, 4)
-	x := randTensor(rng, n, d)
-	udf := expr.DotAttention(n, d)
-	k, err := BuildSDDMM(adj, udf, []*tensor.Tensor{x}, nil, Options{Target: GPU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tensor.New(adj.NNZ(), 1)
-	stats, err := k.Run(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Fallback {
-		t.Fatalf("want recorded fallback, got %+v", stats)
-	}
-	want, err := ReferenceSDDMM(adj, udf, []*tensor.Tensor{x})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.AllClose(want, 1e-3) {
-		t.Fatalf("fallback output wrong, max diff %v", out.MaxAbsDiff(want))
-	}
-}
-
 func TestSpMMGPUBuildDegradesToCPU(t *testing.T) {
 	// A hybrid-partitioned schedule whose feature tile cannot fit in shared
 	// memory fails the device build; the kernel degrades to the CPU path at
@@ -252,48 +118,6 @@ func TestSpMMGPUBuildDegradesToCPU(t *testing.T) {
 	opts.NoFallback = true
 	if _, err := BuildSpMM(adj, expr.CopySrc(n, d), []*tensor.Tensor{x}, AggSum, nil, opts); err == nil {
 		t.Fatal("NoFallback build should surface the device error")
-	}
-}
-
-func TestSpMMCheckNumericsReportsNaN(t *testing.T) {
-	defer faultinject.Arm(faultinject.SiteSpMMCPUOutput,
-		&faultinject.Fault{Kind: faultinject.NaN})()
-	k, out, _, _ := buildTestSpMM(t, 30, Options{Target: CPU, NumThreads: 2, CheckNumerics: true})
-	_, err := k.Run(out)
-	var ne *NumericError
-	if !errors.As(err, &ne) {
-		t.Fatalf("want *NumericError, got %v", err)
-	}
-	if ne.Kernel != "spmm" || !math.IsNaN(float64(ne.Value)) {
-		t.Fatalf("bad NumericError fields: %+v", ne)
-	}
-	if v := out.At(ne.Row, ne.Col); !math.IsNaN(float64(v)) {
-		t.Fatalf("reported location (%d,%d) holds %v, not NaN", ne.Row, ne.Col, v)
-	}
-	if !strings.Contains(ne.Error(), "vertex") {
-		t.Fatalf("unhelpful message: %q", ne.Error())
-	}
-}
-
-func TestSDDMMCheckNumericsReportsNaN(t *testing.T) {
-	defer faultinject.Arm(faultinject.SiteSDDMMCPUOutput,
-		&faultinject.Fault{Kind: faultinject.NaN})()
-	rng := rand.New(rand.NewSource(31))
-	const n, d = 32, 8
-	adj := sparse.Random(rng, n, n, 4)
-	x := randTensor(rng, n, d)
-	k, err := BuildSDDMM(adj, expr.DotAttention(n, d), []*tensor.Tensor{x}, nil,
-		Options{Target: CPU, CheckNumerics: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = k.Run(tensor.New(adj.NNZ(), 1))
-	var ne *NumericError
-	if !errors.As(err, &ne) {
-		t.Fatalf("want *NumericError, got %v", err)
-	}
-	if ne.Kernel != "sddmm" || !strings.Contains(ne.Error(), "edge") {
-		t.Fatalf("bad NumericError: %+v (%q)", ne, ne.Error())
 	}
 }
 

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
-	"featgraph/internal/admission"
 	"featgraph/internal/codegen"
 	"featgraph/internal/expr"
 	"featgraph/internal/faultinject"
@@ -22,9 +20,8 @@ import (
 // every edge — out[e] = edgefunc(src, dst, e) — producing an |E|×outLen
 // tensor indexed by global edge id.
 type SDDMMKernel struct {
-	adj    *sparse.CSR
-	opts   Options
-	outLen int
+	governed
+	adj *sparse.CSR
 
 	// Sharded execution (see sharded.go): a partial kernel computes one
 	// shard's edges of a larger graph directly into the full global output
@@ -32,7 +29,6 @@ type SDDMMKernel struct {
 	// so outRows is the global edge count and the executor owns the
 	// one-time output zeroing. dstBase maps local destination rows onto
 	// global rows for Dst-indexed inputs.
-	outRows int
 	dstBase int
 	partial bool
 
@@ -50,16 +46,6 @@ type SDDMMKernel struct {
 	states     chan *sddmmRunState
 
 	gpu *sddmmGPU
-	// breaker is the GPU circuit breaker (nil for CPU-target kernels or
-	// when Options.BreakerThreshold is negative); see RunCtx.
-	breaker *admission.Breaker
-	// memEstimate is the run's resident-memory estimate charged against
-	// the admission governor's budget.
-	memEstimate int64
-
-	// LastStats storage (see kernel.go).
-	lastMu sync.Mutex
-	last   RunStats
 }
 
 // BuildSDDMM builds a generalized SDDMM kernel. fds may be nil.
@@ -108,12 +94,10 @@ func buildSDDMM(adj *sparse.CSR, udf *expr.UDF, inputs []*tensor.Tensor, fds *sc
 	}
 	k := &SDDMMKernel{
 		adj:      adj,
-		opts:     opts,
-		outLen:   compiled.OutLen(),
-		outRows:  adj.NNZ(),
 		compiled: compiled,
 		match:    codegen.Recognize(udf, inputs),
 	}
+	k.init("sddmm", "SDDMM", sddmmMetrics, opts, adj.NNZ(), compiled.OutLen())
 	if sh != nil {
 		k.outRows = int(sh.globalNNZ)
 		k.dstBase, k.partial = sh.dstBase, true
@@ -145,9 +129,7 @@ func buildSDDMM(adj *sparse.CSR, udf *expr.UDF, inputs []*tensor.Tensor, fds *sc
 	case GPU:
 		k.edges = partition.RowMajorEdges(adj)
 		k.gpu = buildSDDMMGPU(k, udf, fds)
-		if opts.BreakerThreshold >= 0 {
-			k.breaker = admission.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, sddmmMetrics.breakerHook())
-		}
+		k.armGPU()
 	default:
 		return nil, fmt.Errorf("core: unknown target %d", opts.Target)
 	}
@@ -208,163 +190,15 @@ func (k *SDDMMKernel) Run(out *tensor.Tensor) (RunStats, error) {
 }
 
 // RunCtx executes the kernel into out under ctx and the kernel's serving
-// policy; see SpMMKernel.RunCtx for the governed execution semantics
-// (admission, deadlines, circuit breaker, stall watchdog, retries) — the
-// two templates behave identically.
+// policy; see governed.go.
 func (k *SDDMMKernel) RunCtx(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
-	if out.Dim(0) != k.outRows || out.Len() != k.outRows*k.outLen {
-		return RunStats{}, fmt.Errorf("core: SDDMM output shape %v, want [%d, %d]", out.Shape(), k.outRows, k.outLen)
-	}
-	if err := ctx.Err(); err != nil {
-		return RunStats{}, err
-	}
-	gov := admission.Resolve(k.opts.Admission)
-	if k.opts.Deadline > 0 {
-		dctx, cancel := context.WithTimeout(ctx, k.opts.Deadline)
-		defer cancel()
-		ctx = dctx
-	}
-	tk, err := gov.Admit(ctx, k.memEstimate)
-	if err != nil {
-		return RunStats{}, err
-	}
-	stats, err := k.runAttempts(ctx, out, tk.Queued())
-	gov.Release(tk)
-	return stats, err
-}
-
-// runAttempts drives runAttempt under the kernel's retry policy.
-func (k *SDDMMKernel) runAttempts(ctx context.Context, out *tensor.Tensor, queued time.Duration) (RunStats, error) {
-	for attempt := 0; ; attempt++ {
-		stats, err := k.runAttempt(ctx, out, queued, attempt)
-		if err == nil || attempt >= k.opts.Retries || !retryable(err) || ctx.Err() != nil {
-			return stats, err
-		}
-		admission.RecordRetry()
-		if !admission.SleepBackoff(ctx, attempt) {
-			return stats, err
-		}
-	}
-}
-
-// runAttempt is one execution attempt; see SpMMKernel.runAttempt.
-func (k *SDDMMKernel) runAttempt(ctx context.Context, out *tensor.Tensor, queued time.Duration, attempt int) (RunStats, error) {
-	metricsOn := k.opts.Metrics || telemetry.Enabled()
-	tracing := telemetry.TraceActive()
-	start := time.Now()
-	stats := RunStats{Queued: queued, Retries: attempt}
-	if k.opts.Target == GPU && k.breaker.Allow() {
-		gstats, err := k.runGPU(ctx, out)
-		if err == nil {
-			k.breaker.RecordSuccess()
-			gstats.Queued, gstats.Retries = queued, attempt
-			stats = gstats
-		} else {
-			if ctxDone(ctx, err) {
-				k.breaker.RecordCancel()
-				return RunStats{}, err
-			}
-			k.breaker.RecordFailure()
-			if k.opts.NoFallback {
-				return RunStats{}, err
-			}
-			// Graceful degradation: one retry on the CPU path.
-			stats = RunStats{Queued: queued, Retries: attempt}
-			if cpuErr := k.runCPU(ctx, out, &stats); cpuErr != nil {
-				return RunStats{}, fmt.Errorf("core: gpu run failed (%v); cpu fallback failed: %w", err, cpuErr)
-			}
-			stats.Fallback = true
-			stats.FallbackReason = err.Error()
-			if metricsOn {
-				sddmmMetrics.recordFallback(false)
-			}
-			if tracing {
-				telemetry.RecordInstant("sddmm.fallback", 0, "run_stage", 1, 1)
-			}
-		}
-	} else {
-		if err := k.runCPU(ctx, out, &stats); err != nil {
-			return RunStats{}, err
-		}
-		if k.opts.Target == GPU {
-			// The circuit breaker is open: routed straight to CPU without
-			// paying for a doomed device attempt.
-			stats.Fallback = true
-			stats.FallbackReason = "gpu circuit breaker open"
-			if metricsOn {
-				sddmmMetrics.recordBreakerReroute()
-			}
-			if tracing {
-				telemetry.RecordInstant("sddmm.fallback", 0, "breaker_open", 1, 1)
-			}
-		}
-	}
-	if k.breaker != nil {
-		stats.BreakerState = k.breaker.State().String()
-	}
-	if k.opts.CheckNumerics {
-		if err := checkNumerics("sddmm", out); err != nil {
-			return stats, err
-		}
-	}
-	finishRun("sddmm.run", sddmmMetrics, k.opts.Target, &k.lastMu, &k.last, start, &stats, metricsOn, tracing)
-	return stats, nil
-}
-
-// runCPU executes the multi-threaded CPU schedule, splitting the traversal
-// order (Hilbert or row-major) across workers. The persistent engine
-// (engine.go) dispatches edges as chunks on the shared worker pool with
-// zero per-run allocation; Options.LegacySched selects the pre-engine
-// per-run-goroutine scheduler instead.
-func (k *SDDMMKernel) runCPU(ctx context.Context, out *tensor.Tensor, stats *RunStats) error {
-	if k.opts.LegacySched {
-		err := k.runCPULegacy(ctx, out)
-		if err == nil {
-			// The legacy scheduler has no chunk accounting; report the
-			// nominal traversal count (every tile revisits every edge).
-			tiles := len(k.tiles)
-			if k.match.Pattern == codegen.DotSrcDst && len(k.redTiles) > 0 {
-				tiles = len(k.redTiles)
-			}
-			stats.EdgesProcessed = uint64(k.adj.NNZ()) * uint64(tiles)
-		}
-		return err
-	}
-	return k.runCPUEngine(ctx, out, stats)
-}
-
-// runCPULegacy is the pre-engine scheduler, kept as the measured ablation
-// baseline for the engine.
-func (k *SDDMMKernel) runCPULegacy(ctx context.Context, out *tensor.Tensor) error {
-	rc := newRunControl(ctx)
-	threads := max(k.opts.NumThreads, 1)
-	dot := k.match.Pattern == codegen.DotSrcDst
-	tiles := k.tiles
-	if dot {
-		tiles = k.redTiles
-	}
-	for ti, tile := range tiles {
-		if rc.stop() {
-			break
-		}
-		site := workerSite{kernel: "sddmm", target: CPU, tile: ti, part: -1}
-		parallelFor(rc, site, k.adj.NNZ(), threads, func(_, elo, ehi int) {
-			var env *codegen.Env
-			if !dot {
-				env = k.compiled.NewEnv()
-			}
-			k.cpuEdges(rc, env, out, elo, ehi, tile, dot, ti > 0)
-		})
-	}
-	return rc.verdict()
+	return k.run(ctx, k, out)
 }
 
 // cpuEdges computes traversal positions [elo, ehi) of one phase, polling the
-// run control every cancelChunk edges. It is the one body behind both the
-// engine's chunks and the legacy scheduler's splits, so the two agree
-// bitwise by construction. dot selects the dot fast path over reduce tile
-// t (see dotEdges); otherwise the compiled UDF writes output columns t of
-// each edge's row directly (no aggregation in SDDMM).
+// run control every cancelChunk edges. dot selects the dot fast path over
+// reduce tile t (see dotEdges); otherwise the compiled UDF writes output
+// columns t of each edge's row directly (no aggregation in SDDMM).
 func (k *SDDMMKernel) cpuEdges(rc *runControl, env *codegen.Env, out *tensor.Tensor, elo, ehi int, t partition.Range, dot, acc bool) {
 	faultinject.Hit(faultinject.SiteSDDMMCPUWorker, rc.done, rc.quit)
 	ed := k.edges

@@ -142,12 +142,8 @@ func (k *SDDMMKernel) runGPU(ctx context.Context, out *tensor.Tensor) (RunStats,
 	blocks, threads := k.gpuLaunchDims()
 	st := k.gpu.getLaunch(k)
 	defer k.gpu.putLaunch(st)
-	if gov := admission.Resolve(k.opts.Admission); gov.WatchdogEnabled() {
-		wctx, cancel := context.WithCancelCause(ctx)
-		defer cancel(nil)
-		defer gov.Watch(cancel, &st.beacon, "sddmm/gpu")()
-		ctx = wctx
-	}
+	ctx, w := startWatch(ctx, k.opts.Admission, &st.beacon, "sddmm/gpu")
+	defer w.end()
 	st.out = out
 	st.blocks = blocks
 	st.dot = k.match.Pattern == codegen.DotSrcDst

@@ -14,7 +14,6 @@ import (
 	"featgraph/internal/expr"
 	"featgraph/internal/faultinject"
 	"featgraph/internal/sparse"
-	"featgraph/internal/telemetry"
 	"featgraph/internal/tensor"
 )
 
@@ -32,29 +31,6 @@ func buildTestSDDMM(t *testing.T, seed int64, opts Options) (*SDDMMKernel, *tens
 	return k, tensor.New(adj.NNZ(), 1)
 }
 
-// TestWatchdogCancelsStalledCPURun: with every CPU worker stalled behind a
-// long injected delay and a watchdog-armed governor, RunCtx must come back
-// with a *StallError naming the engine site — not hang for the delay.
-func TestWatchdogCancelsStalledCPURun(t *testing.T) {
-	defer faultinject.Arm(faultinject.SiteSpMMCPUWorker,
-		&faultinject.Fault{Kind: faultinject.Stall, Delay: 10 * time.Second})()
-	gov := admission.NewGovernor(admission.Config{StallThreshold: 20 * time.Millisecond})
-	k, out, _, _ := buildTestSpMM(t, 50, Options{Target: CPU, NumThreads: 2, Admission: gov})
-
-	start := time.Now()
-	_, err := k.RunCtx(context.Background(), out)
-	var se *admission.StallError
-	if !errors.As(err, &se) {
-		t.Fatalf("stalled run returned %v, want *admission.StallError", err)
-	}
-	if se.Site != "spmm/cpu-engine" {
-		t.Fatalf("StallError.Site = %q, want spmm/cpu-engine", se.Site)
-	}
-	if took := time.Since(start); took > 5*time.Second {
-		t.Fatalf("watchdog took %v; the injected 10s stall was not cut short", took)
-	}
-}
-
 // TestWatchdogStallOnGPUFallsBackToCPU: a stalled device launch looks like
 // a device failure, so the watchdog trip must trigger the CPU fallback (and
 // a breaker failure), not surface as a caller cancellation.
@@ -70,121 +46,6 @@ func TestWatchdogStallOnGPUFallsBackToCPU(t *testing.T) {
 	}
 	if !stats.Fallback {
 		t.Fatal("stalled GPU launch did not fall back to CPU")
-	}
-}
-
-// TestDeadlineOptionEnforced: Options.Deadline bounds the whole run even
-// when the caller's context has none.
-func TestDeadlineOptionEnforced(t *testing.T) {
-	defer faultinject.Arm(faultinject.SiteSpMMCPUWorker,
-		&faultinject.Fault{Kind: faultinject.Stall, Delay: 10 * time.Second})()
-	k, out, _, _ := buildTestSpMM(t, 52, Options{Target: CPU, NumThreads: 2, Deadline: 20 * time.Millisecond})
-
-	start := time.Now()
-	_, err := k.RunCtx(context.Background(), out)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RunCtx = %v, want context.DeadlineExceeded", err)
-	}
-	if took := time.Since(start); took > 5*time.Second {
-		t.Fatalf("deadline enforcement took %v", took)
-	}
-}
-
-// TestRetryRecoversAfterTransientPanic: a MaxFires=1 panic fails exactly
-// one attempt; with Retries the rerun must succeed and report the retry.
-func TestRetryRecoversAfterTransientPanic(t *testing.T) {
-	defer faultinject.Arm(faultinject.SiteSpMMCPUWorker,
-		&faultinject.Fault{Kind: faultinject.Panic, MaxFires: 1})()
-	k, out, adj, inputs := buildTestSpMM(t, 53, Options{Target: CPU, NumThreads: 2, Retries: 1})
-
-	stats, err := k.RunCtx(context.Background(), out)
-	if err != nil {
-		t.Fatalf("RunCtx with retry: %v", err)
-	}
-	if stats.Retries != 1 {
-		t.Fatalf("stats.Retries = %d, want 1", stats.Retries)
-	}
-	n := adj.NumRows
-	dense := tensor.New(n, n)
-	for r := 0; r < n; r++ {
-		for p := adj.RowPtr[r]; p < adj.RowPtr[r+1]; p++ {
-			dense.Set(1, r, int(adj.ColIdx[p]))
-		}
-	}
-	want := tensor.MatMul(tensor.New(n, out.Dim(1)), dense, inputs[0])
-	if !out.AllClose(want, 1e-4) {
-		t.Fatalf("retried run produced wrong output: max diff %v", out.MaxAbsDiff(want))
-	}
-}
-
-// TestRetriesExhaustedReturnsError: a persistent fault outlives the retry
-// budget and the final error reaches the caller.
-func TestRetriesExhaustedReturnsError(t *testing.T) {
-	defer faultinject.Arm(faultinject.SiteSpMMCPUWorker,
-		&faultinject.Fault{Kind: faultinject.Panic})()
-	k, out, _, _ := buildTestSpMM(t, 54, Options{Target: CPU, NumThreads: 2, Retries: 2})
-	_, err := k.RunCtx(context.Background(), out)
-	var ke *KernelError
-	if !errors.As(err, &ke) {
-		t.Fatalf("RunCtx = %v, want *KernelError after retries exhausted", err)
-	}
-}
-
-// TestBreakerOpensAndRecovers drives the full breaker lifecycle through
-// real kernel runs and checks it end to end: consecutive device failures
-// open it (telemetry transition counters), an open breaker reroutes runs
-// straight to CPU (stats), and after the cooldown a half-open probe against
-// a healed device closes it again.
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	openBefore, _ := telemetry.Value(`featgraph_breaker_transitions_total{kernel="spmm",to="open"}`)
-	closedBefore, _ := telemetry.Value(`featgraph_breaker_transitions_total{kernel="spmm",to="closed"}`)
-
-	disarm := faultinject.Arm(faultinject.SiteCudasimBlock, &faultinject.Fault{Kind: faultinject.Panic})
-	defer faultinject.Reset()
-	k, out, _, _ := buildTestSpMM(t, 55, Options{
-		Target: GPU, NoFallback: true,
-		BreakerThreshold: 2, BreakerCooldown: 20 * time.Millisecond,
-	})
-
-	// Two consecutive device failures open the breaker.
-	for i := 0; i < 2; i++ {
-		var ke *KernelError
-		if _, err := k.RunCtx(context.Background(), out); !errors.As(err, &ke) {
-			t.Fatalf("failure %d: got %v, want *KernelError from the device", i, err)
-		}
-	}
-	if openAfter, _ := telemetry.Value(`featgraph_breaker_transitions_total{kernel="spmm",to="open"}`); openAfter != openBefore+1 {
-		t.Fatalf("breaker open transitions: %v -> %v, want exactly one more", openBefore, openAfter)
-	}
-
-	// Open breaker: runs are rerouted to CPU without a device attempt.
-	stats, err := k.RunCtx(context.Background(), out)
-	if err != nil {
-		t.Fatalf("rerouted run: %v", err)
-	}
-	if !stats.Fallback || stats.FallbackReason != "gpu circuit breaker open" {
-		t.Fatalf("stats = %+v, want breaker-open reroute", stats)
-	}
-	if stats.BreakerState != "open" {
-		t.Fatalf("stats.BreakerState = %q, want open", stats.BreakerState)
-	}
-
-	// Heal the device, wait out the cooldown: the half-open probe succeeds
-	// and closes the breaker.
-	disarm()
-	time.Sleep(30 * time.Millisecond)
-	stats, err = k.RunCtx(context.Background(), out)
-	if err != nil {
-		t.Fatalf("probe run: %v", err)
-	}
-	if stats.Fallback {
-		t.Fatal("probe run fell back to CPU; the half-open probe never reached the device")
-	}
-	if stats.BreakerState != "closed" {
-		t.Fatalf("stats.BreakerState after recovery = %q, want closed", stats.BreakerState)
-	}
-	if closedAfter, _ := telemetry.Value(`featgraph_breaker_transitions_total{kernel="spmm",to="closed"}`); closedAfter != closedBefore+1 {
-		t.Fatalf("breaker closed transitions: %v -> %v, want exactly one more", closedBefore, closedAfter)
 	}
 }
 

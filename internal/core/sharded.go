@@ -7,7 +7,7 @@
 // partial template kernels (see the shardSpec hooks in spmm.go/sddmm.go)
 // and own the cross-shard aggregation algebra:
 //
-//   - SpMM: the output is prefilled with the aggregation identity once,
+//   - SpMM: each attempt prefills the output with the aggregation identity,
 //     each shard accumulates into its destination-row slice (a shard
 //     boundary may split a row, so two shards can touch the same output
 //     row — which is exactly why partial kernels must not prefill or
@@ -15,7 +15,7 @@
 //     global degree and zeroes isolated vertices.
 //   - SDDMM: the output is indexed by global edge id, which shard CSRs
 //     carry verbatim, so each shard writes its edges into the full output
-//     tensor directly; the executor zeroes it once up front.
+//     tensor directly; the executor zeroes it at the start of an attempt.
 //
 // Per-shard kernels are built lazily and memoized through a ShardPlanner,
 // so epoch 2..N of a training loop rebuilds a shard's kernel only if the
@@ -26,14 +26,14 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
-	"featgraph/internal/admission"
 	"featgraph/internal/codegen"
 	"featgraph/internal/expr"
+	"featgraph/internal/partition"
 	"featgraph/internal/schedule"
 	"featgraph/internal/sparse"
 	"featgraph/internal/tensor"
+	"featgraph/internal/workpool"
 )
 
 // shardSpec configures a partial kernel build: the kernel executes one
@@ -107,102 +107,104 @@ func (p *mapPlanner) Plan(shard int, adj *sparse.CSR, build func() (Kernel, erro
 	return k, nil
 }
 
-// shardSubGovernor admits the per-shard sub-kernels of a sharded run: the
-// executor already passed the caller's governor once for the whole run,
-// so sub-kernels must not be admitted (and their scratch double-counted)
-// a second time.
-var shardSubGovernor = admission.NewGovernor(admission.Config{})
-
-// scrubShardOptions derives the per-shard kernel options from the
-// executor's: serving policy (admission, deadline, retries, numerics,
-// metrics) stays with the executor, scheduling knobs pass through.
-func scrubShardOptions(opts Options) Options {
-	opts.Admission = shardSubGovernor
-	opts.Deadline = 0
-	opts.Retries = 0
-	opts.CheckNumerics = false
-	opts.Metrics = false
-	return opts
-}
-
-// shardedBase is the state the two sharded executors share.
+// shardedBase is the state the two sharded executors share. The executor
+// owns the serving policy — the whole sharded pass is one governed run —
+// and per-shard partial kernels execute their CPU schedule directly under
+// it, so a shard is never admitted, retried or counted a second time.
 type shardedBase struct {
+	governed
 	src     ShardSource
 	udf     *expr.UDF
 	inputs  []*tensor.Tensor
 	fds     *schedule.FDS
-	opts    Options // executor (serving) options
-	subOpts Options // scrubbed per-shard kernel options
 	planner ShardPlanner
 
 	numRows, numCols int
 	nnz              int64
-	outLen           int
 	pattern          string
-	memEstimate      int64
-
-	lastMu sync.Mutex
-	last   RunStats
 }
 
-func (s *shardedBase) build(src ShardSource, udf *expr.UDF, inputs []*tensor.Tensor, fds *schedule.FDS, opts Options, planner ShardPlanner) error {
+// build validates the executor's inputs against the global graph and
+// returns the UDF's output length.
+func (s *shardedBase) build(src ShardSource, udf *expr.UDF, inputs []*tensor.Tensor, fds *schedule.FDS, opts Options, planner ShardPlanner) (int, error) {
 	if opts.Target != CPU {
-		return fmt.Errorf("core: sharded kernels run on CPU only")
+		return 0, fmt.Errorf("core: sharded kernels run on CPU only")
 	}
 	if len(udf.OutAxes) == 0 {
-		return fmt.Errorf("core: UDF must have at least one output axis")
+		return 0, fmt.Errorf("core: UDF must have at least one output axis")
 	}
 	if err := fds.Validate(udf); err != nil {
-		return err
+		return 0, err
 	}
 	s.numRows, s.numCols, s.nnz = src.Dims()
 	if err := validateBindings(s.numRows, s.numCols, s.nnz, udf, inputs); err != nil {
-		return err
+		return 0, err
 	}
 	compiled, err := codegen.Compile(udf, inputs)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	s.src, s.udf, s.inputs, s.fds = src, udf, inputs, fds
-	s.opts, s.subOpts = opts, scrubShardOptions(opts)
 	s.planner = planner
 	if s.planner == nil {
 		s.planner = &mapPlanner{}
 	}
-	s.outLen = compiled.OutLen()
 	s.pattern = codegen.Recognize(udf, inputs).Pattern.String()
-	return nil
+	return compiled.OutLen(), nil
 }
 
-// admit runs the executor's serving-policy preamble (deadline context and
-// one admission pass for the whole sharded run) and returns the governed
-// context, the release function, and the queued duration.
-func (s *shardedBase) admit(ctx context.Context) (context.Context, context.CancelFunc, func(), time.Duration, error) {
-	gov := admission.Resolve(s.opts.Admission)
-	cancel := context.CancelFunc(func() {})
-	if s.opts.Deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, s.opts.Deadline)
+// runShards is the shard loop of one attempt: every non-empty shard is
+// pinned in turn, its partial kernel planned through build, and that
+// kernel's CPU schedule run into view(rowLo, rowHi); the per-shard
+// accounting is summed into the returned stats.
+func (s *shardedBase) runShards(ctx context.Context,
+	build func(adj *sparse.CSR, sh *shardSpec) (Kernel, error),
+	view func(rowLo, rowHi int) *tensor.Tensor) (RunStats, error) {
+	var stats RunStats
+	for i := 0; i < s.src.NumShards(); i++ {
+		if s.src.ShardNNZ(i) == 0 {
+			continue // no edges: nothing to accumulate, no output rows
+		}
+		sstats, err := s.runShard(ctx, i, build, view)
+		if err != nil {
+			return RunStats{}, err
+		}
+		stats.EdgesProcessed += sstats.EdgesProcessed
+		stats.ChunksStolen += sstats.ChunksStolen
 	}
-	tk, err := gov.Admit(ctx, s.memEstimate)
+	return stats, nil
+}
+
+func (s *shardedBase) runShard(ctx context.Context, i int,
+	build func(adj *sparse.CSR, sh *shardSpec) (Kernel, error),
+	view func(rowLo, rowHi int) *tensor.Tensor) (RunStats, error) {
+	adj, unpin, err := s.src.Pin(ctx, i)
 	if err != nil {
-		cancel()
-		return nil, nil, nil, 0, err
+		return RunStats{}, err
 	}
-	return ctx, cancel, func() { gov.Release(tk) }, tk.Queued(), nil
+	defer unpin()
+	rowLo, rowHi := s.src.ShardRows(i)
+	kern, err := s.planner.Plan(i, adj, func() (Kernel, error) {
+		return build(adj, &shardSpec{dstBase: rowLo, globalRows: s.numRows, globalCols: s.numCols, globalNNZ: s.nnz})
+	})
+	if err != nil {
+		return RunStats{}, err
+	}
+	sub, ok := kern.(backend)
+	if !ok {
+		return RunStats{}, fmt.Errorf("core: %s shard %d: planner returned a %T it did not build", s.label, i, kern)
+	}
+	stats, err := sub.runCPU(ctx, view(rowLo, rowHi))
+	if err != nil {
+		return RunStats{}, fmt.Errorf("core: %s shard %d: %w", s.label, i, err)
+	}
+	return stats, nil
 }
 
-func (s *shardedBase) finishShardedRun(stats *RunStats, start time.Time) {
-	stats.Duration = time.Since(start)
-	s.lastMu.Lock()
-	s.last = *stats
-	s.lastMu.Unlock()
-}
-
-// LastStats returns the statistics of the most recently completed RunCtx.
-func (s *shardedBase) LastStats() RunStats {
-	s.lastMu.Lock()
-	defer s.lastMu.Unlock()
-	return s.last
+// runGPU is never reached: build rejects every target but CPU, so the
+// governed run has no device path to attempt.
+func (s *shardedBase) runGPU(context.Context, *tensor.Tensor) (RunStats, error) {
+	return RunStats{}, fmt.Errorf("core: sharded kernels run on CPU only")
 }
 
 // Pattern returns the recognized UDF pattern.
@@ -215,7 +217,8 @@ func (s *shardedBase) Pattern() string { return s.pattern }
 // a time within the source's residency budget.
 type ShardedSpMM struct {
 	shardedBase
-	agg AggOp
+	agg       AggOp
+	finChunks []partition.Range // uniform row chunks of the global finalization
 }
 
 // BuildShardedSpMM builds a sharded SpMM kernel. planner may be nil for
@@ -224,13 +227,17 @@ type ShardedSpMM struct {
 // target must be CPU.
 func BuildShardedSpMM(src ShardSource, udf *expr.UDF, inputs []*tensor.Tensor, agg AggOp, fds *schedule.FDS, opts Options, planner ShardPlanner) (*ShardedSpMM, error) {
 	k := &ShardedSpMM{agg: agg}
-	if err := k.build(src, udf, inputs, fds, opts, planner); err != nil {
+	outLen, err := k.build(src, udf, inputs, fds, opts, planner)
+	if err != nil {
 		return nil, err
 	}
+	k.init("spmm", "sharded SpMM", spmmMetrics, opts, k.numRows, outLen)
+	k.rowsPerRun = uint64(k.numRows) * uint64(len(partition.FeatureTiles(outLen, fds.SplitFactor(udf.OutAxes[0]))))
 	// Admission estimate: the global output surface; per-shard scratch is
 	// bounded by the source's residency budget, which charges the ledger
 	// itself as shards materialize.
-	k.memEstimate = 4 * int64(k.numRows) * int64(k.outLen)
+	k.memEstimate = 4 * int64(k.numRows) * int64(outLen)
+	k.finChunks = uniformChunks(k.numRows, numChunksFor(max(opts.NumThreads, 1), k.numRows, k.numRows))
 	return k, nil
 }
 
@@ -248,66 +255,37 @@ func (k *ShardedSpMM) Run(out *tensor.Tensor) (RunStats, error) {
 	return k.RunCtx(context.Background(), out)
 }
 
-// RunCtx executes the sharded SpMM into out, a [NumRows, outLen] tensor.
-// The run passes the admission governor once; each shard then executes a
-// partial template kernel into its row slice of out, and a final pass
-// applies the global aggregation fix-ups (mean normalization by global
-// degree, isolated vertices to zero). On any error the contents of out
-// are undefined.
+// RunCtx executes the sharded SpMM into out, a [NumRows, outLen] tensor,
+// under ctx and the executor's serving policy; see governed.go. Each shard
+// executes a partial template kernel into its row slice of out, and a final
+// pass applies the global aggregation fix-ups (mean normalization by global
+// degree, isolated vertices to zero). On any error the contents of out are
+// undefined.
 func (k *ShardedSpMM) RunCtx(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
-	if out.Dim(0) != k.numRows || out.Len() != k.numRows*k.outLen {
-		return RunStats{}, fmt.Errorf("core: sharded SpMM output shape %v, want [%d, %d]", out.Shape(), k.numRows, k.outLen)
-	}
-	if err := ctx.Err(); err != nil {
-		return RunStats{}, err
-	}
-	ctx, cancel, release, queued, err := k.admit(ctx)
+	return k.run(ctx, k, out)
+}
+
+// runCPU is one attempt at the whole sharded pass.
+func (k *ShardedSpMM) runCPU(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
+	out.Fill(k.agg.identity())
+	odata, stride := out.Data(), out.RowStride()
+	stats, err := k.runShards(ctx,
+		func(adj *sparse.CSR, sh *shardSpec) (Kernel, error) {
+			return buildSpMM(adj, k.udf, k.inputs, k.agg, k.fds, k.opts, sh)
+		},
+		func(rowLo, rowHi int) *tensor.Tensor {
+			return tensor.FromSlice(odata[rowLo*stride:rowHi*stride], rowHi-rowLo, stride)
+		})
 	if err != nil {
 		return RunStats{}, err
-	}
-	defer cancel()
-	defer release()
-
-	start := time.Now()
-	stats := RunStats{Queued: queued}
-	out.Fill(k.agg.identity())
-	odata := out.Data()
-	stride := out.RowStride()
-	for i := 0; i < k.src.NumShards(); i++ {
-		if k.src.ShardNNZ(i) == 0 {
-			continue // nothing to accumulate; rows finalize from the identity
-		}
-		adj, unpin, err := k.src.Pin(ctx, i)
-		if err != nil {
-			return RunStats{}, err
-		}
-		rowLo, rowHi := k.src.ShardRows(i)
-		kern, err := k.planner.Plan(i, adj, func() (Kernel, error) {
-			return buildSpMM(adj, k.udf, k.inputs, k.agg, k.fds, k.subOpts, &shardSpec{
-				dstBase: rowLo, globalRows: k.numRows, globalCols: k.numCols, globalNNZ: k.nnz,
-			})
-		})
-		if err != nil {
-			unpin()
-			return RunStats{}, err
-		}
-		view := tensor.FromSlice(odata[rowLo*stride:rowHi*stride], rowHi-rowLo, stride)
-		sstats, err := kern.RunCtx(ctx, view)
-		unpin()
-		if err != nil {
-			return RunStats{}, fmt.Errorf("core: sharded SpMM shard %d: %w", i, err)
-		}
-		stats.EdgesProcessed += sstats.EdgesProcessed
-		stats.ChunksStolen += sstats.ChunksStolen
 	}
 
 	// Global finalization across shard boundaries: split rows have
 	// accumulated contributions from both neighbors by now, so the global
 	// degree is the right normalizer everywhere.
-	rc := newRunControl(ctx)
-	site := workerSite{kernel: "spmm-sharded", target: CPU, tile: -1, part: -1}
-	parallelFor(rc, site, k.numRows, max(k.opts.NumThreads, 1), func(_, rlo, rhi int) {
-		for r := rlo; r < rhi; r++ {
+	var fin engineState
+	fin.arm(workerSite{kernel: "spmm-sharded", target: CPU, tile: -1, part: -1}, func(_, ci int) {
+		for r := k.finChunks[ci].Lo; r < k.finChunks[ci].Hi; r++ {
 			deg := k.src.Degree(r)
 			row := odata[r*stride : (r+1)*stride]
 			if deg == 0 {
@@ -322,16 +300,9 @@ func (k *ShardedSpMM) RunCtx(ctx context.Context, out *tensor.Tensor) (RunStats,
 			}
 		}
 	})
-	if err := rc.verdict(); err != nil {
-		return RunStats{}, err
-	}
-	if k.opts.CheckNumerics {
-		if err := checkNumerics("spmm", out); err != nil {
-			return stats, err
-		}
-	}
-	k.finishShardedRun(&stats, start)
-	return stats, nil
+	fin.rc.reset(ctx)
+	workpool.Default().Run(&fin.job, len(k.finChunks), max(k.opts.NumThreads, 1))
+	return stats, fin.rc.verdict()
 }
 
 // --- Sharded SDDMM ---
@@ -341,7 +312,6 @@ func (k *ShardedSpMM) RunCtx(ctx context.Context, out *tensor.Tensor) (RunStats,
 // a time within the source's residency budget.
 type ShardedSDDMM struct {
 	shardedBase
-	outRows int
 }
 
 // BuildShardedSDDMM builds a sharded SDDMM kernel; see BuildShardedSpMM
@@ -349,14 +319,15 @@ type ShardedSDDMM struct {
 // so the global edge count must fit an in-memory tensor.
 func BuildShardedSDDMM(src ShardSource, udf *expr.UDF, inputs []*tensor.Tensor, fds *schedule.FDS, opts Options, planner ShardPlanner) (*ShardedSDDMM, error) {
 	k := &ShardedSDDMM{}
-	if err := k.build(src, udf, inputs, fds, opts, planner); err != nil {
+	outLen, err := k.build(src, udf, inputs, fds, opts, planner)
+	if err != nil {
 		return nil, err
 	}
-	k.outRows = int(k.nnz)
+	k.init("sddmm", "sharded SDDMM", sddmmMetrics, opts, int(k.nnz), outLen)
 	if int64(k.outRows) != k.nnz || k.outRows < 0 {
 		return nil, fmt.Errorf("core: sharded SDDMM output needs %d rows, beyond addressable tensors", k.nnz)
 	}
-	k.memEstimate = 4 * k.nnz * int64(k.outLen)
+	k.memEstimate = 4 * k.nnz * int64(outLen)
 	return k, nil
 }
 
@@ -375,60 +346,22 @@ func (k *ShardedSDDMM) Run(out *tensor.Tensor) (RunStats, error) {
 }
 
 // RunCtx executes the sharded SDDMM into out, an [NNZ, outLen] tensor
-// indexed by global edge id. The run passes the admission governor once;
-// the executor zeroes out, then each shard's partial kernel writes its
-// edges' rows directly (shard CSRs carry global edge ids). On any error
-// the contents of out are undefined.
+// indexed by global edge id, under ctx and the executor's serving policy;
+// see governed.go. The executor zeroes out, then each shard's partial
+// kernel writes its edges' rows directly (shard CSRs carry global edge
+// ids). On any error the contents of out are undefined.
 func (k *ShardedSDDMM) RunCtx(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
-	if out.Dim(0) != k.outRows || out.Len() != k.outRows*k.outLen {
-		return RunStats{}, fmt.Errorf("core: sharded SDDMM output shape %v, want [%d, %d]", out.Shape(), k.outRows, k.outLen)
-	}
-	if err := ctx.Err(); err != nil {
-		return RunStats{}, err
-	}
-	ctx, cancel, release, queued, err := k.admit(ctx)
-	if err != nil {
-		return RunStats{}, err
-	}
-	defer cancel()
-	defer release()
+	return k.run(ctx, k, out)
+}
 
-	start := time.Now()
-	stats := RunStats{Queued: queued}
+// runCPU is one attempt at the whole sharded pass.
+func (k *ShardedSDDMM) runCPU(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
 	out.Zero()
-	for i := 0; i < k.src.NumShards(); i++ {
-		if k.src.ShardNNZ(i) == 0 {
-			continue // no edges, no output rows
-		}
-		adj, unpin, err := k.src.Pin(ctx, i)
-		if err != nil {
-			return RunStats{}, err
-		}
-		rowLo, _ := k.src.ShardRows(i)
-		kern, err := k.planner.Plan(i, adj, func() (Kernel, error) {
-			return buildSDDMM(adj, k.udf, k.inputs, k.fds, k.subOpts, &shardSpec{
-				dstBase: rowLo, globalRows: k.numRows, globalCols: k.numCols, globalNNZ: k.nnz,
-			})
-		})
-		if err != nil {
-			unpin()
-			return RunStats{}, err
-		}
-		sstats, err := kern.RunCtx(ctx, out)
-		unpin()
-		if err != nil {
-			return RunStats{}, fmt.Errorf("core: sharded SDDMM shard %d: %w", i, err)
-		}
-		stats.EdgesProcessed += sstats.EdgesProcessed
-		stats.ChunksStolen += sstats.ChunksStolen
-	}
-	if k.opts.CheckNumerics {
-		if err := checkNumerics("sddmm", out); err != nil {
-			return stats, err
-		}
-	}
-	k.finishShardedRun(&stats, start)
-	return stats, nil
+	return k.runShards(ctx,
+		func(adj *sparse.CSR, sh *shardSpec) (Kernel, error) {
+			return buildSDDMM(adj, k.udf, k.inputs, k.fds, k.opts, sh)
+		},
+		func(int, int) *tensor.Tensor { return out })
 }
 
 // Compile-time interface checks: the sharded executors are Kernels.

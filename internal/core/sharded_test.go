@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"featgraph/internal/expr"
+	"featgraph/internal/faultinject"
 	"featgraph/internal/partition"
 	"featgraph/internal/sparse"
+	"featgraph/internal/telemetry"
 	"featgraph/internal/tensor"
 )
 
@@ -302,20 +304,6 @@ func TestShardedRejectsGPU(t *testing.T) {
 	}
 }
 
-func TestShardedOutputShapeChecked(t *testing.T) {
-	rng := rand.New(rand.NewSource(54))
-	a := sparse.Random(rng, 12, 12, 3)
-	src := newMemShardSource(a, 6)
-	x := randTensor(rng, 12, 4)
-	k, err := BuildShardedSpMM(src, expr.CopySrc(12, 4), []*tensor.Tensor{x}, AggSum, nil, Options{Target: CPU}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.Run(tensor.New(5, 4)); err == nil {
-		t.Fatal("wrong output shape accepted")
-	}
-}
-
 // countingPlanner wraps the default planner and counts kernel builds.
 type countingPlanner struct {
 	inner  mapPlanner
@@ -386,6 +374,73 @@ func TestWholeGraphKernelsUnaffectedByShardHooks(t *testing.T) {
 		got := runSpMMConfig(t, a, expr.CopySrc(25, 8), []*tensor.Tensor{x}, agg, nil, Options{Target: CPU})
 		if !got.AllClose(want, 1e-4) {
 			t.Fatalf("agg %s: whole-graph kernel drifted, max diff %v", agg, got.MaxAbsDiff(want))
+		}
+	}
+}
+
+// The executor owns the retry policy: a panic in one shard's partial kernel
+// fails the attempt, and the rerun — which must restart from a refilled
+// output, not accumulate onto the failed attempt's partial sums — succeeds.
+func TestShardedRetryRecoversAfterTransientPanic(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	const n, d = 40, 6
+	a := heavyRowGraph(t, rng, n, 30)
+	x := randTensor(rng, n, d)
+	udf := expr.CopySrc(n, d)
+	src := newMemShardSource(a, 8)
+	k, err := BuildShardedSpMM(src, udf, []*tensor.Tensor{x}, AggMean, nil, Options{Target: CPU, NumThreads: 2, Retries: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := runSpMMConfig(t, a, udf, []*tensor.Tensor{x}, AggMean, nil, Options{Target: CPU})
+
+	defer faultinject.Arm(faultinject.SiteSpMMCPUWorker,
+		&faultinject.Fault{Kind: faultinject.Panic, MaxFires: 1})()
+	out := tensor.New(n, d)
+	stats, err := k.RunCtx(context.Background(), out)
+	if err != nil {
+		t.Fatalf("RunCtx with retry: %v", err)
+	}
+	if stats.Retries != 1 {
+		t.Fatalf("stats.Retries = %d, want 1", stats.Retries)
+	}
+	if !out.AllClose(whole, 1e-4) {
+		t.Fatalf("retried sharded run diverges from in-memory kernel, max diff %v", out.MaxAbsDiff(whole))
+	}
+}
+
+// Options.Metrics stays with the executor: one sharded run is one kernel
+// run in the template's metric set, whatever the shard count, and it
+// accounts every edge and aggregated row once.
+func TestShardedRunRecordsMetrics(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	const n, d = 30, 6
+	a := sparse.Random(rng, n, n, 4)
+	x := randTensor(rng, n, d)
+	src := newMemShardSource(a, 16)
+	if src.NumShards() < 2 {
+		t.Fatalf("want >= 2 shards, got %d", src.NumShards())
+	}
+	k, err := BuildShardedSpMM(src, expr.CopySrc(n, d), []*tensor.Tensor{x}, AggSum, nil, Options{Target: CPU, Metrics: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := []string{
+		`featgraph_kernel_runs_total{kernel="spmm",target="cpu"}`,
+		`featgraph_kernel_run_seconds_count{kernel="spmm"}`,
+		`featgraph_kernel_edges_processed_total{kernel="spmm"}`,
+		`featgraph_kernel_rows_processed_total{kernel="spmm"}`,
+	}
+	before := make([]float64, len(series))
+	for i, name := range series {
+		before[i], _ = telemetry.Value(name)
+	}
+	if _, err := k.Run(tensor.New(n, d)); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{1, 1, float64(a.NNZ()), n} {
+		if got, _ := telemetry.Value(series[i]); got-before[i] != want {
+			t.Errorf("%s grew by %v over one sharded run, want %v", series[i], got-before[i], want)
 		}
 	}
 }

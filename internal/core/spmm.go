@@ -3,13 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
-	"featgraph/internal/admission"
 	"featgraph/internal/codegen"
 	"featgraph/internal/expr"
-	"featgraph/internal/faultinject"
 	"featgraph/internal/partition"
 	"featgraph/internal/schedule"
 	"featgraph/internal/sparse"
@@ -25,10 +22,9 @@ import (
 // A kernel may be Run concurrently only with distinct output tensors;
 // concurrent executions draw separate run states from the engine's pool.
 type SpMMKernel struct {
-	adj    *sparse.CSR
-	agg    AggOp
-	opts   Options
-	outLen int
+	governed
+	adj *sparse.CSR
+	agg AggOp
 
 	// Sharded execution (see sharded.go): dstBase maps the shard's local
 	// destination rows onto the global graph for Dst-indexed inputs, and
@@ -59,20 +55,7 @@ type SpMMKernel struct {
 
 	// GPU state (see spmm_gpu.go). nil for a GPU-target kernel whose device
 	// build failed and degraded to the CPU path.
-	gpu         *spmmGPU
-	gpuBuildErr string // the device build failure behind gpu == nil
-
-	// breaker quarantines the device path after consecutive run failures
-	// (see admission.Breaker); nil for CPU kernels and when disabled.
-	breaker *admission.Breaker
-	// memEstimate is the run's working-set estimate in bytes (output
-	// surface plus per-slot scratch), computed from plan shapes at build
-	// time for admission memory budgeting.
-	memEstimate int64
-
-	// LastStats storage (see kernel.go).
-	lastMu sync.Mutex
-	last   RunStats
+	gpu *spmmGPU
 }
 
 // BuildSpMM builds a generalized SpMM kernel over adjacency matrix adj.
@@ -124,11 +107,10 @@ func buildSpMM(adj *sparse.CSR, udf *expr.UDF, inputs []*tensor.Tensor, agg AggO
 	k := &SpMMKernel{
 		adj:      adj,
 		agg:      agg,
-		opts:     opts,
-		outLen:   compiled.OutLen(),
 		compiled: compiled,
 		match:    codegen.Recognize(udf, inputs),
 	}
+	k.init("spmm", "SpMM", spmmMetrics, opts, adj.NumRows, compiled.OutLen())
 	if sh != nil {
 		k.dstBase, k.partial = sh.dstBase, true
 	}
@@ -139,6 +121,7 @@ func buildSpMM(adj *sparse.CSR, udf *expr.UDF, inputs []*tensor.Tensor, agg AggO
 	if k.match.Pattern == codegen.MLPSrcDst {
 		k.tmpLen = k.match.W.Dim(0)
 	}
+	k.rowsPerRun = uint64(adj.NumRows) * uint64(len(k.tiles))
 
 	if opts.Target != CPU && opts.Target != GPU {
 		return nil, fmt.Errorf("core: unknown target %d", opts.Target)
@@ -177,9 +160,8 @@ func buildSpMM(adj *sparse.CSR, udf *expr.UDF, inputs []*tensor.Tensor, agg AggO
 			// path; Run records the fallback in its stats.
 			k.gpu = nil
 			k.gpuBuildErr = err.Error()
-		}
-		if k.gpu != nil && opts.BreakerThreshold >= 0 {
-			k.breaker = admission.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, spmmMetrics.breakerHook())
+		} else {
+			k.armGPU()
 		}
 	}
 
@@ -215,211 +197,10 @@ func (k *SpMMKernel) Run(out *tensor.Tensor) (RunStats, error) {
 }
 
 // RunCtx executes the kernel into out under ctx and the kernel's serving
-// policy. Every run first passes the admission governor
-// (Options.Admission, else the process default): it may queue, be shed
-// with an error matching admission.ErrOverloaded, or be rejected because
-// its deadline (Options.Deadline or ctx's) cannot be met. Cancelling the
-// context stops the worker pool promptly and returns ctx.Err(); the
-// contents of out are then undefined. A panic inside a worker goroutine (a
-// UDF evaluation fault, a shape mismatch, an injected fault) is recovered
-// and returned as a *KernelError instead of crashing the process. A
-// GPU-target kernel whose device run fails retries once on the CPU path
-// and records the fallback in the returned stats, unless
-// Options.NoFallback is set; consecutive device failures open the kernel's
-// circuit breaker, which routes runs straight to CPU until a half-open
-// probe succeeds. Under a watchdog-enabled governor, a run whose workers
-// stop making progress is cancelled with an *admission.StallError. When
-// Options.CheckNumerics is set, a successful run additionally scans out
-// and fails with a *NumericError on the first NaN/±Inf. Retryable
-// failures (stall, panic, numeric) are retried up to Options.Retries
-// times with jittered backoff.
+// policy — admission, deadline, circuit breaker with CPU fallback, stall
+// watchdog, numeric check, retries; see governed.go.
 func (k *SpMMKernel) RunCtx(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
-	if out.Dim(0) != k.adj.NumRows || out.Len() != k.adj.NumRows*k.outLen {
-		return RunStats{}, fmt.Errorf("core: SpMM output shape %v, want [%d, %d]", out.Shape(), k.adj.NumRows, k.outLen)
-	}
-	if err := ctx.Err(); err != nil {
-		return RunStats{}, err
-	}
-	gov := admission.Resolve(k.opts.Admission)
-	if k.opts.Deadline > 0 {
-		dctx, cancel := context.WithTimeout(ctx, k.opts.Deadline)
-		defer cancel()
-		ctx = dctx
-	}
-	tk, err := gov.Admit(ctx, k.memEstimate)
-	if err != nil {
-		return RunStats{}, err
-	}
-	stats, err := k.runAttempts(ctx, out, tk.Queued())
-	gov.Release(tk)
-	return stats, err
-}
-
-// runAttempts drives runAttempt under the kernel's retry policy.
-func (k *SpMMKernel) runAttempts(ctx context.Context, out *tensor.Tensor, queued time.Duration) (RunStats, error) {
-	for attempt := 0; ; attempt++ {
-		stats, err := k.runAttempt(ctx, out, queued, attempt)
-		if err == nil || attempt >= k.opts.Retries || !retryable(err) || ctx.Err() != nil {
-			return stats, err
-		}
-		admission.RecordRetry()
-		if !admission.SleepBackoff(ctx, attempt) {
-			return stats, err
-		}
-	}
-}
-
-// runAttempt is one execution attempt: the GPU path behind the circuit
-// breaker with CPU fallback, or the CPU engine, plus numeric checking and
-// stats publication.
-func (k *SpMMKernel) runAttempt(ctx context.Context, out *tensor.Tensor, queued time.Duration, attempt int) (RunStats, error) {
-	metricsOn := k.opts.Metrics || telemetry.Enabled()
-	tracing := telemetry.TraceActive()
-	start := time.Now()
-	stats := RunStats{Queued: queued, Retries: attempt}
-	if k.opts.Target == GPU && k.gpu != nil && k.breaker.Allow() {
-		gstats, err := k.runGPU(ctx, out)
-		if err == nil {
-			k.breaker.RecordSuccess()
-			gstats.Queued, gstats.Retries = queued, attempt
-			stats = gstats
-		} else {
-			if ctxDone(ctx, err) {
-				// Cancellation is not a device verdict; release any
-				// half-open probe without recording one.
-				k.breaker.RecordCancel()
-				return RunStats{}, err
-			}
-			k.breaker.RecordFailure()
-			if k.opts.NoFallback {
-				return RunStats{}, err
-			}
-			// Graceful degradation: one retry on the CPU path.
-			stats = RunStats{Queued: queued, Retries: attempt}
-			if cpuErr := k.runCPU(ctx, out, &stats); cpuErr != nil {
-				return RunStats{}, fmt.Errorf("core: gpu run failed (%v); cpu fallback failed: %w", err, cpuErr)
-			}
-			stats.Fallback = true
-			stats.FallbackReason = err.Error()
-			if metricsOn {
-				spmmMetrics.recordFallback(false)
-			}
-			if tracing {
-				telemetry.RecordInstant("spmm.fallback", 0, "run_stage", 1, 1)
-			}
-		}
-	} else {
-		if err := k.runCPU(ctx, out, &stats); err != nil {
-			return RunStats{}, err
-		}
-		switch {
-		case k.opts.Target != GPU:
-		case k.gpu == nil:
-			// The device build already degraded to the CPU path.
-			stats.Fallback = true
-			stats.FallbackReason = k.gpuBuildErr
-			if metricsOn {
-				spmmMetrics.recordFallback(true)
-			}
-			if tracing {
-				telemetry.RecordInstant("spmm.fallback", 0, "build_stage", 1, 1)
-			}
-		default:
-			// The circuit breaker is open: routed straight to CPU without
-			// paying for a doomed device attempt.
-			stats.Fallback = true
-			stats.FallbackReason = "gpu circuit breaker open"
-			if metricsOn {
-				spmmMetrics.recordBreakerReroute()
-			}
-			if tracing {
-				telemetry.RecordInstant("spmm.fallback", 0, "breaker_open", 1, 1)
-			}
-		}
-	}
-	if k.breaker != nil {
-		stats.BreakerState = k.breaker.State().String()
-	}
-	if k.opts.CheckNumerics {
-		if err := checkNumerics("spmm", out); err != nil {
-			return stats, err
-		}
-	}
-	if metricsOn {
-		mSpMMRows.Add(uint64(k.adj.NumRows) * uint64(len(k.tiles)))
-	}
-	finishRun("spmm.run", spmmMetrics, k.opts.Target, &k.lastMu, &k.last, start, &stats, metricsOn, tracing)
-	return stats, nil
-}
-
-// runCPU executes the tiled, partitioned, multi-threaded CPU schedule:
-// feature tiles outermost (each tile re-traverses the topology, the
-// trade-off of Figure 6), graph partitions next (all threads cooperate on
-// one partition at a time, §IV-A), rows across workers innermost. The
-// persistent engine (engine.go) dispatches rows as edge-balanced chunks on
-// the shared worker pool with zero per-run allocation; Options.LegacySched
-// selects the pre-engine per-run-goroutine scheduler instead.
-func (k *SpMMKernel) runCPU(ctx context.Context, out *tensor.Tensor, stats *RunStats) error {
-	if k.opts.LegacySched {
-		err := k.runCPULegacy(ctx, out)
-		if err == nil {
-			// The legacy scheduler has no chunk accounting; report the
-			// nominal traversal count (every tile revisits every edge).
-			stats.EdgesProcessed = uint64(k.adj.NNZ()) * uint64(len(k.tiles))
-		}
-		return err
-	}
-	return k.runCPUEngine(ctx, out, stats)
-}
-
-// runCPULegacy is the pre-engine scheduler: fresh goroutines per phase over
-// a uniform contiguous row split, with scratch allocated per run. Kept as
-// the measured ablation baseline for the engine.
-func (k *SpMMKernel) runCPULegacy(ctx context.Context, out *tensor.Tensor) error {
-	rc := newRunControl(ctx)
-	threads := max(k.opts.NumThreads, 1)
-	if !k.partial {
-		out.Fill(k.agg.identity())
-	}
-
-	// Per-worker scratch: env and message buffer for the generic path,
-	// plus a combined-feature buffer for the MLP fast path.
-	scratch := make([]*spmmScratch, threads)
-	for w := range scratch {
-		scratch[w] = &spmmScratch{
-			env: k.compiled.NewEnv(),
-			msg: make([]float32, k.maxTile),
-			tmp: make([]float32, k.tmpLen),
-		}
-	}
-
-	ostride := out.RowStride()
-	odata := out.Data()
-	for ti, tile := range k.tiles {
-		for pi, part := range k.parts {
-			if rc.stop() {
-				return rc.verdict()
-			}
-			site := workerSite{kernel: "spmm", target: CPU, tile: ti, part: pi}
-			parallelFor(rc, site, k.adj.NumRows, threads, func(w, rlo, rhi int) {
-				faultinject.Hit(faultinject.SiteSpMMCPUWorker, rc.done, rc.quit)
-				for lo := rlo; lo < rhi; lo += cancelChunk {
-					if rc.stop() {
-						return
-					}
-					k.cpuRows(out, part, tile, scratch[w], lo, min(lo+cancelChunk, rhi))
-				}
-				faultinject.CorruptFloats(faultinject.SiteSpMMCPUOutput, odata[rlo*ostride:rhi*ostride])
-			})
-		}
-	}
-	if !rc.stop() && !k.partial {
-		site := workerSite{kernel: "spmm", target: CPU, tile: -1, part: -1}
-		parallelFor(rc, site, k.adj.NumRows, threads, func(_, rlo, rhi int) {
-			finalizeAgg(k.agg, out, k.adj, rlo, rhi)
-		})
-	}
-	return rc.verdict()
+	return k.run(ctx, k, out)
 }
 
 // spmmScratch is per-worker evaluation state.

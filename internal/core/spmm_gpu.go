@@ -178,12 +178,8 @@ func (k *SpMMKernel) runGPU(ctx context.Context, out *tensor.Tensor) (RunStats, 
 	g := k.gpu
 	st := g.getLaunch(k)
 	defer g.putLaunch(st)
-	if gov := admission.Resolve(k.opts.Admission); gov.WatchdogEnabled() {
-		wctx, cancel := context.WithCancelCause(ctx)
-		defer cancel(nil)
-		defer gov.Watch(cancel, &st.beacon, "spmm/gpu")()
-		ctx = wctx
-	}
+	ctx, w := startWatch(ctx, k.opts.Admission, &st.beacon, "spmm/gpu")
+	defer w.end()
 	st.out = out
 	out.Fill(k.agg.identity())
 	var total uint64

@@ -70,8 +70,7 @@ type Config struct {
 	Retries int
 	// LegacyAttention makes nn's GAT layers use the original three-pass
 	// attention (SDDMM dot → edge softmax → weighted SpMM) instead of the
-	// fused kernel — the A/B ablation baseline, mirroring LegacySched one
-	// level up the stack.
+	// fused kernel — the A/B ablation baseline.
 	LegacyAttention bool
 }
 

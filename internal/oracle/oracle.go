@@ -1,10 +1,10 @@
 // Package oracle is the correctness oracle for FeatGraph's kernel stack:
 // a seeded generator of random (graph, UDF, aggregation, schedule) cases
 // and a differential checker that runs each case through every live
-// execution configuration — the persistent engine, the legacy per-run
-// scheduler (Options.LegacySched), the GPU simulator, and a rebuilt
-// kernel — and compares all of them against the single-threaded reference
-// evaluations within an ULP-aware tolerance.
+// execution configuration — the persistent engine at the case's thread
+// count and single-threaded, the GPU simulator, and a rebuilt kernel — and
+// compares all of them against the single-threaded reference evaluations
+// within an ULP-aware tolerance.
 //
 // The paper's premise is that schedules are semantics-preserving: any
 // (partitioning, tiling, traversal, target) choice must produce the same
@@ -181,8 +181,8 @@ func checkSpMM(c *Case, dev *cudasim.Device, tol Tol) (Result, error) {
 	cfgs := []kernelCfg{
 		{"engine", tiled, core.Options{Target: core.CPU, NumThreads: c.Threads,
 			GraphPartitions: c.Parts, CheckNumerics: c.CheckNumerics}},
-		{"legacy", tiled, core.Options{Target: core.CPU, NumThreads: c.Threads,
-			GraphPartitions: c.Parts, LegacySched: true}},
+		{"engine-1t", tiled, core.Options{Target: core.CPU, NumThreads: 1,
+			GraphPartitions: c.Parts}},
 	}
 	if dev != nil {
 		cfgs = append(cfgs, kernelCfg{"gpu", schedule.New().Bind(outAxis, schedule.ThreadX),
@@ -208,8 +208,8 @@ func checkSDDMM(c *Case, dev *cudasim.Device, tol Tol) (Result, error) {
 	cfgs := []kernelCfg{
 		{"engine", tiled, core.Options{Target: core.CPU, NumThreads: c.Threads,
 			Hilbert: c.Hilbert, CheckNumerics: c.CheckNumerics}},
-		{"legacy", tiled, core.Options{Target: core.CPU, NumThreads: c.Threads,
-			Hilbert: c.Hilbert, LegacySched: true}},
+		{"engine-1t", tiled, core.Options{Target: core.CPU, NumThreads: 1,
+			Hilbert: c.Hilbert}},
 	}
 	if dev != nil {
 		cfgs = append(cfgs, kernelCfg{"gpu", schedule.New().Bind(outAxis, schedule.ThreadX),
@@ -225,10 +225,12 @@ func checkSDDMM(c *Case, dev *cudasim.Device, tol Tol) (Result, error) {
 // runConfigs is the differential loop shared by both templates: compile and
 // run the case under every configuration, compare each output against the
 // reference, bitwise-check an engine rerun (pooled run state must not leak
-// between executions), and bitwise-check a rebuilt kernel against the first
-// engine build (the plan-cache safety property at the core level). The
-// first configuration must be the engine configuration; its options are
-// reused for the rebuild.
+// between executions), bitwise-check the single-threaded engine against the
+// multi-threaded one (chunking decides which worker computes a row or edge,
+// never the arithmetic order within it), and bitwise-check a rebuilt kernel
+// against the first engine build (the plan-cache safety property at the core
+// level). The first configuration must be the engine configuration; its
+// options are reused for the rebuild.
 func runConfigs(c *Case, dev *cudasim.Device, tol Tol, want *tensor.Tensor, build buildFn, cfgs []kernelCfg) (Result, error) {
 	var res Result
 	kind := c.Kind.String()
@@ -253,6 +255,11 @@ func runConfigs(c *Case, dev *cudasim.Device, tol Tol, want *tensor.Tensor, buil
 		}
 		if d := compare(c, f.name, out, want, tol, detail); d != nil {
 			return res, d
+		}
+		if f.name == "engine-1t" {
+			if d := bitwise(c, f.name, out, engineOut, detail); d != nil {
+				return res, d
+			}
 		}
 		res.Configs = append(res.Configs, f.name)
 

@@ -33,7 +33,7 @@ func TestSeededCorpus(t *testing.T) {
 	}
 	// The acceptance matrix: every execution configuration crossed with
 	// every template kind, and (for SpMM) with every aggregation operator.
-	for _, cfg := range []string{"engine", "engine-rerun", "legacy", "gpu", "rebuild"} {
+	for _, cfg := range []string{"engine", "engine-rerun", "engine-1t", "gpu", "rebuild"} {
 		for _, kind := range []string{"spmm", "sddmm"} {
 			if !covered[cfg+"/"+kind] {
 				t.Errorf("corpus never exercised %s/%s", cfg, kind)
