@@ -19,9 +19,9 @@ import (
 // gradient. Gradients are accumulated, so a Var used twice receives the sum
 // of both paths' contributions.
 type Var struct {
-	Value *tensor.Tensor
-	grad  *tensor.Tensor
-	param bool
+	Value    *tensor.Tensor
+	grad     *tensor.Tensor
+	constant bool // from Input: MatMul computes no gradient for it
 }
 
 // Grad returns the accumulated gradient, or nil if none was propagated.
@@ -47,10 +47,11 @@ func NewTape() *Tape { return &Tape{} }
 
 // Param wraps a trainable tensor. Its gradient buffer survives on the
 // returned Var for the optimizer to consume.
-func (t *Tape) Param(v *tensor.Tensor) *Var { return &Var{Value: v, param: true} }
+func (t *Tape) Param(v *tensor.Tensor) *Var { return &Var{Value: v} }
 
-// Input wraps a constant (non-trained) tensor.
-func (t *Tape) Input(v *tensor.Tensor) *Var { return &Var{Value: v} }
+// Input wraps a constant (non-trained) tensor. Products skip its gradient,
+// so its Grad stays nil unless another op propagates into it.
+func (t *Tape) Input(v *tensor.Tensor) *Var { return &Var{Value: v, constant: true} }
 
 func (t *Tape) record(back func()) { t.backs = append(t.backs, back) }
 
@@ -76,12 +77,22 @@ func (t *Tape) MatMul(a, b *Var) *Var {
 			return
 		}
 		// dA += dOut × bᵀ ; dB += aᵀ × dOut
-		da := tensor.MatMulT(tensor.New(a.Value.Dim(0), a.Value.Dim(1)), out.grad, b.Value)
-		tensor.Add(a.ensureGrad(), a.grad, da)
-		db := tensor.TMatMul(tensor.New(b.Value.Dim(0), b.Value.Dim(1)), a.Value, out.grad)
-		tensor.Add(b.ensureGrad(), b.grad, db)
+		a.accumulate(func(dst *tensor.Tensor) *tensor.Tensor { return tensor.MatMulT(dst, out.grad, b.Value) })
+		b.accumulate(func(dst *tensor.Tensor) *tensor.Tensor { return tensor.TMatMul(dst, a.Value, out.grad) })
 	})
 	return out
+}
+
+// accumulate adds the product prod writes into v's gradient: straight into
+// a fresh buffer when v has none yet, and not at all for a constant.
+func (v *Var) accumulate(prod func(dst *tensor.Tensor) *tensor.Tensor) {
+	switch {
+	case v.constant:
+	case v.grad == nil:
+		v.grad = prod(tensor.New(v.Value.Shape()...))
+	default:
+		tensor.Add(v.grad, v.grad, prod(tensor.New(v.Value.Shape()...)))
+	}
 }
 
 // Add returns a + b elementwise (same shapes).

@@ -3,6 +3,7 @@ package autodiff
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"featgraph/internal/tensor"
@@ -96,6 +97,59 @@ func TestMatMulGrad(t *testing.T) {
 	checkGrads(t, "matmul", []*tensor.Tensor{a, b}, func(tp *Tape, vars []*Var) *Var {
 		return sumAll(tp, tp.MatMul(vars[0], vars[1]))
 	})
+}
+
+// TestMatMulSkipsConstantOperand: an Input operand gets no gradient, the
+// other operand's gradient is bitwise what the temporary-plus-Add path gave,
+// and wrapping the input as a Param instead changes no Param's gradient.
+func TestMatMulSkipsConstantOperand(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	x, w1, w2 := randT(rng, 50, 6), randT(rng, 6, 5), randT(rng, 5, 3)
+	bits := func(g *tensor.Tensor) []uint32 {
+		out := make([]uint32, g.Len())
+		for i, v := range g.Data() {
+			out[i] = math.Float32bits(v)
+		}
+		return out
+	}
+	run := func(wrap func(*Tape, *tensor.Tensor) *Var, depth int) (xv *Var, grads [][]uint32) {
+		tp := NewTape()
+		xv = wrap(tp, x)
+		ps := []*Var{tp.Param(w1), tp.Param(w2)}[:depth]
+		h := tp.MatMul(xv, ps[0])
+		if depth == 2 {
+			h = tp.MatMul(tp.ReLU(h), ps[1])
+		}
+		if err := tp.Backward(sumAll(tp, h)); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ps {
+			grads = append(grads, bits(p.Grad()))
+		}
+		return xv, grads
+	}
+
+	in, got := run((*Tape).Input, 1)
+	if in.Grad() != nil {
+		t.Fatal("Input operand of MatMul received a gradient")
+	}
+	// d(sum)/dh is exactly ones, so the parent's dW1 = 0 + Xᵀ·1.
+	parent := tensor.TMatMul(tensor.New(6, 5), x, onesT(50, 5))
+	parent = tensor.Add(tensor.New(6, 5), tensor.New(6, 5), parent)
+	if !slices.Equal(got[0], bits(parent)) {
+		t.Fatal("dW1 differs bitwise from the temporary-plus-Add path")
+	}
+
+	in, got = run((*Tape).Input, 2)
+	par, want := run((*Tape).Param, 2)
+	if in.Grad() != nil || par.Grad() == nil {
+		t.Fatalf("Input grad %v, Param grad %v: want nil and non-nil", in.Grad(), par.Grad())
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("W%d gradient depends on whether X is an Input or a Param", i+1)
+		}
+	}
 }
 
 func TestAddAndScaleGrad(t *testing.T) {

@@ -67,83 +67,27 @@ func RandomModel(rng *rand.Rand, dims ...int) Model {
 	return m
 }
 
-// applyRows computes out[r] = act(h[r]·Self + agg[r]·Neigh) for rows
-// [lo, hi), with ReLU when relu is set. Rows are independent and the
-// accumulation order within a row is a fixed function of the layer shape
-// (k-outer over the shared weight rows, two rows per pass), so a row's
-// output bits depend only on h[r] and agg[r] — the row-level determinism
-// the batcher's bitwise guarantee needs. The first weight row initializes
-// the output and subsequent rows are folded in pairs, halving the
-// store/reload traffic on the output row relative to a scalar k loop.
-func (l Layer) applyRows(h, agg, out *tensor.Tensor, lo, hi int, relu bool) {
+// apply computes out[r] = act(h[r]·Self + agg[r]·Neigh) for every row of
+// out, ReLU when relu is set, in row spans on the shared pool. Each row is
+// two tensor.RowKernel folds into a cleared output row, so its bits depend
+// only on h[r], agg[r] and the layer shape — the row-level determinism the
+// batcher's bitwise batched-vs-solo guarantee needs. h and agg may hold
+// more rows than out; only the first out.Dim(0) are read.
+func (l Layer) apply(h, agg, out *tensor.Tensor, threads int, relu bool) {
 	in, width := l.Self.Dim(0), l.Self.Dim(1)
-	sd, nd := l.Self.Data(), l.Neigh.Data()
 	hd, ad, od := h.Data(), agg.Data(), out.Data()
 	hw := h.Dim(1)
-	for r := lo; r < hi; r++ {
-		or := od[r*width : (r+1)*width : (r+1)*width]
-		if in == 0 {
-			for j := range or {
-				or[j] = 0
-			}
-			continue
-		}
-		hr := hd[r*hw : r*hw+in]
-		ar := ad[r*hw : r*hw+in]
-		hv, av := hr[0], ar[0]
-		w0, n0 := sd[:width], nd[:width]
-		for j := range or {
-			or[j] = hv*w0[j] + av*n0[j]
-		}
-		k := 1
-		for ; k+1 < in; k += 2 {
-			hv0, av0 := hr[k], ar[k]
-			hv1, av1 := hr[k+1], ar[k+1]
-			w0 := sd[k*width : (k+1)*width]
-			n0 := nd[k*width : (k+1)*width]
-			w1 := sd[(k+1)*width : (k+2)*width]
-			n1 := nd[(k+1)*width : (k+2)*width]
-			for j := 0; j < width; j++ {
-				or[j] += hv0*w0[j] + av0*n0[j] + hv1*w1[j] + av1*n1[j]
-			}
-		}
-		if k < in {
-			hv, av := hr[k], ar[k]
-			wrow := sd[k*width : (k+1)*width]
-			nrow := nd[k*width : (k+1)*width]
-			for j := 0; j < width; j++ {
-				or[j] += hv*wrow[j] + av*nrow[j]
-			}
-		}
-		if relu {
-			for j := range or {
-				if or[j] < 0 {
-					or[j] = 0
+	workpool.Rows(out.Dim(0), 1, threads, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			or := od[r*width : (r+1)*width]
+			clear(or)
+			tensor.RowKernel(or, hd[r*hw:r*hw+in], l.Self.Data())
+			tensor.RowKernel(or, ad[r*hw:r*hw+in], l.Neigh.Data())
+			if relu {
+				for j, v := range or {
+					or[j] = max(v, 0)
 				}
 			}
 		}
-	}
-}
-
-// rowsParallel splits [0, n) into contiguous spans dispatched on the shared
-// worker pool. fn must not panic and must touch only its own rows.
-func rowsParallel(n, threads int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	threads = max(threads, 1)
-	chunks := min(threads*4, n)
-	if threads <= 1 || chunks <= 1 {
-		fn(0, n)
-		return
-	}
-	span := (n + chunks - 1) / chunks
-	job := workpool.Job{Body: func(_, ci int) {
-		lo := ci * span
-		hi := min(lo+span, n)
-		if lo < hi {
-			fn(lo, hi)
-		}
-	}}
-	workpool.Default().Run(&job, chunks, threads)
+	})
 }

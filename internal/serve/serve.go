@@ -568,10 +568,7 @@ func (b *Batcher) infer(ctx context.Context, smp *sample.Sampler, seeds []int32)
 		// are the first `rows` rows of the staged input — read them from
 		// plan.x, which holds them for both the gathered and copied case.
 		next := tensor.New(rows, layer.Self.Dim(1))
-		relu := li+1 < len(blocks)
-		rowsParallel(rows, b.threads, func(lo, hi int) {
-			layer.applyRows(plan.x, plan.out, next, lo, hi, relu)
-		})
+		layer.apply(plan.x, plan.out, next, b.threads, li+1 < len(blocks))
 		b.plans.release(plan)
 		h = next
 	}

@@ -67,7 +67,7 @@ func naiveInfer(t *testing.T, b *Batcher, seeds []int32) *tensor.Tensor {
 			}
 		}
 		next := tensor.New(blk.Adj.NumRows, layer.Self.Dim(1))
-		layer.applyRows(x, agg, next, 0, blk.Adj.NumRows, li+1 < len(blocks))
+		layer.apply(x, agg, next, b.threads, li+1 < len(blocks))
 		h = next
 	}
 	return h

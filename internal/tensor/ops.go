@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"unsafe"
+
+	"featgraph/internal/workpool"
 )
 
 // Add stores a+b into dst elementwise and returns dst. dst may alias a or b.
@@ -70,88 +73,144 @@ func ReLU(dst, a *Tensor) *Tensor {
 	return dst
 }
 
-// MatMul computes dst = a × b for 2-D tensors, with a [m,k], b [k,n],
-// dst [m,n]. It uses an ikj loop order so the inner loop streams rows of b
-// and dst, which vectorizes well. dst must not alias a or b.
-func MatMul(dst, a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
-		panic("tensor: MatMul requires rank-2 tensors")
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch a%v b%v dst%v", a.shape, b.shape, dst.shape))
-	}
-	dst.Zero()
-	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		drow := dst.data[i*n : (i+1)*n]
-		for l := 0; l < k; l++ {
-			av := arow[l]
-			if av == 0 {
-				continue
-			}
-			brow := b.data[l*n : (l+1)*n]
-			for j := range drow {
-				drow[j] += av * brow[j]
-			}
+// The three products share one inner loop, RowKernel, and one dispatcher:
+// output rows of MatMul/MatMulT go to the shared pool in row spans, and
+// TMatMul splits its reduction axis into chunks whose partials are summed
+// in chunk order. Products under inlineMACs multiply-adds run inline. An
+// output row's bits are a function of its operand rows and the shape only —
+// never of the runner count or the span cut (DESIGN.md §11.1). There is no
+// zero test, so 0·Inf is NaN as IEEE says. dst must not share storage with
+// a or b; all three panic if it does.
+const (
+	inlineMACs = 1 << 15 // below this a pool handoff costs about as much as the product
+	tkChunk    = 512     // TMatMul reduction rows per partial
+	tkBlock    = 32      // TMatMul reduction rows per gathered column of a
+)
+
+// RowKernel folds o += a·B for one output row, B row-major [len(a), len(o)]:
+// four rows of B per pass, o[j] += (a0·b0[j] + a1·b1[j]) + (a2·b2[j] +
+// a3·b3[j]), then one row at a time for the len(a) mod 4 tail. It is the one
+// dense inner loop outside internal/core; serve's layer apply calls it too.
+func RowKernel(o, a, b []float32) {
+	n := len(o)
+	l := 0
+	for ; l+4 <= len(a); l += 4 {
+		b0, b1, b2, b3 := b[l*n:][:n], b[(l+1)*n:][:n], b[(l+2)*n:][:n], b[(l+3)*n:][:n]
+		a0, a1, a2, a3 := a[l], a[l+1], a[l+2], a[l+3]
+		for j := range o {
+			o[j] += (a0*b0[j] + a1*b1[j]) + (a2*b2[j] + a3*b3[j])
 		}
 	}
+	for ; l < len(a); l++ {
+		b0, a0 := b[l*n:][:n], a[l]
+		for j := range o {
+			o[j] += a0 * b0[j]
+		}
+	}
+}
+
+// MatMul computes dst = a × b for 2-D tensors, with a [m,k], b [k,n],
+// dst [m,n].
+func MatMul(dst, a, b *Tensor) *Tensor {
+	m, k, n := checkGEMM("MatMul", dst, a, b, false, false)
+	gemmRows(m, k, n, func(i int) {
+		o := dst.data[i*n : (i+1)*n]
+		clear(o)
+		RowKernel(o, a.data[i*k:(i+1)*k], b.data)
+	})
 	return dst
 }
 
 // MatMulT computes dst = a × bᵀ for 2-D tensors, with a [m,k], b [n,k],
-// dst [m,n]. Used for weight-gradient computations.
+// dst [m,n]. bᵀ is materialised once so every row runs RowKernel.
 func MatMulT(dst, a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
-		panic("tensor: MatMulT requires rank-2 tensors")
+	checkGEMM("MatMulT", dst, a, b, false, true)
+	return MatMul(dst, a, Transpose2D(b))
+}
+
+// TMatMul computes dst = aᵀ × b for 2-D tensors, with a [k,m], b [k,n],
+// dst [m,n]. The k axis is cut into chunks of at least tkChunk rows (more
+// when m×n partials would exceed 1 Mi floats); chunk c accumulates into its
+// own partial, and dst is partial 0 + partial 1 + … in chunk order.
+func TMatMul(dst, a, b *Tensor) *Tensor {
+	m, k, n := checkGEMM("TMatMul", dst, a, b, true, false)
+	dst.Zero()
+	if m == 0 || n == 0 {
+		return dst
 	}
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulT shape mismatch a%v b%v dst%v", a.shape, b.shape, dst.shape))
-	}
-	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		drow := dst.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.data[j*k : (j+1)*k]
-			var s float32
-			for l := range arow {
-				s += arow[l] * brow[l]
+	mn := m * n
+	maxParts := max(1<<20/mn, 1)
+	kc := max(tkChunk, (k+maxParts-1)/maxParts)
+	chunks := max((k+kc-1)/kc, 1)
+	part := make([]float32, (chunks-1)*mn) // partial c > 0; partial 0 is dst
+	gemmRows(chunks, kc, mn, func(c int) {
+		p := dst.data
+		if c > 0 {
+			p = part[(c-1)*mn : c*mn]
+		}
+		var col [tkBlock]float32
+		for s, end := c*kc, min((c+1)*kc, k); s < end; s += tkBlock {
+			g, bs := col[:min(tkBlock, end-s)], b.data[s*n:]
+			for i := 0; i < m; i++ {
+				for t := range g {
+					g[t] = a.data[(s+t)*m+i]
+				}
+				RowKernel(p[i*n:(i+1)*n], g, bs)
 			}
-			drow[j] = s
+		}
+	})
+	for c := 0; c < len(part); c += mn {
+		for i, v := range part[c : c+mn] {
+			dst.data[i] += v
 		}
 	}
 	return dst
 }
 
-// TMatMul computes dst = aᵀ × b for 2-D tensors, with a [k,m], b [k,n],
-// dst [m,n].
-func TMatMul(dst, a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
-		panic("tensor: TMatMul requires rank-2 tensors")
+// gemmRows runs row(i) for i in [0, m), each row costing k×n multiply-adds,
+// in row spans on the shared pool once the whole is worth a handoff.
+func gemmRows(m, k, n int, row func(i int)) {
+	threads := 1
+	if m*k*n >= inlineMACs {
+		threads = workpool.Default().MaxRunners()
 	}
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: TMatMul shape mismatch a%v b%v dst%v", a.shape, b.shape, dst.shape))
-	}
-	dst.Zero()
-	for l := 0; l < k; l++ {
-		arow := a.data[l*m : (l+1)*m]
-		brow := b.data[l*n : (l+1)*n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			drow := dst.data[i*n : (i+1)*n]
-			for j := range drow {
-				drow[j] += av * brow[j]
-			}
+	workpool.Rows(m, inlineMACs/max(k*n, 1), threads, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row(i)
 		}
+	})
+}
+
+// checkGEMM validates a product's operands and returns its m, k, n; ta and
+// tb say a or b is read transposed.
+func checkGEMM(op string, dst, a, b *Tensor, ta, tb bool) (m, k, n int) {
+	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
+		panic("tensor: " + op + " requires rank-2 tensors")
 	}
-	return dst
+	m, k = a.shape[0], a.shape[1]
+	if ta {
+		m, k = k, m
+	}
+	k2, n := b.shape[0], b.shape[1]
+	if tb {
+		k2, n = n, k2
+	}
+	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
+		panic(fmt.Sprintf("tensor: %s shape mismatch a%v b%v dst%v", op, a.shape, b.shape, dst.shape))
+	}
+	if overlaps(dst.data, a.data) || overlaps(dst.data, b.data) {
+		panic(fmt.Sprintf("tensor: %s dst shares storage with an operand", op))
+	}
+	return m, k, n
+}
+
+// overlaps reports whether x and y share any element of storage.
+func overlaps(x, y []float32) bool {
+	if len(x) == 0 || len(y) == 0 {
+		return false
+	}
+	xs, ys := uintptr(unsafe.Pointer(&x[0])), uintptr(unsafe.Pointer(&y[0]))
+	return xs < ys+uintptr(len(y))*4 && ys < xs+uintptr(len(x))*4
 }
 
 // Transpose2D returns a new tensor that is the transpose of a 2-D tensor.

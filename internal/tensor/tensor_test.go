@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -183,6 +184,26 @@ func TestMatMulKnown(t *testing.T) {
 func TestMatMulShapeMismatchPanics(t *testing.T) {
 	defer expectPanic(t, "MatMul shape mismatch")
 	MatMul(New(2, 2), New(2, 3), New(4, 2))
+}
+
+func TestMatMulAliasingPanics(t *testing.T) {
+	buf := make([]float32, 48)
+	x, y := FromSlice(buf[:16], 4, 4), FromSlice(buf[8:24], 4, 4) // overlap by 8
+	z := FromSlice(buf[24:40], 4, 4)                              // adjacent to y
+	ops := map[string]func(dst, a, b *Tensor) *Tensor{"MatMul": MatMul, "MatMulT": MatMulT, "TMatMul": TMatMul}
+	for name, op := range ops {
+		for _, c := range []struct{ dst, a, b *Tensor }{{x, x, z}, {x, z, x}, {y, x, z}, {x, z, y}} {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(r.(string), "shares storage") {
+						t.Fatalf("%s with dst overlapping an operand: recovered %v, want a storage panic", name, r)
+					}
+				}()
+				op(c.dst, c.a, c.b)
+			}()
+		}
+		op(y, z, z) // adjacent but disjoint views are fine
+	}
 }
 
 func naiveMatMul(a, b *Tensor) *Tensor {

@@ -139,6 +139,30 @@ func (p *Pool) worker() {
 	}
 }
 
+// Rows runs fn over contiguous spans covering rows [0, n) on the default
+// pool with at most threads runners: about four spans per runner so a slow
+// runner's share is stolen, none shorter than minSpan rows. When that
+// leaves one span it runs inline as fn(0, n). fn must touch only rows
+// [lo, hi) and must not panic; a caller whose rows are independent gets
+// results that do not depend on which runner took which span.
+func Rows(n, minSpan, threads int, fn func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	threads = max(threads, 1)
+	span := max((n+4*threads-1)/(4*threads), minSpan, 1)
+	chunks := (n + span - 1) / span
+	if threads == 1 || chunks == 1 {
+		fn(0, n)
+		return
+	}
+	job := Job{Body: func(_, ci int) {
+		lo := ci * span
+		fn(lo, min(lo+span, n))
+	}}
+	Default().Run(&job, chunks, threads)
+}
+
 // Run executes j over chunks [0, n) using at most maxRunners runners: the
 // calling goroutine (slot 0) plus up to maxRunners-1 currently idle pool
 // workers. It returns once every chunk is processed or abandoned and all
