@@ -267,8 +267,14 @@ func (k *ShardedSpMM) RunCtx(ctx context.Context, out *tensor.Tensor) (RunStats,
 
 // runCPU is one attempt at the whole sharded pass.
 func (k *ShardedSpMM) runCPU(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
-	out.Fill(k.agg.identity())
-	odata, stride := out.Data(), out.RowStride()
+	// Prefill the aggregation identity row-parallel, at least 64 KiB a span.
+	odata, stride, id := out.Data(), out.RowStride(), k.agg.identity()
+	workpool.Rows(k.numRows, (16<<10)/max(stride, 1), max(k.opts.NumThreads, 1), func(lo, hi int) {
+		rows := odata[lo*stride : hi*stride]
+		for i := range rows {
+			rows[i] = id
+		}
+	})
 	stats, err := k.runShards(ctx,
 		func(adj *sparse.CSR, sh *shardSpec) (Kernel, error) {
 			return buildSpMM(adj, k.udf, k.inputs, k.agg, k.fds, k.opts, sh)

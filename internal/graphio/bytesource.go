@@ -1,29 +1,22 @@
 package graphio
 
-import (
-	"fmt"
-	"io"
-)
+import "io"
 
-// byteSource abstracts random access to a shard file's bytes. The mmap
-// implementation (mapfile_unix.go) serves Range calls zero-copy out of the
-// page cache; the portable fallback (mapfile_fallback.go) and the
-// in-memory test path use positioned reads into a transient buffer. The
-// embedded io.ReaderAt serves the small sequential header/index scan at
-// open time.
+// byteSource abstracts random access to a shard file's bytes. Every read —
+// the index scan at open time, the manifest and row pointers, each shard
+// section straight into its destination array — is a ReadAt: one copy out
+// of the page cache from the mmap implementation (mapfile_unix.go), one
+// positioned read from the portable fallback (mapfile_fallback.go) and the
+// in-memory test path.
 type byteSource interface {
 	io.ReaderAt
-	// Range returns exactly n bytes starting at off. The returned slice
-	// may alias a shared mapping: callers must not modify it and must not
-	// retain it past the source's Close.
-	Range(off, n int64) ([]byte, error)
 	Size() int64
 	Close() error
 }
 
 // readerAtSource adapts any io.ReaderAt (a file on the no-mmap build, a
 // bytes.Reader in tests and the fuzz/corruption harnesses) into a
-// byteSource by allocating per Range call.
+// byteSource.
 type readerAtSource struct {
 	r      io.ReaderAt
 	size   int64
@@ -32,32 +25,11 @@ type readerAtSource struct {
 
 func (s *readerAtSource) ReadAt(p []byte, off int64) (int, error) { return s.r.ReadAt(p, off) }
 
-func (s *readerAtSource) Range(off, n int64) ([]byte, error) {
-	if err := checkRange(off, n, s.size); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(s.r, off, n), buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 func (s *readerAtSource) Size() int64 { return s.size }
 
 func (s *readerAtSource) Close() error {
 	if s.closer != nil {
 		return s.closer.Close()
-	}
-	return nil
-}
-
-// checkRange validates a payload range against the source size, so a lying
-// section header fails with a bounded error instead of a huge allocation
-// or a mapping overrun.
-func checkRange(off, n, size int64) error {
-	if off < 0 || n < 0 || off > size || n > size-off {
-		return fmt.Errorf("range [%d, %d) outside source of %d bytes: %w", off, off+n, size, io.ErrUnexpectedEOF)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -183,9 +184,10 @@ func TestCorruptionMatrixTensorFormat(t *testing.T) {
 
 // TestCorruptionMatrixShardFormat runs the acceptance matrix over the
 // sharded out-of-core container. Payload verification is lazy in this
-// format, so the read closure pins every shard — damage anywhere, from
-// the header through the last shard's checksum, must still surface as a
-// typed error and never a panic or silent acceptance.
+// format, so the read closure pins every shard and, on a fresh handle,
+// runs Materialize (which decodes without Pin) — damage anywhere, from the
+// header through the last shard's checksum, must still surface as a typed
+// error from both and never a panic or silent acceptance.
 func TestCorruptionMatrixShardFormat(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	g := sparse.Random(rng, 30, 25, 5)
@@ -193,20 +195,29 @@ func TestCorruptionMatrixShardFormat(t *testing.T) {
 	if err := WriteSharded(&buf, g, 16); err != nil {
 		t.Fatal(err)
 	}
+	open := func(data []byte) (*ShardedCSR, error) {
+		return OpenShardedReader(bytes.NewReader(data), int64(len(data)), ShardedOptions{})
+	}
 	err := durable.VerifyReader(buf.Bytes(), func(data []byte) error {
-		s, err := OpenShardedReader(bytes.NewReader(data), int64(len(data)), ShardedOptions{})
+		m, err := open(data)
+		if err != nil {
+			return err
+		}
+		defer m.Close()
+		_, merr := m.Materialize(context.Background())
+		s, err := open(data)
 		if err != nil {
 			return err
 		}
 		defer s.Close()
-		for i := 0; i < s.NumShards(); i++ {
-			_, unpin, err := s.Pin(context.Background(), i)
-			if err != nil {
-				return err
-			}
-			unpin()
+		perr := pinAll(s)
+		if (merr == nil) != (perr == nil) {
+			return fmt.Errorf("materialize returned %v but pinning every shard returned %v", merr, perr)
 		}
-		return nil
+		if merr != nil {
+			return merr
+		}
+		return perr
 	})
 	if err != nil {
 		t.Fatal(err)

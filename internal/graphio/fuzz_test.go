@@ -146,23 +146,21 @@ func FuzzLoadShard(f *testing.F) {
 			return
 		}
 		defer s.Close()
+		// Materialize first, on the fresh handle: it decodes without Pin,
+		// so it must meet damaged payloads itself and fail closed.
 		ctx := context.Background()
-		for i := 0; i < s.NumShards(); i++ {
-			_, unpin, err := s.Pin(ctx, i)
-			requireTypedOrNil(t, err)
-			if err != nil {
-				return
-			}
-			unpin()
+		got, merr := s.Materialize(ctx)
+		var le *LimitError
+		if !errors.As(merr, &le) {
+			requireTypedOrNil(t, merr)
 		}
-		got, err := s.Materialize(ctx)
-		if err != nil {
-			var le *LimitError
-			if errors.As(err, &le) {
-				return // validly sharded but too large to assemble in memory
-			}
-			requireTypedOrNil(t, err)
-			return
+		perr := pinAll(s)
+		requireTypedOrNil(t, perr)
+		if merr == nil && perr != nil {
+			t.Fatalf("materialize accepted a file whose shards fail to pin: %v", perr)
+		}
+		if merr != nil || perr != nil {
+			return // damaged, or validly sharded but too large to assemble in memory
 		}
 		if verr := got.Validate(); verr != nil {
 			t.Fatalf("accepted structurally invalid sharded graph: %v", verr)

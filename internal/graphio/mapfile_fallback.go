@@ -6,8 +6,8 @@ import "os"
 
 // openByteSource on platforms without the mmap path (or with the
 // featgraph_nommap build tag) serves shard payloads with positioned reads
-// into transient buffers — the same interface, one extra copy per shard
-// load.
+// straight into the destination arrays — the same interface, a read(2)
+// where the mapping would page-fault.
 func openByteSource(path string) (byteSource, error) {
 	f, err := os.Open(path)
 	if err != nil {

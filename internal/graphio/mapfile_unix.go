@@ -3,12 +3,14 @@
 package graphio
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"syscall"
 )
 
-// openByteSource maps the file read-only so shard materialization decodes
-// straight out of the page cache with no intermediate copy; the kernel's
+// openByteSource maps the file read-only so a shard section decodes as one
+// copy out of the page cache into its destination array; the kernel's
 // readahead and eviction then manage the raw bytes while ShardedCSR's
 // budget manages the decoded arrays. Files that cannot be mapped (empty
 // files, exotic filesystems) degrade to positioned reads. Build with
@@ -45,18 +47,13 @@ type mmapSource struct {
 	data []byte
 }
 
+// ReadAt fails a range outside the mapping (a lying section header, or a
+// read after Close) with a bounded error instead of a mapping overrun.
 func (m *mmapSource) ReadAt(p []byte, off int64) (int, error) {
-	if err := checkRange(off, int64(len(p)), int64(len(m.data))); err != nil {
-		return 0, err
+	if size := int64(len(m.data)); off < 0 || off > size || int64(len(p)) > size-off {
+		return 0, fmt.Errorf("range [%d, %d) outside source of %d bytes: %w", off, off+int64(len(p)), size, io.ErrUnexpectedEOF)
 	}
 	return copy(p, m.data[off:]), nil
-}
-
-func (m *mmapSource) Range(off, n int64) ([]byte, error) {
-	if err := checkRange(off, n, int64(len(m.data))); err != nil {
-		return nil, err
-	}
-	return m.data[off : off+n : off+n], nil
 }
 
 func (m *mmapSource) Size() int64 { return int64(len(m.data)) }

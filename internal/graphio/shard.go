@@ -30,11 +30,14 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"featgraph/internal/admission"
 	"featgraph/internal/durable"
 	"featgraph/internal/partition"
 	"featgraph/internal/sparse"
+	"featgraph/internal/workpool"
 )
 
 const (
@@ -234,8 +237,8 @@ func openSharded(src byteSource, path string, opts ShardedOptions) (*ShardedCSR,
 		if !ok {
 			return nil, shardCorrupt(path, name, "section missing", nil)
 		}
-		b, err := src.Range(l.Off, l.Len)
-		if err != nil {
+		b := make([]byte, l.Len)
+		if n, err := src.ReadAt(b, l.Off); n < len(b) {
 			return nil, shardCorrupt(path, name, "payload read failed", err)
 		}
 		if err := l.VerifyPayload(b, path, shardKind); err != nil {
@@ -393,7 +396,7 @@ func (s *ShardedCSR) Pin(ctx context.Context, i int) (*sparse.CSR, func(), error
 	defer s.mu.Unlock()
 	rs := s.resident[i]
 	if rs == nil {
-		csr, err := s.materialize(i)
+		csr, err := s.materialize(ctx, i)
 		if err != nil {
 			return nil, nil, withPath(err, s.path)
 		}
@@ -427,11 +430,10 @@ func (s *ShardedCSR) Pin(ctx context.Context, i int) (*sparse.CSR, func(), error
 	return rs.csr, unpin, nil
 }
 
-// materialize decodes shard i from its sections, verifying each payload's
-// CRC and the decoded structure. Local row pointers derive from the
-// resident global rowptr64 clamped to the shard's edge span — the shard
-// file stores no per-shard row pointers at all.
-func (s *ShardedCSR) materialize(i int) (*sparse.CSR, error) {
+// materialize decodes shard i into fresh arrays. Local row pointers derive
+// from the resident global rowptr64 clamped to the shard's edge span — the
+// shard file stores no per-shard row pointers at all.
+func (s *ShardedCSR) materialize(ctx context.Context, i int) (*sparse.CSR, error) {
 	m := &s.shards[i]
 	rows := m.rowHi - m.rowLo
 	snnz := int(m.edgeHi - m.edgeLo)
@@ -439,60 +441,112 @@ func (s *ShardedCSR) materialize(i int) (*sparse.CSR, error) {
 		NumRows: rows,
 		NumCols: s.numCols,
 		RowPtr:  make([]int32, rows+1),
+		ColIdx:  make([]int32, snnz),
+		EID:     make([]int32, snnz),
+		Val:     make([]float32, snnz),
 	}
 	for r := 0; r <= rows; r++ {
 		p := s.rowptr64[m.rowLo+r] - m.edgeLo
 		csr.RowPtr[r] = int32(min(max(p, 0), int64(snnz)))
 	}
-	var err error
-	if csr.ColIdx, err = s.readInt32Section(m.col); err != nil {
+	if err := s.decode(ctx, s.sections(nil, i, csr.ColIdx, csr.EID, csr.Val)); err != nil {
 		return nil, err
-	}
-	for p, c := range csr.ColIdx {
-		if c < 0 || int(c) >= s.numCols {
-			return nil, shardCorrupt(s.path, m.col.Name, fmt.Sprintf("edge %d has column %d, graph has %d", p, c, s.numCols), nil)
-		}
-	}
-	if csr.EID, err = s.readInt32Section(m.eid); err != nil {
-		return nil, err
-	}
-	for p, e := range csr.EID {
-		if int64(e) < 0 || int64(e) >= s.nnz {
-			return nil, shardCorrupt(s.path, m.eid.Name, fmt.Sprintf("edge %d has id %d, graph has %d edges", p, e, s.nnz), nil)
-		}
-	}
-	valb, err := s.rangeSection(m.val)
-	if err != nil {
-		return nil, err
-	}
-	csr.Val = make([]float32, snnz)
-	for p := range csr.Val {
-		csr.Val[p] = math.Float32frombits(binary.LittleEndian.Uint32(valb[4*p:]))
 	}
 	return csr, nil
 }
 
-func (s *ShardedCSR) rangeSection(l durable.SectionLoc) ([]byte, error) {
-	b, err := s.src.Range(l.Off, l.Len)
-	if err != nil {
-		return nil, shardCorrupt(s.path, l.Name, "payload read failed", err)
-	}
-	if err := l.VerifyPayload(b, s.path, shardKind); err != nil {
-		return nil, err
-	}
-	return b, nil
+// sectionDst is one shard section and the array it decodes into.
+type sectionDst struct {
+	loc   durable.SectionLoc
+	dst   []byte  // the destination array's memory, loc.Len bytes
+	ids   []int32 // the destination when it holds ids that must lie in [0, bound)
+	bound int64
 }
 
-func (s *ShardedCSR) readInt32Section(l durable.SectionLoc) ([]int32, error) {
-	b, err := s.rangeSection(l)
-	if err != nil {
-		return nil, err
+// sections appends shard i's three sections, decoding into col, eid, val.
+func (s *ShardedCSR) sections(secs []sectionDst, i int, col, eid []int32, val []float32) []sectionDst {
+	m := &s.shards[i]
+	return append(secs,
+		sectionDst{loc: m.col, dst: byteView(col), ids: col, bound: int64(s.numCols)},
+		sectionDst{loc: m.eid, dst: byteView(eid), ids: eid, bound: s.nnz},
+		sectionDst{loc: m.val, dst: byteView(val)})
+}
+
+// decode is the one shard decoder: every section is a chunk of one phase on
+// the shared pool. It returns the first failure in section order — a
+// failure stops the phase, but every section before it was already claimed
+// and runs to completion — or ctx's error when the phase was abandoned.
+func (s *ShardedCSR) decode(ctx context.Context, secs []sectionDst) error {
+	errs := make([]error, len(secs))
+	var failed atomic.Bool
+	job := workpool.Job{
+		Body: func(_, c int) {
+			if errs[c] = s.decodeSection(&secs[c]); errs[c] != nil {
+				failed.Store(true)
+			}
+		},
+		Stop: func() bool { return failed.Load() || ctx.Err() != nil },
 	}
-	arr := make([]int32, len(b)/4)
-	for i := range arr {
-		arr[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	pool := workpool.Default()
+	pool.Run(&job, len(secs), pool.MaxRunners())
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	return arr, nil
+	return ctx.Err()
+}
+
+// decodeSection reads a section's payload straight into its destination
+// (one copy out of a mapping, one positioned read otherwise) and verifies
+// the CRC of exactly the bytes it hands out. Ids are range-checked by one
+// branch-free max-scan against the bound capped at 2^31 — a negative int32
+// read as uint32 is >= 2^31 — and walked one by one only to name the
+// offending edge.
+func (s *ShardedCSR) decodeSection(d *sectionDst) error {
+	if n, err := s.src.ReadAt(d.dst, d.loc.Off); n < len(d.dst) {
+		return shardCorrupt(s.path, d.loc.Name, "payload read failed", err)
+	}
+	if err := d.loc.VerifyPayload(d.dst, s.path, shardKind); err != nil {
+		return err
+	}
+	if !nativeLE {
+		for p := 0; p < len(d.dst); p += 4 {
+			binary.NativeEndian.PutUint32(d.dst[p:], binary.LittleEndian.Uint32(d.dst[p:]))
+		}
+	}
+	if d.ids == nil || int64(maxUint32(d.ids)) < min(d.bound, 1<<31) {
+		return nil
+	}
+	for p, v := range d.ids {
+		if v < 0 || int64(v) >= d.bound {
+			return shardCorrupt(s.path, d.loc.Name, fmt.Sprintf("edge %d holds %d, outside [0, %d)", p, v, d.bound), nil)
+		}
+	}
+	return nil
+}
+
+// nativeLE reports a little-endian target, where the file's bytes already
+// are the decoded arrays.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// byteView returns a's memory as bytes.
+func byteView[T int32 | float32](a []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(a))), 4*len(a))
+}
+
+// maxUint32 returns the largest element of a read as uint32, in four
+// independent chains.
+func maxUint32(a []int32) uint32 {
+	var m0, m1, m2, m3 uint32
+	for ; len(a) >= 4; a = a[4:] {
+		m0, m1 = max(m0, uint32(a[0])), max(m1, uint32(a[1]))
+		m2, m3 = max(m2, uint32(a[2])), max(m3, uint32(a[3]))
+	}
+	for _, v := range a {
+		m0 = max(m0, uint32(v))
+	}
+	return max(m0, m1, m2, m3)
 }
 
 // evictLocked drops least-recently-used unpinned shards until residency
@@ -522,8 +576,10 @@ func (s *ShardedCSR) evictLocked() {
 
 // Materialize assembles the whole graph as one in-memory CSR — the bridge
 // for tools (traingnn) that accept sharded files but run in-memory
-// kernels. Fails with a *LimitError when the graph exceeds in-memory CSR
-// limits.
+// kernels. It bypasses the residency cache (Stats and ResidentBytes do not
+// move): every shard's sections decode, with the checks Pin makes, straight
+// into the assembled arrays, all of them as one phase on the shared pool.
+// Fails with a *LimitError when the graph exceeds in-memory CSR limits.
 func (s *ShardedCSR) Materialize(ctx context.Context) (*sparse.CSR, error) {
 	if s.nnz > maxDim {
 		return nil, &LimitError{Kind: shardKind, Field: "nnz", Value: s.nnz, Max: maxDim}
@@ -532,24 +588,25 @@ func (s *ShardedCSR) Materialize(ctx context.Context) (*sparse.CSR, error) {
 		NumRows: s.numRows,
 		NumCols: s.numCols,
 		RowPtr:  make([]int32, s.numRows+1),
-		ColIdx:  make([]int32, 0, s.nnz),
-		EID:     make([]int32, 0, s.nnz),
-		Val:     make([]float32, 0, s.nnz),
+		ColIdx:  make([]int32, s.nnz),
+		EID:     make([]int32, s.nnz),
+		Val:     make([]float32, s.nnz),
 	}
 	for r := range g.RowPtr {
 		g.RowPtr[r] = int32(s.rowptr64[r])
 	}
-	// Shards are contiguous edge ranges in CSR storage order, so simple
-	// concatenation reassembles the original arrays, split rows included.
-	for i := range s.shards {
-		csr, unpin, err := s.Pin(ctx, i)
-		if err != nil {
-			return nil, err
-		}
-		g.ColIdx = append(g.ColIdx, csr.ColIdx...)
-		g.EID = append(g.EID, csr.EID...)
-		g.Val = append(g.Val, csr.Val...)
-		unpin()
+	// Shards are contiguous edge ranges in CSR storage order, so each
+	// decodes into its own span of the arrays, split rows included.
+	secs := make([]sectionDst, 0, 3*len(s.shards))
+	for i, m := range s.shards {
+		lo, hi := m.edgeLo, m.edgeHi
+		secs = s.sections(secs, i, g.ColIdx[lo:hi], g.EID[lo:hi], g.Val[lo:hi])
+	}
+	s.mu.Lock() // Close cannot unmap the source mid-decode
+	err := s.decode(ctx, secs)
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
 	if err := g.Validate(); err != nil {
 		return nil, shardCorrupt(s.path, "", "structural validation failed", err)
@@ -562,12 +619,12 @@ func (s *ShardedCSR) Materialize(ctx context.Context) (*sparse.CSR, error) {
 // released too: Close invalidates every CSR Pin has handed out.
 func (s *ShardedCSR) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for i, rs := range s.resident {
 		rs.tk.Release()
 		delete(s.resident, i)
 	}
 	s.used = 0
-	s.mu.Unlock()
 	return s.src.Close()
 }
 

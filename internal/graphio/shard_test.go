@@ -126,12 +126,16 @@ func TestShardedBudgetEviction(t *testing.T) {
 	blob := writeShardedBytes(t, g, 32)
 	ctx := context.Background()
 
-	// Budget two average shards' decoded bytes.
+	// Budget two average shards' decoded bytes: the cache charges a shard 4
+	// bytes per local row pointer and 12 per edge (checked on the unlimited
+	// handle below).
 	full := shardedFromBytes(t, blob, ShardedOptions{})
-	if _, err := full.Materialize(ctx); err != nil {
-		t.Fatal(err)
+	var decoded int64
+	for i := 0; i < full.NumShards(); i++ {
+		lo, hi := full.ShardRows(i)
+		decoded += 4*int64(hi-lo+1) + 12*full.ShardNNZ(i)
 	}
-	budget := full.ResidentBytes() / int64(full.NumShards()) * 2
+	budget := decoded / int64(full.NumShards()) * 2
 
 	s := shardedFromBytes(t, blob, ShardedOptions{BudgetBytes: budget})
 	for round := 0; round < 2; round++ {
@@ -171,6 +175,16 @@ func TestShardedBudgetEviction(t *testing.T) {
 	}
 	if st := u.Stats(); st.Loads != uint64(u.NumShards()) || st.Hits != uint64(u.NumShards()) {
 		t.Fatalf("unlimited budget: %d loads, %d hits; want %d of each", st.Loads, st.Hits, u.NumShards())
+	}
+	if rb := u.ResidentBytes(); rb != decoded {
+		t.Fatalf("every shard resident holds %d bytes, the budget above assumed %d", rb, decoded)
+	}
+	// Materialize bypasses the cache: no traffic, no residency.
+	if _, err := full.Materialize(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st, rb := full.Stats(), full.ResidentBytes(); st != (ShardCacheStats{}) || rb != 0 {
+		t.Fatalf("Materialize went through the cache: %+v, %d bytes resident", st, rb)
 	}
 }
 
