@@ -1,9 +1,11 @@
 package core_test
 
 // Differential coverage for the register-blocked CPU loops (rowops.go): every
-// fast-path pattern at widths, degrees, tilings and shard cuts that land on
-// each loop's tails, against the serial references under the oracle's
-// tolerance. External test package so it can use internal/oracle.
+// fast-path pattern and the fused attention pair at widths, degrees, tilings
+// and shard cuts that land on each loop's tails, against the serial
+// references under the oracle's tolerance (the float64 fused references
+// under the fused tests' own). External test package so it can use
+// internal/oracle.
 
 import (
 	"errors"
@@ -130,7 +132,7 @@ func TestBlockedLoopsMatchReferenceOnTails(t *testing.T) {
 	rng := rand.New(rand.NewSource(170))
 	const n, d1 = 10, 5
 	opts := core.Options{Target: core.CPU, NumThreads: 2}
-	for _, maxDeg := range []int{0, 1, 3, 4, 5, 9} {
+	for _, maxDeg := range []int{0, 1, 2, 3, 4, 5, 9} {
 		a := tailGraph(t, rng, maxDeg)
 		shards := threeShards(t, a, maxDeg >= 3)
 		for _, d := range []int{1, 3, 7, 8, 9, 16, 63, 64, 65} {
@@ -189,7 +191,48 @@ func TestBlockedLoopsMatchReferenceOnTails(t *testing.T) {
 					requireClose(t, what+" sharded", runTwice(t, what+" sharded", ks, err), want)
 				}
 			}
+
+			requireFusedMatchesReference(t, fmt.Sprintf("fused deg=%d d=%d", maxDeg, d), a, x, randT(rng, n, d), randT(rng, n, d), opts)
 		}
+	}
+}
+
+// requireFusedMatchesReference runs the fused forward and then the backward
+// on a, each twice (runTwice), against the float64 references within the
+// fused tests' tolerances, and checks that every non-empty row's α sums to 1.
+// Odd in-degrees reach dotRows' leftover edge, odd out-degrees
+// scaledSumRows2's.
+func requireFusedMatchesReference(t *testing.T, what string, a *sparse.CSR, x, y, dout *tensor.Tensor, opts core.Options) {
+	t.Helper()
+	n, d := a.NumRows, x.Dim(1)
+	m := max(a.NNZ(), 1)
+	alpha, deriv := tensor.New(m, 1), tensor.New(m, 1)
+	cfg := core.FusedAttnConfig{NegSlope: 0.2, Scale: 0.25}
+	k, err := core.BuildFusedAttention(a, x, y, alpha, deriv, cfg, opts)
+	out := runTwice(t, what, k, err)
+	if want := core.RefFusedAttn(a, x, y, cfg); !out.AllClose(want, 1e-4) {
+		t.Fatalf("%s: forward max diff %v from the reference", what, out.MaxAbsDiff(want))
+	}
+	for v := 0; v < n; v++ {
+		lo, hi := a.RowPtr[v], a.RowPtr[v+1]
+		if lo == hi {
+			continue
+		}
+		var sum float64
+		for p := lo; p < hi; p++ {
+			sum += float64(alpha.At(int(a.EID[p]), 0))
+		}
+		if math.Abs(sum-1) > 1e-4 {
+			t.Fatalf("%s: row %d alpha sums to %v", what, v, sum)
+		}
+	}
+
+	bk, err := core.BuildFusedAttentionBwd(a, a.Transpose(), x, y, alpha, deriv, dout, opts)
+	grad := runTwice(t, what+" bwd", bk, err)
+	dx, dy := core.RefFusedAttnBwd(a, x, y, dout, cfg)
+	want := tensor.FromSlice(append(dx.Data(), dy.Data()...), 2*n, d)
+	if !grad.AllClose(want, 1e-3) {
+		t.Fatalf("%s: backward max diff %v from the reference", what, grad.MaxAbsDiff(want))
 	}
 }
 

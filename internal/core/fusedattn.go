@@ -246,138 +246,37 @@ func (k *FusedAttnKernel) runCPU(ctx context.Context, out *tensor.Tensor) (RunSt
 	return st.finish(ctx)
 }
 
-// fwdRows runs the fused forward for destination rows [rlo, rhi): scores
-// and the streaming max/sum in pass one, batch exponential + normalization
-// + weighted aggregation in pass two. out rows must be pre-zeroed.
+// fwdRows runs the fused forward for destination rows [rlo, rhi), one body
+// for every feature width: raw scores two in-edges at a time (dotRows), the
+// score transform with the row maximum, expShiftSumF32's one exponential per
+// edge, α into the alpha buffer, and scaledSumRows reading α back by edge id
+// to fold four neighbours per pass into the output row. out rows must be
+// pre-zeroed.
 func (k *FusedAttnKernel) fwdRows(out *tensor.Tensor, sc *fusedAttnScratch, rlo, rhi int) {
-	if k.d%8 == 0 {
-		// Width-specialized instantiation, FeatGraph-style: the common
-		// multiple-of-eight feature widths walk rows in fixed 8-wide blocks.
-		k.fwdRowsW8(out, sc, rlo, rhi)
-		return
-	}
 	adj := k.adj
 	d := k.d
 	xd, xs := k.x.Data(), k.x.RowStride()
 	yd, ys := k.y.Data(), k.y.RowStride()
 	ad, dd := k.alpha.Data(), k.deriv.Data()
 	odata, ostride := out.Data(), out.RowStride()
-	scale, slope := k.cfg.Scale, k.cfg.NegSlope
+	// dScore/dDot by the sign of the dot, index 1 when dot > 0: a table
+	// select, not a branch, since a raw score's sign defeats the predictor.
+	// The score is dot·deriv, so one select serves both outputs.
+	drvTab := [2]float32{k.cfg.Scale * k.cfg.NegSlope, k.cfg.Scale}
 
 	for v := rlo; v < rhi; v++ {
 		lo, hi := int(adj.RowPtr[v]), int(adj.RowPtr[v+1])
-		deg := hi - lo
-		if deg == 0 {
+		if lo == hi {
 			continue // zero in-degree aggregates to zero (DGL's convention)
 		}
-		yrow := yd[v*ys : v*ys+d]
-		scores := sc.scores[:deg]
+		cols, eids := adj.ColIdx[lo:hi], adj.EID[lo:hi]
+		scores := sc.scores[:hi-lo]
+		dotRows(scores, xd, xs, cols, yd[v*ys:v*ys+d])
 
-		// Pass 1: raw scores and the running row maximum. The sum waits for
-		// pass 2: with the scores buffered, one batch exponential serves
-		// both the sum and the probabilities, so each edge pays exactly one
-		// exp instead of the streaming recurrence's two.
+		// The scores are buffered, so the sum waits for expShiftSumF32: one
+		// exponential per edge serves both the sum and the probabilities.
 		runMax := negInf32
-		for j := 0; j < deg; j++ {
-			p := lo + j
-			u := int(adj.ColIdx[p])
-			xrow := xd[u*xs : u*xs+d]
-			// Four independent accumulators: a single running sum serializes
-			// on FP-add latency, which at small d costs more than the
-			// multiplies themselves.
-			var d0, d1, d2, d3 float32
-			f := 0
-			for ; f+4 <= d; f += 4 {
-				d0 += xrow[f] * yrow[f]
-				d1 += xrow[f+1] * yrow[f+1]
-				d2 += xrow[f+2] * yrow[f+2]
-				d3 += xrow[f+3] * yrow[f+3]
-			}
-			for ; f < d; f++ {
-				d0 += xrow[f] * yrow[f]
-			}
-			dot := (d0 + d1) + (d2 + d3)
-			// Constant-select form compiles to CMOV; the sign of a raw
-			// attention score is data-dependent and defeats the branch
-			// predictor.
-			g := slope
-			if dot > 0 {
-				g = 1
-			}
-			s := dot * scale * g
-			scores[j] = s
-			dd[adj.EID[p]] = scale * g
-			if s > runMax {
-				runMax = s
-			}
-		}
-
-		// Pass 2: batch exponential of s−max (all ≤ 0, so nothing can
-		// overflow) with the row sum folded into the same traversal, then
-		// the normalized weighted sum into the output row.
-		inv := 1 / expShiftSumF32(scores, runMax)
-		orow := odata[v*ostride : v*ostride+d]
-		for j := 0; j < deg; j++ {
-			p := lo + j
-			a := scores[j] * inv
-			ad[adj.EID[p]] = a
-			u := int(adj.ColIdx[p])
-			xrow := xd[u*xs : u*xs+d]
-			for f := range orow {
-				orow[f] += a * xrow[f]
-			}
-		}
-	}
-}
-
-// fwdRowsW8 is fwdRows instantiated for feature widths that are a multiple
-// of eight — the template-specialization move FeatGraph makes per feature
-// dimension, here applied at the width-class level. Rows are traversed in
-// fixed 8-wide blocks through array pointers, so the per-element bounds
-// checks and loop bookkeeping of the generic path disappear; the dot
-// products keep four independent accumulator chains (the same split, and so
-// the same rounding, as the generic path at d=8); the LeakyReLU slope is a
-// two-entry table select rather than a branch (a raw score's sign is
-// data-dependent and defeats the predictor); and the weighted sum
-// accumulates each 8-wide output block in registers across the whole
-// in-edge set, storing once per block instead of read-modify-writing the
-// output row on every edge.
-func (k *FusedAttnKernel) fwdRowsW8(out *tensor.Tensor, sc *fusedAttnScratch, rlo, rhi int) {
-	adj := k.adj
-	d := k.d
-	xd, xs := k.x.Data(), k.x.RowStride()
-	yd, ys := k.y.Data(), k.y.RowStride()
-	ad, dd := k.alpha.Data(), k.deriv.Data()
-	odata, ostride := out.Data(), out.RowStride()
-	scale, slope := k.cfg.Scale, k.cfg.NegSlope
-	// dScore/dDot by sign of the dot: index 1 when dot > 0. The score is
-	// dot·deriv, so the select covers both outputs of the transform.
-	drvTab := [2]float32{scale * slope, scale}
-
-	for v := rlo; v < rhi; v++ {
-		lo, hi := int(adj.RowPtr[v]), int(adj.RowPtr[v+1])
-		deg := hi - lo
-		if deg == 0 {
-			continue // zero in-degree aggregates to zero (DGL's convention)
-		}
-		yrow := yd[v*ys : v*ys+d]
-		scores := sc.scores[:deg]
-
-		runMax := negInf32
-		for j := 0; j < deg; j++ {
-			p := lo + j
-			u := int(adj.ColIdx[p])
-			xrow := xd[u*xs : u*xs+d]
-			var d0, d1, d2, d3 float32
-			for f := 0; f+8 <= d; f += 8 {
-				xb := (*[8]float32)(xrow[f : f+8])
-				yb := (*[8]float32)(yrow[f : f+8])
-				d0 += xb[0]*yb[0] + xb[4]*yb[4]
-				d1 += xb[1]*yb[1] + xb[5]*yb[5]
-				d2 += xb[2]*yb[2] + xb[6]*yb[6]
-				d3 += xb[3]*yb[3] + xb[7]*yb[7]
-			}
-			dot := (d0 + d1) + (d2 + d3)
+		for j, dot := range scores {
 			var gi uint32
 			if dot > 0 {
 				gi = 1
@@ -385,44 +284,15 @@ func (k *FusedAttnKernel) fwdRowsW8(out *tensor.Tensor, sc *fusedAttnScratch, rl
 			drv := drvTab[gi&1]
 			s := dot * drv
 			scores[j] = s
-			dd[adj.EID[p]] = drv
+			dd[eids[j]] = drv
 			if s > runMax {
 				runMax = s
 			}
 		}
-
-		// Normalize in place so the aggregation below reads plain α.
 		inv := 1 / expShiftSumF32(scores, runMax)
-		for j := 0; j < deg; j++ {
-			a := scores[j] * inv
-			scores[j] = a
-			ad[adj.EID[lo+j]] = a
+		for j, e := range eids {
+			ad[e] = scores[j] * inv
 		}
-		orow := odata[v*ostride : v*ostride+d]
-		for f := 0; f+8 <= d; f += 8 {
-			ob := (*[8]float32)(orow[f : f+8])
-			var a0, a1, a2, a3, a4, a5, a6, a7 float32
-			for j := 0; j < deg; j++ {
-				a := scores[j]
-				base := int(adj.ColIdx[lo+j])*xs + f
-				xb := (*[8]float32)(xd[base : base+8])
-				a0 += a * xb[0]
-				a1 += a * xb[1]
-				a2 += a * xb[2]
-				a3 += a * xb[3]
-				a4 += a * xb[4]
-				a5 += a * xb[5]
-				a6 += a * xb[6]
-				a7 += a * xb[7]
-			}
-			ob[0] += a0
-			ob[1] += a1
-			ob[2] += a2
-			ob[3] += a3
-			ob[4] += a4
-			ob[5] += a5
-			ob[6] += a6
-			ob[7] += a7
-		}
+		scaledSumRows(odata[v*ostride:][:d], xd, xs, 0, cols, eids, ad)
 	}
 }

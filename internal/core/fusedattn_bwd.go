@@ -241,12 +241,10 @@ func (k *FusedAttnBwdKernel) runCPU(ctx context.Context, out *tensor.Tensor) (Ru
 
 // bwdDstRows runs phase 1 for destination rows [rlo, rhi): per-edge dα,
 // the softmax Jacobian's row reduction, dE, and the dY accumulation. Writes
-// dE into dEdge[eid] and dY into out rows NumCols+v.
+// dE into dEdge[eid] and dY into out rows NumCols+v. One body for every
+// width: dα two in-edges at a time (dotRows, sharing the dOut row's loads),
+// then scaledSumRows folds dE·x four neighbours per pass.
 func (k *FusedAttnBwdKernel) bwdDstRows(out *tensor.Tensor, dEdge []float32, sc *fusedAttnScratch, rlo, rhi int) {
-	if k.d%8 == 0 {
-		k.bwdDstRowsW8(out, dEdge, sc, rlo, rhi)
-		return
-	}
 	adj := k.adj
 	d := k.d
 	xd, xs := k.x.Data(), k.x.RowStride()
@@ -257,62 +255,32 @@ func (k *FusedAttnBwdKernel) bwdDstRows(out *tensor.Tensor, dEdge []float32, sc 
 
 	for v := rlo; v < rhi; v++ {
 		lo, hi := int(adj.RowPtr[v]), int(adj.RowPtr[v+1])
-		deg := hi - lo
-		if deg == 0 {
+		if lo == hi {
 			continue
 		}
-		gro := gd[v*gs : v*gs+d]
-		dA := sc.scores[:deg]
+		cols, eids := adj.ColIdx[lo:hi], adj.EID[lo:hi]
+		dA := sc.scores[:hi-lo]
+		dotRows(dA, xd, xs, cols, gd[v*gs:v*gs+d])
 
-		// dα_e = dOut_v · x_u, and the Jacobian's row dot Σ α·dα. The
-		// reduction accumulates in float64 to match the 3-pass edge
-		// softmax's backward (which the oracle diffs against bitwise-ly
-		// tight tolerances).
+		// The Jacobian's row dot Σ α·dα accumulates in float64 to match the
+		// 3-pass edge softmax's backward, which the oracle diffs against
+		// tight tolerances.
 		var rowDot float64
-		for j := 0; j < deg; j++ {
-			p := lo + j
-			u := int(adj.ColIdx[p])
-			xrow := xd[u*xs : u*xs+d]
-			// Unrolled with independent accumulators — see fwdRows.
-			var s0, s1, s2, s3 float32
-			f := 0
-			for ; f+4 <= d; f += 4 {
-				s0 += xrow[f] * gro[f]
-				s1 += xrow[f+1] * gro[f+1]
-				s2 += xrow[f+2] * gro[f+2]
-				s3 += xrow[f+3] * gro[f+3]
-			}
-			for ; f < d; f++ {
-				s0 += xrow[f] * gro[f]
-			}
-			s := (s0 + s1) + (s2 + s3)
-			dA[j] = s
-			rowDot += float64(ad[adj.EID[p]] * s)
+		for j, e := range eids {
+			rowDot += float64(ad[e] * dA[j])
 		}
 		rd := float32(rowDot)
-
-		dyrow := odata[(base+v)*ostride : (base+v)*ostride+d]
-		for j := 0; j < deg; j++ {
-			p := lo + j
-			e := adj.EID[p]
-			de := ad[e] * (dA[j] - rd) * dd[e]
-			dEdge[e] = de
-			u := int(adj.ColIdx[p])
-			xrow := xd[u*xs : u*xs+d]
-			for f := range dyrow {
-				dyrow[f] += de * xrow[f]
-			}
+		for j, e := range eids {
+			dEdge[e] = ad[e] * (dA[j] - rd) * dd[e]
 		}
+		scaledSumRows(odata[(base+v)*ostride:][:d], xd, xs, 0, cols, eids, dEdge)
 	}
 }
 
 // bwdSrcRows runs phase 2 for source rows [rlo, rhi) of the transpose:
-// dX_u = Σ over u's out-edges of α_e·dOut_v + dE_e·y_v, into out rows u.
+// dX_u = Σ over u's out-edges of α_e·dOut_v + dE_e·y_v, into out rows u,
+// both terms of two out-edges folded per pass by scaledSumRows2.
 func (k *FusedAttnBwdKernel) bwdSrcRows(out *tensor.Tensor, dEdge []float32, rlo, rhi int) {
-	if k.d%8 == 0 {
-		k.bwdSrcRowsW8(out, dEdge, rlo, rhi)
-		return
-	}
 	adjT := k.adjT
 	d := k.d
 	yd, ys := k.y.Data(), k.y.RowStride()
@@ -322,146 +290,6 @@ func (k *FusedAttnBwdKernel) bwdSrcRows(out *tensor.Tensor, dEdge []float32, rlo
 
 	for u := rlo; u < rhi; u++ {
 		lo, hi := int(adjT.RowPtr[u]), int(adjT.RowPtr[u+1])
-		if lo == hi {
-			continue
-		}
-		dxrow := odata[u*ostride : u*ostride+d]
-		for p := lo; p < hi; p++ {
-			e := adjT.EID[p]
-			v := int(adjT.ColIdx[p])
-			a, de := ad[e], dEdge[e]
-			gro := gd[v*gs : v*gs+d]
-			yrow := yd[v*ys : v*ys+d]
-			for f := range dxrow {
-				dxrow[f] += a*gro[f] + de*yrow[f]
-			}
-		}
-	}
-}
-
-// bwdDstRowsW8 is bwdDstRows instantiated for multiple-of-eight feature
-// widths — fixed 8-wide blocks through array pointers, the same
-// width-class specialization as the forward's fwdRowsW8.
-func (k *FusedAttnBwdKernel) bwdDstRowsW8(out *tensor.Tensor, dEdge []float32, sc *fusedAttnScratch, rlo, rhi int) {
-	adj := k.adj
-	d := k.d
-	xd, xs := k.x.Data(), k.x.RowStride()
-	gd, gs := k.dout.Data(), k.dout.RowStride()
-	ad, dd := k.alpha.Data(), k.deriv.Data()
-	odata, ostride := out.Data(), out.RowStride()
-	base := adj.NumCols
-
-	for v := rlo; v < rhi; v++ {
-		lo, hi := int(adj.RowPtr[v]), int(adj.RowPtr[v+1])
-		deg := hi - lo
-		if deg == 0 {
-			continue
-		}
-		gro := gd[v*gs : v*gs+d]
-		dA := sc.scores[:deg]
-
-		var rowDot float64
-		for j := 0; j < deg; j++ {
-			p := lo + j
-			u := int(adj.ColIdx[p])
-			xrow := xd[u*xs : u*xs+d]
-			var s0, s1, s2, s3 float32
-			for f := 0; f+8 <= d; f += 8 {
-				xb := (*[8]float32)(xrow[f : f+8])
-				gb := (*[8]float32)(gro[f : f+8])
-				s0 += xb[0]*gb[0] + xb[4]*gb[4]
-				s1 += xb[1]*gb[1] + xb[5]*gb[5]
-				s2 += xb[2]*gb[2] + xb[6]*gb[6]
-				s3 += xb[3]*gb[3] + xb[7]*gb[7]
-			}
-			s := (s0 + s1) + (s2 + s3)
-			dA[j] = s
-			rowDot += float64(ad[adj.EID[p]] * s)
-		}
-		rd := float32(rowDot)
-
-		// Fold the Jacobian and score-transform chain in place, then
-		// accumulate each 8-wide dY block in registers across the in-edge
-		// set — one store per block, no read-modify-write per edge.
-		for j := 0; j < deg; j++ {
-			e := adj.EID[lo+j]
-			de := ad[e] * (dA[j] - rd) * dd[e]
-			dA[j] = de
-			dEdge[e] = de
-		}
-		dyrow := odata[(base+v)*ostride : (base+v)*ostride+d]
-		for f := 0; f+8 <= d; f += 8 {
-			ob := (*[8]float32)(dyrow[f : f+8])
-			var a0, a1, a2, a3, a4, a5, a6, a7 float32
-			for j := 0; j < deg; j++ {
-				de := dA[j]
-				xbase := int(adj.ColIdx[lo+j])*xs + f
-				xb := (*[8]float32)(xd[xbase : xbase+8])
-				a0 += de * xb[0]
-				a1 += de * xb[1]
-				a2 += de * xb[2]
-				a3 += de * xb[3]
-				a4 += de * xb[4]
-				a5 += de * xb[5]
-				a6 += de * xb[6]
-				a7 += de * xb[7]
-			}
-			ob[0] += a0
-			ob[1] += a1
-			ob[2] += a2
-			ob[3] += a3
-			ob[4] += a4
-			ob[5] += a5
-			ob[6] += a6
-			ob[7] += a7
-		}
-	}
-}
-
-// bwdSrcRowsW8 is bwdSrcRows instantiated for multiple-of-eight feature
-// widths; see bwdDstRowsW8.
-func (k *FusedAttnBwdKernel) bwdSrcRowsW8(out *tensor.Tensor, dEdge []float32, rlo, rhi int) {
-	adjT := k.adjT
-	d := k.d
-	yd, ys := k.y.Data(), k.y.RowStride()
-	gd, gs := k.dout.Data(), k.dout.RowStride()
-	ad := k.alpha.Data()
-	odata, ostride := out.Data(), out.RowStride()
-
-	for u := rlo; u < rhi; u++ {
-		lo, hi := int(adjT.RowPtr[u]), int(adjT.RowPtr[u+1])
-		if lo == hi {
-			continue
-		}
-		dxrow := odata[u*ostride : u*ostride+d]
-		for f := 0; f+8 <= d; f += 8 {
-			ob := (*[8]float32)(dxrow[f : f+8])
-			var a0, a1, a2, a3, a4, a5, a6, a7 float32
-			for p := lo; p < hi; p++ {
-				e := adjT.EID[p]
-				v := int(adjT.ColIdx[p])
-				a, de := ad[e], dEdge[e]
-				gbase := v*gs + f
-				ybase := v*ys + f
-				gb := (*[8]float32)(gd[gbase : gbase+8])
-				yb := (*[8]float32)(yd[ybase : ybase+8])
-				a0 += a*gb[0] + de*yb[0]
-				a1 += a*gb[1] + de*yb[1]
-				a2 += a*gb[2] + de*yb[2]
-				a3 += a*gb[3] + de*yb[3]
-				a4 += a*gb[4] + de*yb[4]
-				a5 += a*gb[5] + de*yb[5]
-				a6 += a*gb[6] + de*yb[6]
-				a7 += a*gb[7] + de*yb[7]
-			}
-			ob[0] += a0
-			ob[1] += a1
-			ob[2] += a2
-			ob[3] += a3
-			ob[4] += a4
-			ob[5] += a5
-			ob[6] += a6
-			ob[7] += a7
-		}
+		scaledSumRows2(odata[u*ostride:][:d], gd, gs, yd, ys, adjT.ColIdx[lo:hi], adjT.EID[lo:hi], ad, dEdge)
 	}
 }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"featgraph/internal/cudasim"
+	"featgraph/internal/graphgen"
 	"featgraph/internal/sparse"
 	"featgraph/internal/tensor"
 )
@@ -187,24 +190,59 @@ func TestFusedAttentionExtremeScoresStayFinite(t *testing.T) {
 	// subtraction) would overflow to +Inf. The streaming recurrence never
 	// exponentiates a positive argument, so the output must stay finite.
 	rng := rand.New(rand.NewSource(41))
-	const n, d = 16, 8
+	const n = 16
 	adj := sparse.Random(rng, n, n, 4)
-	x := randTensor(rng, n, d)
-	y := randTensor(rng, n, d)
-	for i, v := range x.Data() {
-		x.Data()[i] = v * 200 // dots on the order of ±1e5
+	for _, d := range []int{8, 64, 65} {
+		x := randTensor(rng, n, d)
+		y := randTensor(rng, n, d)
+		for i, v := range x.Data() {
+			x.Data()[i] = v * 200 // dots on the order of ±1e5
+		}
+		for i, v := range y.Data() {
+			y.Data()[i] = v * 200
+		}
+		k, _, _ := buildFused(t, adj, x, y, gatCfg, Options{Target: CPU, CheckNumerics: true})
+		out := tensor.New(n, d)
+		if _, err := k.Run(out); err != nil {
+			t.Fatalf("d=%d: %v", d, err)
+		}
+		want := refFusedAttn(adj, x, y, gatCfg)
+		if !out.AllClose(want, 1e-2) {
+			t.Fatalf("d=%d: max diff %v", d, out.MaxAbsDiff(want))
+		}
 	}
-	for i, v := range y.Data() {
-		y.Data()[i] = v * 200
-	}
-	k, _, _ := buildFused(t, adj, x, y, gatCfg, Options{Target: CPU, CheckNumerics: true})
-	out := tensor.New(n, d)
-	if _, err := k.Run(out); err != nil {
-		t.Fatal(err)
-	}
-	want := refFusedAttn(adj, x, y, gatCfg)
-	if !out.AllClose(want, 1e-2) {
-		t.Fatalf("max diff %v", out.MaxAbsDiff(want))
+}
+
+// A NaN in one source row must reach the output of both directions, so that
+// CheckNumerics fails each run with a *NumericError instead of returning
+// finite garbage. The NaN sits in the last feature: the scalar tail at d=65,
+// the last 8-wide block otherwise.
+func TestFusedAttentionNaNSourceFailsCheckNumerics(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const n = 16
+	adj := sparse.Random(rng, n, n, 4)
+	adjT := adj.Transpose()
+	u := int(adj.ColIdx[0]) // a source with at least one out-edge
+	for _, d := range []int{8, 64, 65} {
+		x, y, dout := randTensor(rng, n, d), randTensor(rng, n, d), randTensor(rng, n, d)
+		opts := Options{Target: CPU, NumThreads: 2, CheckNumerics: true}
+		fwd, alpha, deriv := buildFused(t, adj, x, y, gatCfg, opts)
+		if _, err := fwd.Run(tensor.New(n, d)); err != nil { // finite alpha/deriv for the backward
+			t.Fatalf("d=%d: clean forward: %v", d, err)
+		}
+		bwd, err := BuildFusedAttentionBwd(adj, adjT, x, y, alpha, deriv, dout, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		x.Set(float32(math.NaN()), u, d-1)
+		var ne *NumericError
+		if _, err := bwd.Run(tensor.New(2*n, d)); !errors.As(err, &ne) {
+			t.Errorf("d=%d: backward returned %v, want *NumericError", d, err)
+		}
+		if _, err := fwd.Run(tensor.New(n, d)); !errors.As(err, &ne) {
+			t.Errorf("d=%d: forward returned %v, want *NumericError", d, err)
+		}
 	}
 }
 
@@ -422,6 +460,63 @@ func TestExpf32MatchesFloat64Exp(t *testing.T) {
 	for i, v := range vals {
 		if batch[i] != Expf32(v) {
 			t.Fatalf("ExpSliceF32[%d] = %v, Expf32 = %v", i, batch[i], Expf32(v))
+		}
+	}
+}
+
+// fusedBench is the fused pair at kernels_inmem's shape: Skewed(24000, 130,
+// 1.4), d=64, two threads. Built once and shared by both benchmarks.
+var fusedBench struct {
+	once      sync.Once
+	fwd       *FusedAttnKernel
+	bwd       *FusedAttnBwdKernel
+	out, grad *tensor.Tensor
+}
+
+func fusedBenchKernels(b *testing.B) {
+	b.Helper()
+	fb := &fusedBench
+	fb.once.Do(func() {
+		const n, deg, d = 24000, 130, 64
+		rng := rand.New(rand.NewSource(1))
+		adj := graphgen.Skewed(rng, n, deg, 1.4)
+		x, dout := randTensor(rng, n, d), randTensor(rng, n, d)
+		alpha, deriv := tensor.New(adj.NNZ(), 1), tensor.New(adj.NNZ(), 1)
+		opts := Options{Target: CPU, NumThreads: 2}
+		cfg := FusedAttnConfig{NegSlope: 0.2, Scale: 0.125}
+		var err error
+		if fb.fwd, err = BuildFusedAttention(adj, x, x, alpha, deriv, cfg, opts); err != nil {
+			b.Fatal(err)
+		}
+		if fb.bwd, err = BuildFusedAttentionBwd(adj, adj.Transpose(), x, x, alpha, deriv, dout, opts); err != nil {
+			b.Fatal(err)
+		}
+		fb.out, fb.grad = tensor.New(n, d), tensor.New(2*n, d)
+		if _, err := fb.fwd.Run(fb.out); err != nil { // fills alpha/deriv for the backward
+			b.Fatal(err)
+		}
+	})
+	if fb.fwd == nil {
+		b.Fatal("fused benchmark set-up failed")
+	}
+}
+
+func BenchmarkFusedAttention(b *testing.B) {
+	fusedBenchKernels(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := fusedBench.fwd.Run(fusedBench.out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFusedAttentionBwd(b *testing.B) {
+	fusedBenchKernels(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := fusedBench.bwd.Run(fusedBench.grad); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

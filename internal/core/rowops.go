@@ -4,12 +4,12 @@ package core
 // vectorizes nor unrolls, so each loop spells out what a scalar
 // one-element-at-a-time loop leaves on the table: independent accumulator
 // chains, 8-wide blocks through array pointers where values can live in
-// registers across a block (one bounds check per block, as in fwdRowsW8),
-// several operand rows per pass where the output row would otherwise be
-// loaded and stored once per operand, and a scalar tail for whatever a block
-// does not cover. Summation order is a function of the operand order alone:
-// results are deterministic per row and neighbour order, and differ from the
-// serial left-to-right sum only in rounding (DESIGN.md §11.1).
+// registers across a block (one bounds check per block), several operand
+// rows per pass where the output row would otherwise be loaded and stored
+// once per operand, and a scalar tail for whatever a block does not cover.
+// Summation order is a function of the operand order alone: results are
+// deterministic per row and neighbour order, and differ from the serial
+// left-to-right sum only in rounding (DESIGN.md §11.1).
 
 // dot8 returns x·y over len(x) elements (len(y) >= len(x)) with four
 // accumulator chains: a single running sum serializes on FP-add latency.
@@ -28,6 +28,47 @@ func dot8(x, y []float32) float32 {
 		s0 += x[f] * y[f]
 	}
 	return (s0 + s1) + (s2 + s3)
+}
+
+// dot8x2 returns x1·y and x2·y (len(x2), len(y) >= len(x1)), each summed
+// exactly as dot8 sums it, with every 8-wide block of y loaded once for both.
+func dot8x2(x1, x2, y []float32) (float32, float32) {
+	x2, y = x2[:len(x1)], y[:len(x1)]
+	var s0, s1, s2, s3, t0, t1, t2, t3 float32
+	f := 0
+	for ; f+8 <= len(x1); f += 8 {
+		yb := (*[8]float32)(y[f : f+8])
+		ab, bb := (*[8]float32)(x1[f:f+8]), (*[8]float32)(x2[f:f+8])
+		// Chain by chain, so only two elements of y are live at a time:
+		// eight accumulators plus all of yb would spill.
+		s0 += ab[0]*yb[0] + ab[4]*yb[4]
+		t0 += bb[0]*yb[0] + bb[4]*yb[4]
+		s1 += ab[1]*yb[1] + ab[5]*yb[5]
+		t1 += bb[1]*yb[1] + bb[5]*yb[5]
+		s2 += ab[2]*yb[2] + ab[6]*yb[6]
+		t2 += bb[2]*yb[2] + bb[6]*yb[6]
+		s3 += ab[3]*yb[3] + ab[7]*yb[7]
+		t3 += bb[3]*yb[3] + bb[7]*yb[7]
+	}
+	for ; f < len(x1); f++ {
+		s0 += x1[f] * y[f]
+		t0 += x2[f] * y[f]
+	}
+	return (s0 + s1) + (s2 + s3), (t0 + t1) + (t2 + t3)
+}
+
+// dotRows sets dots[p] to row idx[p] of data (row stride stride) dotted with
+// y, for every p: dot8x2 over pairs of rows, dot8 for a leftover one.
+func dotRows(dots, data []float32, stride int, idx []int32, y []float32) {
+	n := len(y)
+	dots = dots[:len(idx)]
+	p := 0
+	for ; p+2 <= len(idx); p += 2 {
+		dots[p], dots[p+1] = dot8x2(data[int(idx[p])*stride:][:n], data[int(idx[p+1])*stride:][:n], y)
+	}
+	if p < len(idx) {
+		dots[p] = dot8(data[int(idx[p])*stride:][:n], y)
+	}
 }
 
 // sumRows adds rows data[i*stride+lo:][:len(orow)], i ∈ idx, into orow, four
@@ -74,6 +115,34 @@ func scaledSumRows(orow, data []float32, stride, lo int, idx, eid []int32, w []f
 		wa := w[eid[p]]
 		for f := range orow {
 			orow[f] += wa * a[f]
+		}
+	}
+}
+
+// scaledSumRows2 adds wa[eid[p]]·a[idx[p]] + wb[eid[p]]·b[idx[p]] into orow
+// for every p, a and b having row strides as and bs: one pass over the index
+// list reads each index and edge id once for both rows. Two indices per
+// pass, o += (wa·a + wb·b) + (wa'·a' + wb'·b'); a leftover index folds alone.
+func scaledSumRows2(orow, a []float32, as int, b []float32, bs int, idx, eid []int32, wa, wb []float32) {
+	n := len(orow)
+	eid = eid[:len(idx)]
+	p := 0
+	for ; p+2 <= len(idx); p += 2 {
+		u, v := int(idx[p]), int(idx[p+1])
+		a0, b0 := a[u*as:][:n], b[u*bs:][:n]
+		a1, b1 := a[v*as:][:n], b[v*bs:][:n]
+		e0, e1 := eid[p], eid[p+1]
+		wa0, wb0, wa1, wb1 := wa[e0], wb[e0], wa[e1], wb[e1]
+		for f := range orow {
+			orow[f] += (wa0*a0[f] + wb0*b0[f]) + (wa1*a1[f] + wb1*b1[f])
+		}
+	}
+	if p < len(idx) {
+		u := int(idx[p])
+		a0, b0 := a[u*as:][:n], b[u*bs:][:n]
+		wa0, wb0 := wa[eid[p]], wb[eid[p]]
+		for f := range orow {
+			orow[f] += wa0*a0[f] + wb0*b0[f]
 		}
 	}
 }

@@ -118,13 +118,11 @@ func (op *FusedAttentionOp) ApplyCtx(ctx context.Context, tp *autodiff.Tape, x, 
 					panic(opError("fused attention backward", err))
 				}
 				g.track(info, stats)
+				// SeedGrad only adds from its argument, so the two halves
+				// are wrapped in place rather than copied out.
 				gd := grad.Data()
-				dx := tensor.New(n, op.d)
-				dy := tensor.New(n, op.d)
-				copy(dx.Data(), gd[:n*op.d])
-				copy(dy.Data(), gd[n*op.d:])
-				autodiff.SeedGrad(x, dx)
-				autodiff.SeedGrad(y, dy)
+				autodiff.SeedGrad(x, tensor.FromSlice(gd[:n*op.d], n, op.d))
+				autodiff.SeedGrad(y, tensor.FromSlice(gd[n*op.d:], n, op.d))
 			})
 	}
 	return op.applyNaive(tp, x, y)
