@@ -7,13 +7,10 @@
 //	featbench -exp table3a         # run one experiment
 //	featbench -exp all             # run the whole evaluation
 //	featbench -exp table4a -full   # closer-to-paper sizing (slow)
-//	featbench -fusedjson fused.json # machine-readable fused-attention report
-//	featbench -oocjson ooc.json    # machine-readable out-of-core report
-//	featbench -servejson serve.json # machine-readable serving report
-//	featbench -mutatejson mutate.json # machine-readable mutation report
 //
 // CPU experiments report wall time; GPU experiments report simulated
-// cycles from the cudasim cost model (see DESIGN.md).
+// cycles from the cudasim cost model (see DESIGN.md). The repository's
+// end-to-end benchmark is fgbench (benchmark/), not this command.
 package main
 
 import (
@@ -31,60 +28,23 @@ import (
 
 func main() {
 	// Graceful shutdown: the first SIGINT/SIGTERM cancels the root context
-	// so in-flight work drains and partial reports still flush; a second
-	// signal kills the process the default way.
+	// so -exp all stops after the running experiment; a second signal kills
+	// the process the default way.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	var (
-		exp       = flag.String("exp", "", "experiment id to run, or 'all'")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		full      = flag.Bool("full", false, "run at larger, closer-to-paper scale")
-		seed      = flag.Int64("seed", 1, "dataset seed")
-		threads   = flag.Int("threads", 16, "max CPU worker count")
-		reps      = flag.Int("reps", 0, "timed repetitions per measurement (0 = scale default)")
-		fusedOut  = flag.String("fusedjson", "", "write the fused-attention report (fused vs three-pass GAT layer) to this file and exit")
-		oocOut    = flag.String("oocjson", "", "write the out-of-core report (sharded vs in-memory SpMM) to this file and exit")
-		serveOut  = flag.String("servejson", "", "write the serving report (micro-batched vs unbatched inference) to this file and exit")
-		mutateOut = flag.String("mutatejson", "", "write the mutation report (serve p99 during live commits vs stop-the-world rebuild) to this file and exit")
-		rounds    = flag.Int("rounds", 3, "interleaved measurement rounds for -fusedjson / -oocjson / -servejson / -mutatejson")
-		metrics   = flag.Bool("metrics", false, "run the telemetry smoke workload and print the Prometheus metrics snapshot")
+		exp     = flag.String("exp", "", "experiment id to run, or 'all'")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
+		full    = flag.Bool("full", false, "run at larger, closer-to-paper scale")
+		seed    = flag.Int64("seed", 1, "dataset seed")
+		threads = flag.Int("threads", 16, "max CPU worker count")
+		reps    = flag.Int("reps", 0, "timed repetitions per measurement (0 = scale default)")
+		metrics = flag.Bool("metrics", false, "run the telemetry smoke workload and print the Prometheus metrics snapshot")
 	)
 	flag.Parse()
 
 	if *metrics {
 		if err := bench.MetricsSmoke(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "featbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *fusedOut != "" {
-		if err := writeFusedReport(ctx, *fusedOut, *rounds); err != nil {
-			fmt.Fprintf(os.Stderr, "featbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *oocOut != "" {
-		if err := writeOutOfCoreReport(ctx, *oocOut, *rounds); err != nil {
-			fmt.Fprintf(os.Stderr, "featbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serveOut != "" {
-		if err := writeServeReport(ctx, *serveOut, *rounds); err != nil {
-			fmt.Fprintf(os.Stderr, "featbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *mutateOut != "" {
-		if err := writeMutateReport(ctx, *mutateOut, *rounds); err != nil {
 			fmt.Fprintf(os.Stderr, "featbench: %v\n", err)
 			os.Exit(1)
 		}

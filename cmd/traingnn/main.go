@@ -49,7 +49,6 @@ type runConfig struct {
 	seed                   int64
 	lr                     float32
 	threads                int
-	legacyAttention        bool
 }
 
 func main() {
@@ -71,7 +70,6 @@ func main() {
 		checkpoint = flag.String("checkpoint", "", "write a durable training snapshot to this file after every epoch")
 		resume     = flag.Bool("resume", false, "resume from -checkpoint if it exists (requires -checkpoint)")
 		plans      = flag.String("planstore", "", "persistent tuned-plan store directory (warm-starts the schedule)")
-		legacyAttn = flag.Bool("legacy-attention", false, "GAT models use the three-pass attention pipeline instead of the fused kernel (A/B ablation)")
 	)
 	flag.Parse()
 
@@ -90,7 +88,6 @@ func main() {
 		epochs: *epochs, heads: *heads, hidden: *hidden,
 		nverts: *nverts, classes: *classes, feat: *feat,
 		seed: *seed, lr: float32(*lr), threads: *threads,
-		legacyAttention: *legacyAttn,
 	}
 	// Graceful shutdown: the first SIGINT/SIGTERM cancels the root context,
 	// aborting the current epoch's kernels; training stops, the summary and
@@ -152,7 +149,7 @@ func run(ctx context.Context, rc runConfig) error {
 	fmt.Printf("dataset: |V|=%d |E|=%d classes=%d features=%d\n",
 		ds.Adj.NumRows, ds.Adj.NNZ(), rc.classes, rc.feat)
 
-	cfg := dgl.Config{NumThreads: rc.threads, LegacyAttention: rc.legacyAttention}
+	cfg := dgl.Config{NumThreads: rc.threads}
 	switch rc.backend {
 	case "featgraph":
 		cfg.Backend = dgl.FeatGraph

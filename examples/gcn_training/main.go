@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -29,6 +30,7 @@ func main() {
 		ds.Adj.NumRows, ds.Adj.NNZ(), ds.NumClasses, ds.Features.Dim(1))
 
 	const epochs = 40
+	ctx := context.Background()
 	for _, backend := range []dgl.Backend{dgl.Naive, dgl.FeatGraph} {
 		cfg := dgl.Config{Backend: backend, Target: core.CPU}
 		if backend == dgl.FeatGraph {
@@ -48,18 +50,24 @@ func main() {
 		start := time.Now()
 		var lastLoss float64
 		for e := 0; e < epochs; e++ {
-			loss, err := nn.TrainEpoch(model, ds.Features, ds.Labels, ds.TrainMask, opt)
+			loss, _, err := nn.TrainEpochCtx(ctx, model, ds.Features, ds.Labels, ds.TrainMask, opt)
 			if err != nil {
 				log.Fatal(err)
 			}
 			lastLoss = loss
 			if (e+1)%10 == 0 {
-				val := nn.Evaluate(model, ds.Features, ds.Labels, ds.ValMask)
+				val, err := nn.EvaluateCtx(ctx, model, ds.Features, ds.Labels, ds.ValMask)
+				if err != nil {
+					log.Fatal(err)
+				}
 				fmt.Printf("  [%s] epoch %3d  loss %.4f  val acc %.3f\n", backend, e+1, loss, val)
 			}
 		}
 		elapsed := time.Since(start)
-		test := nn.Evaluate(model, ds.Features, ds.Labels, ds.TestMask)
+		test, err := nn.EvaluateCtx(ctx, model, ds.Features, ds.Labels, ds.TestMask)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("[%s] %d epochs in %s (%.1fms/epoch), final loss %.4f, TEST ACC %.3f, materialized msgs %.1fMB\n\n",
 			backend, epochs, elapsed.Round(time.Millisecond),
 			elapsed.Seconds()*1e3/epochs, lastLoss, test, float64(g.MsgBytes)/1e6)

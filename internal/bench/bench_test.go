@@ -35,7 +35,7 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 	want := []string{
 		"table3a", "table3b", "table3c", "fig10", "fig11", "fig14", "table5",
 		"table4a", "table4b", "table4c", "fig12", "fig13", "fig15",
-		"table6", "accuracy", "fused", "outofcore", "serve", "mutate",
+		"table6", "accuracy",
 	}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -85,20 +86,25 @@ func table6(cfg *Config) error {
 				}
 				opt := nn.NewAdam(0.01)
 				r := &result{}
+				ctx := context.Background()
 
-				// Warm-up epoch, then timed epochs.
-				if _, err := nn.TrainEpoch(m, ds.Features, ds.Labels, ds.TrainMask, opt); err != nil {
+				// Warm-up epoch, then timed epochs. FeatGraph kernels report
+				// cycles on the RunInfo; naive and dense work charges g.
+				if _, _, err := nn.TrainEpochCtx(ctx, m, ds.Features, ds.Labels, ds.TrainMask, opt); err != nil {
 					return err
 				}
 				g.ResetStats()
+				var cycles uint64
 				start := time.Now()
 				for e := 0; e < cfg.Epochs; e++ {
-					if _, err := nn.TrainEpoch(m, ds.Features, ds.Labels, ds.TrainMask, opt); err != nil {
+					_, info, err := nn.TrainEpochCtx(ctx, m, ds.Features, ds.Labels, ds.TrainMask, opt)
+					if err != nil {
 						return err
 					}
+					cycles += info.SimCycles
 				}
 				if target == core.GPU {
-					r.cost = float64(g.SimCycles) / float64(cfg.Epochs)
+					r.cost = float64(g.SimCycles+cycles) / float64(cfg.Epochs)
 				} else {
 					r.cost = time.Since(start).Seconds() / float64(cfg.Epochs)
 				}
@@ -106,9 +112,12 @@ func table6(cfg *Config) error {
 
 				g.ResetStats()
 				start = time.Now()
-				nn.Infer(m, ds.Features)
+				_, info, err := nn.InferCtx(ctx, m, ds.Features)
+				if err != nil {
+					return err
+				}
 				if target == core.GPU {
-					r.infer = float64(g.SimCycles)
+					r.infer = float64(g.SimCycles + info.SimCycles)
 				} else {
 					r.infer = time.Since(start).Seconds()
 				}
@@ -169,11 +178,13 @@ func accuracyExp(cfg *Config) error {
 			}
 			opt := nn.NewAdam(0.01)
 			for e := 0; e < epochs; e++ {
-				if _, err := nn.TrainEpoch(m, ds.Features, ds.Labels, ds.TrainMask, opt); err != nil {
+				if _, _, err := nn.TrainEpochCtx(context.Background(), m, ds.Features, ds.Labels, ds.TrainMask, opt); err != nil {
 					return err
 				}
 			}
-			accs[backend] = nn.Evaluate(m, ds.Features, ds.Labels, ds.TestMask)
+			if accs[backend], err = nn.EvaluateCtx(context.Background(), m, ds.Features, ds.Labels, ds.TestMask); err != nil {
+				return err
+			}
 		}
 		diff := accs[dgl.Naive] - accs[dgl.FeatGraph]
 		if diff < 0 {

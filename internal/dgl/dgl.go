@@ -68,10 +68,6 @@ type Config struct {
 	Deadline time.Duration
 	// Retries is the per-kernel-run retry budget for transient failures.
 	Retries int
-	// LegacyAttention makes nn's GAT layers use the original three-pass
-	// attention (SDDMM dot → edge softmax → weighted SpMM) instead of the
-	// fused kernel — the A/B ablation baseline.
-	LegacyAttention bool
 }
 
 // Graph wraps a topology with everything message passing needs: the

@@ -138,7 +138,7 @@ func TestFusedAttentionGradAllBackends(t *testing.T) {
 }
 
 // FuzzFusedAttention cross-checks the fused kernel path (FeatGraph
-// backend), the materialized naive path, and the legacy three-pass
+// backend), the materialized naive path, and the three-pass reference
 // pipeline on random tiny graphs — forward and both gradients — and
 // verifies a plan-cached second epoch reproduces the first bit-for-bit.
 func FuzzFusedAttention(f *testing.F) {

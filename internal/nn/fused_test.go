@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,12 +12,18 @@ import (
 	"featgraph/internal/tensor"
 )
 
+// forwarder is the part of Model gatEpoch drives.
+type forwarder interface {
+	ForwardCtx(ctx context.Context, tp *autodiff.Tape, x *tensor.Tensor, info *dgl.RunInfo) (*autodiff.Var, []*autodiff.Var)
+}
+
 // gatEpoch runs one forward+backward over a GAT-style model and returns the
 // logits plus the parameter gradients.
-func gatEpoch(t *testing.T, m Model, x *tensor.Tensor) (*tensor.Tensor, []*tensor.Tensor) {
+func gatEpoch(t *testing.T, m forwarder, x *tensor.Tensor) (*tensor.Tensor, []*tensor.Tensor) {
 	t.Helper()
 	tp := autodiff.NewTape()
-	logits, params := m.Forward(tp, x)
+	var info dgl.RunInfo
+	logits, params := m.ForwardCtx(context.Background(), tp, x, &info)
 	// Scalar sum-loss over the logits.
 	n, d := logits.Value.Dim(0), logits.Value.Dim(1)
 	l := tensor.New(1, n)
@@ -33,83 +41,101 @@ func gatEpoch(t *testing.T, m Model, x *tensor.Tensor) (*tensor.Tensor, []*tenso
 	return logits.Value, grads
 }
 
-// TestGATFusedMatchesLegacyAttention pins the A/B ablation: the fused
-// attention path and the three-pass LegacyAttention path must produce the
-// same logits and weight gradients for identically-initialized models.
-func TestGATFusedMatchesLegacyAttention(t *testing.T) {
+// threePassGAT is the reference the fused attention kernel replaced: per
+// head, SDDMM dot → LeakyReLU(0.2) → 1/√d scale → edge softmax → weighted
+// SpMM as separate ops. It mirrors MultiHeadGAT's layer structure (heads
+// concatenated after layer 1, averaged after layer 2), which with one head
+// is GAT's, and reads the weights of the fused model it is compared with.
+type threePassGAT struct {
+	g     *dgl.Graph
+	heads int
+	w     [2]*tensor.Tensor
+	dots  [2][]*dgl.DotOp
+	wsums [2][]*dgl.WeightedSumOp
+}
+
+func newThreePassGAT(t *testing.T, g *dgl.Graph, fused Model, heads int) *threePassGAT {
+	t.Helper()
+	p := fused.Params()
+	m := &threePassGAT{g: g, heads: heads, w: [2]*tensor.Tensor{p[0], p[1]}}
+	for l, w := range m.w {
+		d := w.Dim(1) / heads
+		for h := 0; h < heads; h++ {
+			dot, err := g.NewDot(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wsum, err := g.NewWeightedSum(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.dots[l] = append(m.dots[l], dot)
+			m.wsums[l] = append(m.wsums[l], wsum)
+		}
+	}
+	return m
+}
+
+// layer runs every head of layer l on its column slice of x·w.
+func (m *threePassGAT) layer(ctx context.Context, tp *autodiff.Tape, l int, x, w *autodiff.Var, info *dgl.RunInfo) []*autodiff.Var {
+	zs := tp.SplitCols(m.g.DenseMatMul(tp, x, w), m.heads)
+	outs := make([]*autodiff.Var, m.heads)
+	for h, z := range zs {
+		scale := float32(1 / math.Sqrt(float64(z.Value.Dim(1))))
+		att := tp.Scale(tp.LeakyReLU(m.dots[l][h].ApplyCtx(ctx, tp, z, z, info), 0.2), scale)
+		outs[h] = m.wsums[l][h].ApplyCtx(ctx, tp, z, m.g.EdgeSoftmax(tp, att), info)
+	}
+	return outs
+}
+
+func (m *threePassGAT) ForwardCtx(ctx context.Context, tp *autodiff.Tape, x *tensor.Tensor, info *dgl.RunInfo) (*autodiff.Var, []*autodiff.Var) {
+	w1, w2 := tp.Param(m.w[0]), tp.Param(m.w[1])
+	h := tp.ReLU(tp.ConcatCols(m.layer(ctx, tp, 0, tp.Input(x), w1, info)))
+	heads2 := m.layer(ctx, tp, 1, h, w2, info)
+	sum := heads2[0]
+	for _, hv := range heads2[1:] {
+		sum = tp.Add(sum, hv)
+	}
+	return tp.Scale(sum, 1/float32(m.heads)), []*autodiff.Var{w1, w2}
+}
+
+// TestGATFusedMatchesThreePass pins the model-level contract of fused
+// attention: single-head GAT and 4-head MultiHeadGAT produce the same
+// logits and weight gradients as the three-pass pipeline on identical
+// weights.
+func TestGATFusedMatchesThreePass(t *testing.T) {
 	ds := dataset(t, 7)
 	x := tensor.New(ds.Adj.NumRows, 16)
 	x.FillUniform(rand.New(rand.NewSource(8)), -1, 1)
 	const tol = 1e-3
 
-	build := func(legacy bool, multi bool) (Model, *dgl.Graph) {
-		g, err := dgl.New(ds.Adj, dgl.Config{Backend: dgl.FeatGraph, Target: core.CPU,
-			NumThreads: 2, LegacyAttention: legacy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(99)) // same seed → identical weights
-		var m Model
-		if multi {
-			m, err = NewMultiHeadGAT(g, 16, 8, ds.NumClasses, 2, rng)
-		} else {
-			m, err = NewGAT(g, 16, 16, ds.NumClasses, rng)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, g
+	g, err := dgl.New(ds.Adj, dgl.Config{Backend: dgl.FeatGraph, Target: core.CPU, NumThreads: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	for _, multi := range []bool{false, true} {
-		mFused, _ := build(false, multi)
-		mLegacy, _ := build(true, multi)
-		logitsF, gradsF := gatEpoch(t, mFused, x)
-		logitsL, gradsL := gatEpoch(t, mLegacy, x)
-		if !logitsF.AllClose(logitsL, tol) {
-			t.Errorf("multi=%v: fused vs legacy logits max diff %v", multi, logitsF.MaxAbsDiff(logitsL))
+	for _, heads := range []int{1, 4} {
+		rng := rand.New(rand.NewSource(99))
+		var fused Model
+		if heads == 1 {
+			fused, err = NewGAT(g, 16, 16, ds.NumClasses, rng)
+		} else {
+			fused, err = NewMultiHeadGAT(g, 16, 8, ds.NumClasses, heads, rng)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		logitsF, gradsF := gatEpoch(t, fused, x)
+		logitsR, gradsR := gatEpoch(t, newThreePassGAT(t, g, fused, heads), x)
+		if !logitsF.AllClose(logitsR, tol) {
+			t.Errorf("heads=%d: fused vs three-pass logits max diff %v", heads, logitsF.MaxAbsDiff(logitsR))
 		}
 		for i := range gradsF {
-			if gradsF[i] == nil || gradsL[i] == nil {
-				t.Fatalf("multi=%v: param %d missing grad", multi, i)
+			if gradsF[i] == nil || gradsR[i] == nil {
+				t.Fatalf("heads=%d: param %d missing grad", heads, i)
 			}
-			if !gradsF[i].AllClose(gradsL[i], tol) {
-				t.Errorf("multi=%v: fused vs legacy grad %d max diff %v", multi, i, gradsF[i].MaxAbsDiff(gradsL[i]))
+			if !gradsF[i].AllClose(gradsR[i], tol) {
+				t.Errorf("heads=%d: fused vs three-pass grad %d max diff %v", heads, i, gradsF[i].MaxAbsDiff(gradsR[i]))
 			}
 		}
-	}
-}
-
-// TestGATLegacyAttentionTrains keeps the three-pass ablation path honest:
-// with fused attention as the default, LegacyAttention is the only way the
-// dot→softmax→wsum pipeline still runs inside nn, and it must still learn.
-func TestGATLegacyAttentionTrains(t *testing.T) {
-	ds := dataset(t, 9)
-	g, err := dgl.New(ds.Adj, dgl.Config{Backend: dgl.FeatGraph, Target: core.CPU,
-		LegacyAttention: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewGAT(g, 16, 16, ds.NumClasses, rand.New(rand.NewSource(10)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := NewAdam(0.01)
-	var first, last float64
-	for epoch := 0; epoch < 40; epoch++ {
-		loss, err := TrainEpoch(m, ds.Features, ds.Labels, ds.TrainMask, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if epoch == 0 {
-			first = loss
-		}
-		last = loss
-	}
-	if last >= first {
-		t.Fatalf("legacy-attention GAT did not learn: loss %v → %v", first, last)
-	}
-	if acc := Evaluate(m, ds.Features, ds.Labels, ds.TestMask); acc < 0.7 {
-		t.Fatalf("legacy-attention GAT accuracy %.3f too low", acc)
 	}
 }

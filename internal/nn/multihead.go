@@ -3,7 +3,6 @@ package nn
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"featgraph/internal/autodiff"
@@ -20,11 +19,8 @@ type MultiHeadGAT struct {
 	heads  int
 	w1, w2 *tensor.Tensor
 
-	// Fused attention path (default): one op per head per layer.
+	// One fused attention op per head per layer.
 	fused1, fused2 []*dgl.FusedAttentionOp
-	// Legacy three-pass path (dgl.Config.LegacyAttention).
-	dots1, dots2   []*dgl.DotOp
-	wsums1, wsums2 []*dgl.WeightedSumOp
 }
 
 // NewMultiHeadGAT builds a 2-layer GAT with the given head count. hidden
@@ -42,59 +38,28 @@ func NewMultiHeadGAT(g *dgl.Graph, in, hidden, out, heads int, rng *rand.Rand) (
 	}
 	m.w1.FillGlorot(rng)
 	m.w2.FillGlorot(rng)
-	legacy := g.Config().LegacyAttention
 	for h := 0; h < heads; h++ {
-		if !legacy {
-			f1, err := g.NewFusedAttention(hidden)
-			if err != nil {
-				return nil, fmt.Errorf("nn: layer 1 head %d fused attention: %w", h, err)
-			}
-			f2, err := g.NewFusedAttention(out)
-			if err != nil {
-				return nil, fmt.Errorf("nn: layer 2 head %d fused attention: %w", h, err)
-			}
-			m.fused1 = append(m.fused1, f1)
-			m.fused2 = append(m.fused2, f2)
-			continue
-		}
-		d1, err := g.NewDot(hidden)
+		f1, err := g.NewFusedAttention(hidden)
 		if err != nil {
-			return nil, fmt.Errorf("nn: layer 1 head %d attention: %w", h, err)
+			return nil, fmt.Errorf("nn: layer 1 head %d fused attention: %w", h, err)
 		}
-		s1, err := g.NewWeightedSum(hidden)
+		f2, err := g.NewFusedAttention(out)
 		if err != nil {
-			return nil, fmt.Errorf("nn: layer 1 head %d aggregation: %w", h, err)
+			return nil, fmt.Errorf("nn: layer 2 head %d fused attention: %w", h, err)
 		}
-		d2, err := g.NewDot(out)
-		if err != nil {
-			return nil, fmt.Errorf("nn: layer 2 head %d attention: %w", h, err)
-		}
-		s2, err := g.NewWeightedSum(out)
-		if err != nil {
-			return nil, fmt.Errorf("nn: layer 2 head %d aggregation: %w", h, err)
-		}
-		m.dots1 = append(m.dots1, d1)
-		m.wsums1 = append(m.wsums1, s1)
-		m.dots2 = append(m.dots2, d2)
-		m.wsums2 = append(m.wsums2, s2)
+		m.fused1 = append(m.fused1, f1)
+		m.fused2 = append(m.fused2, f2)
 	}
 	return m, nil
 }
 
 // headOutputs runs every head of one layer on its feature slice.
-func (m *MultiHeadGAT) headOutputs(ctx context.Context, tp *autodiff.Tape, x, w *autodiff.Var, fused []*dgl.FusedAttentionOp, dots []*dgl.DotOp, wsums []*dgl.WeightedSumOp, info *dgl.RunInfo) []*autodiff.Var {
+func (m *MultiHeadGAT) headOutputs(ctx context.Context, tp *autodiff.Tape, x, w *autodiff.Var, fused []*dgl.FusedAttentionOp, info *dgl.RunInfo) []*autodiff.Var {
 	z := m.g.DenseMatMul(tp, x, w)
 	zs := tp.SplitCols(z, m.heads)
 	outs := make([]*autodiff.Var, m.heads)
-	for h := 0; h < m.heads; h++ {
-		if fused != nil {
-			outs[h] = fused[h].ApplyCtx(ctx, tp, zs[h], zs[h], info)
-			continue
-		}
-		d := zs[h].Value.Dim(1)
-		att := tp.Scale(tp.LeakyReLU(dots[h].ApplyCtx(ctx, tp, zs[h], zs[h], info), 0.2), float32(1/math.Sqrt(float64(d))))
-		alpha := m.g.EdgeSoftmax(tp, att)
-		outs[h] = wsums[h].ApplyCtx(ctx, tp, zs[h], alpha, info)
+	for h := range outs {
+		outs[h] = fused[h].ApplyCtx(ctx, tp, zs[h], zs[h], info)
 	}
 	return outs
 }
@@ -111,8 +76,8 @@ func (m *MultiHeadGAT) Forward(tp *autodiff.Tape, x *tensor.Tensor) (*autodiff.V
 // accumulating kernel stats onto info.
 func (m *MultiHeadGAT) ForwardCtx(ctx context.Context, tp *autodiff.Tape, x *tensor.Tensor, info *dgl.RunInfo) (*autodiff.Var, []*autodiff.Var) {
 	w1, w2 := tp.Param(m.w1), tp.Param(m.w2)
-	h1 := tp.ReLU(tp.ConcatCols(m.headOutputs(ctx, tp, tp.Input(x), w1, m.fused1, m.dots1, m.wsums1, info)))
-	heads2 := m.headOutputs(ctx, tp, h1, w2, m.fused2, m.dots2, m.wsums2, info)
+	h1 := tp.ReLU(tp.ConcatCols(m.headOutputs(ctx, tp, tp.Input(x), w1, m.fused1, info)))
+	heads2 := m.headOutputs(ctx, tp, h1, w2, m.fused2, info)
 	sum := heads2[0]
 	for _, hv := range heads2[1:] {
 		sum = tp.Add(sum, hv)

@@ -7,7 +7,6 @@ package nn
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"featgraph/internal/autodiff"
@@ -142,18 +141,13 @@ func (m *GraphSage) Name() string { return "graphsage" }
 // z = X W; e = LeakyReLU(z_src · z_dst); α = edge_softmax(e);
 // h = ReLU(Σ α z_src).
 //
-// By default each layer's attention runs as one fused kernel (SDDMM dot →
-// streaming edge softmax → weighted SpMM in a single traversal);
-// dgl.Config.LegacyAttention selects the original three-pass pipeline as
-// the A/B ablation baseline. Both paths compute identical math.
+// Each layer's attention runs as one fused kernel: SDDMM dot → streaming
+// edge softmax → weighted SpMM in a single traversal, with the 1/√d scale
+// and LeakyReLU folded into the score transform.
 type GAT struct {
-	g      *dgl.Graph
-	w1, w2 *tensor.Tensor
-	// Fused attention path (default).
+	g              *dgl.Graph
+	w1, w2         *tensor.Tensor
 	fused1, fused2 *dgl.FusedAttentionOp
-	// Legacy three-pass path (dgl.Config.LegacyAttention).
-	dot1, dot2   *dgl.DotOp
-	wsum1, wsum2 *dgl.WeightedSumOp
 }
 
 // NewGAT builds a 2-layer dot-product-attention GAT.
@@ -162,21 +156,6 @@ func NewGAT(g *dgl.Graph, in, hidden, out int, rng *rand.Rand) (*GAT, error) {
 	m.w1.FillGlorot(rng)
 	m.w2.FillGlorot(rng)
 	var err error
-	if g.Config().LegacyAttention {
-		if m.dot1, err = g.NewDot(hidden); err != nil {
-			return nil, fmt.Errorf("nn: gat layer 1 attention: %w", err)
-		}
-		if m.wsum1, err = g.NewWeightedSum(hidden); err != nil {
-			return nil, fmt.Errorf("nn: gat layer 1 aggregation: %w", err)
-		}
-		if m.dot2, err = g.NewDot(out); err != nil {
-			return nil, fmt.Errorf("nn: gat layer 2 attention: %w", err)
-		}
-		if m.wsum2, err = g.NewWeightedSum(out); err != nil {
-			return nil, fmt.Errorf("nn: gat layer 2 aggregation: %w", err)
-		}
-		return m, nil
-	}
 	if m.fused1, err = g.NewFusedAttention(hidden); err != nil {
 		return nil, fmt.Errorf("nn: gat layer 1 fused attention: %w", err)
 	}
@@ -186,18 +165,9 @@ func NewGAT(g *dgl.Graph, in, hidden, out int, rng *rand.Rand) (*GAT, error) {
 	return m, nil
 }
 
-func (m *GAT) layer(ctx context.Context, tp *autodiff.Tape, x *autodiff.Var, w *autodiff.Var, fused *dgl.FusedAttentionOp, dot *dgl.DotOp, wsum *dgl.WeightedSumOp, info *dgl.RunInfo) *autodiff.Var {
+func (m *GAT) layer(ctx context.Context, tp *autodiff.Tape, x, w *autodiff.Var, fused *dgl.FusedAttentionOp, info *dgl.RunInfo) *autodiff.Var {
 	z := m.g.DenseMatMul(tp, x, w)
-	if fused != nil {
-		// Scale and LeakyReLU are folded into the kernel's score transform.
-		return fused.ApplyCtx(ctx, tp, z, z, info)
-	}
-	// Scale the attention logits by 1/sqrt(d) (as in scaled dot-product
-	// attention) to keep edge softmax in a trainable regime.
-	d := z.Value.Dim(1)
-	att := tp.Scale(tp.LeakyReLU(dot.ApplyCtx(ctx, tp, z, z, info), 0.2), float32(1/math.Sqrt(float64(d))))
-	alpha := m.g.EdgeSoftmax(tp, att)
-	return wsum.ApplyCtx(ctx, tp, z, alpha, info)
+	return fused.ApplyCtx(ctx, tp, z, z, info)
 }
 
 // Forward computes the 2-layer GAT logits.
@@ -211,8 +181,8 @@ func (m *GAT) Forward(tp *autodiff.Tape, x *tensor.Tensor) (*autodiff.Var, []*au
 // accumulating kernel stats onto info.
 func (m *GAT) ForwardCtx(ctx context.Context, tp *autodiff.Tape, x *tensor.Tensor, info *dgl.RunInfo) (*autodiff.Var, []*autodiff.Var) {
 	w1, w2 := tp.Param(m.w1), tp.Param(m.w2)
-	h := tp.ReLU(m.layer(ctx, tp, tp.Input(x), w1, m.fused1, m.dot1, m.wsum1, info))
-	logits := m.layer(ctx, tp, h, w2, m.fused2, m.dot2, m.wsum2, info)
+	h := tp.ReLU(m.layer(ctx, tp, tp.Input(x), w1, m.fused1, info))
+	logits := m.layer(ctx, tp, h, w2, m.fused2, info)
 	return logits, []*autodiff.Var{w1, w2}
 }
 
