@@ -1,121 +1,56 @@
 package core
 
-// Blocked row primitives behind the CPU fast paths. The Go compiler neither
-// vectorizes nor unrolls, so each loop spells out what a scalar
-// one-element-at-a-time loop leaves on the table: independent accumulator
-// chains, 8-wide blocks through array pointers where values can live in
-// registers across a block (one bounds check per block), several operand
-// rows per pass where the output row would otherwise be loaded and stored
-// once per operand, and a scalar tail for whatever a block does not cover.
-// Summation order is a function of the operand order alone: results are
-// deterministic per row and neighbour order, and differ from the serial
-// left-to-right sum only in rounding (DESIGN.md §11.1).
+import "featgraph/internal/vec"
 
-// dot8 returns x·y over len(x) elements (len(y) >= len(x)) with four
-// accumulator chains: a single running sum serializes on FP-add latency.
-func dot8(x, y []float32) float32 {
-	y = y[:len(x)]
-	var s0, s1, s2, s3 float32
-	f := 0
-	for ; f+8 <= len(x); f += 8 {
-		xb, yb := (*[8]float32)(x[f:f+8]), (*[8]float32)(y[f:f+8])
-		s0 += xb[0]*yb[0] + xb[4]*yb[4]
-		s1 += xb[1]*yb[1] + xb[5]*yb[5]
-		s2 += xb[2]*yb[2] + xb[6]*yb[6]
-		s3 += xb[3]*yb[3] + xb[7]*yb[7]
-	}
-	for ; f < len(x); f++ {
-		s0 += x[f] * y[f]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// dot8x2 returns x1·y and x2·y (len(x2), len(y) >= len(x1)), each summed
-// exactly as dot8 sums it, with every 8-wide block of y loaded once for both.
-func dot8x2(x1, x2, y []float32) (float32, float32) {
-	x2, y = x2[:len(x1)], y[:len(x1)]
-	var s0, s1, s2, s3, t0, t1, t2, t3 float32
-	f := 0
-	for ; f+8 <= len(x1); f += 8 {
-		yb := (*[8]float32)(y[f : f+8])
-		ab, bb := (*[8]float32)(x1[f:f+8]), (*[8]float32)(x2[f:f+8])
-		// Chain by chain, so only two elements of y are live at a time:
-		// eight accumulators plus all of yb would spill.
-		s0 += ab[0]*yb[0] + ab[4]*yb[4]
-		t0 += bb[0]*yb[0] + bb[4]*yb[4]
-		s1 += ab[1]*yb[1] + ab[5]*yb[5]
-		t1 += bb[1]*yb[1] + bb[5]*yb[5]
-		s2 += ab[2]*yb[2] + ab[6]*yb[6]
-		t2 += bb[2]*yb[2] + bb[6]*yb[6]
-		s3 += ab[3]*yb[3] + ab[7]*yb[7]
-		t3 += bb[3]*yb[3] + bb[7]*yb[7]
-	}
-	for ; f < len(x1); f++ {
-		s0 += x1[f] * y[f]
-		t0 += x2[f] * y[f]
-	}
-	return (s0 + s1) + (s2 + s3), (t0 + t1) + (t2 + t3)
-}
+// Row primitives behind the CPU fast paths. The row arithmetic is
+// internal/vec's — SSE2 on amd64, the Go loop elsewhere and under -race, the
+// same bits either way. What lives here is the walk over a row's
+// neighbours: how many operand rows fold into the output row per pass (four,
+// or two pairs), so it is loaded and stored once per pass instead of once
+// per neighbour, and the leftover rows a pass does not cover; plus mlpFold,
+// whose per-edge message is not a row of any operand. Summation order is a
+// function of the operand order alone: results are deterministic per row
+// and neighbour order, and differ from the serial left-to-right sum only in
+// rounding (DESIGN.md §11.1).
 
 // dotRows sets dots[p] to row idx[p] of data (row stride stride) dotted with
-// y, for every p: dot8x2 over pairs of rows, dot8 for a leftover one.
+// y, for every p: vec.Dot2 over pairs of rows, vec.Dot for a leftover one.
 func dotRows(dots, data []float32, stride int, idx []int32, y []float32) {
 	n := len(y)
 	dots = dots[:len(idx)]
 	p := 0
 	for ; p+2 <= len(idx); p += 2 {
-		dots[p], dots[p+1] = dot8x2(data[int(idx[p])*stride:][:n], data[int(idx[p+1])*stride:][:n], y)
+		dots[p], dots[p+1] = vec.Dot2(data[int(idx[p])*stride:][:n], data[int(idx[p+1])*stride:][:n], y)
 	}
 	if p < len(idx) {
-		dots[p] = dot8(data[int(idx[p])*stride:][:n], y)
+		dots[p] = vec.Dot(data[int(idx[p])*stride:][:n], y)
 	}
 }
 
 // sumRows adds rows data[i*stride+lo:][:len(orow)], i ∈ idx, into orow, four
-// rows per pass: orow is loaded and stored once per four neighbours instead
-// of once per neighbour. The inner loop is deliberately plain — one index
-// register over five bases measured faster than 8-wide blocks here.
+// rows per pass, o += (a+b)+(c+d).
 func sumRows(orow, data []float32, stride, lo int, idx []int32) {
-	n := len(orow)
 	p := 0
 	for ; p+4 <= len(idx); p += 4 {
-		a := data[int(idx[p])*stride+lo:][:n]
-		b := data[int(idx[p+1])*stride+lo:][:n]
-		c := data[int(idx[p+2])*stride+lo:][:n]
-		d := data[int(idx[p+3])*stride+lo:][:n]
-		for f := range orow {
-			orow[f] += (a[f] + b[f]) + (c[f] + d[f])
-		}
+		vec.Add4(orow, data[int(idx[p])*stride+lo:], data[int(idx[p+1])*stride+lo:],
+			data[int(idx[p+2])*stride+lo:], data[int(idx[p+3])*stride+lo:])
 	}
 	for ; p < len(idx); p++ {
-		a := data[int(idx[p])*stride+lo:][:n]
-		for f := range orow {
-			orow[f] += a[f]
-		}
+		vec.Add(orow, data[int(idx[p])*stride+lo:])
 	}
 }
 
 // scaledSumRows is sumRows with row idx[p] scaled by w[eid[p]].
 func scaledSumRows(orow, data []float32, stride, lo int, idx, eid []int32, w []float32) {
-	n := len(orow)
 	eid = eid[:len(idx)]
 	p := 0
 	for ; p+4 <= len(idx); p += 4 {
-		a := data[int(idx[p])*stride+lo:][:n]
-		b := data[int(idx[p+1])*stride+lo:][:n]
-		c := data[int(idx[p+2])*stride+lo:][:n]
-		d := data[int(idx[p+3])*stride+lo:][:n]
-		wa, wb, wc, wd := w[eid[p]], w[eid[p+1]], w[eid[p+2]], w[eid[p+3]]
-		for f := range orow {
-			orow[f] += (wa*a[f] + wb*b[f]) + (wc*c[f] + wd*d[f])
-		}
+		vec.Axpy4(orow, data[int(idx[p])*stride+lo:], data[int(idx[p+1])*stride+lo:],
+			data[int(idx[p+2])*stride+lo:], data[int(idx[p+3])*stride+lo:],
+			w[eid[p]], w[eid[p+1]], w[eid[p+2]], w[eid[p+3]])
 	}
 	for ; p < len(idx); p++ {
-		a := data[int(idx[p])*stride+lo:][:n]
-		wa := w[eid[p]]
-		for f := range orow {
-			orow[f] += wa * a[f]
-		}
+		vec.Axpy(orow, data[int(idx[p])*stride+lo:], w[eid[p]])
 	}
 }
 
@@ -124,26 +59,15 @@ func scaledSumRows(orow, data []float32, stride, lo int, idx, eid []int32, w []f
 // list reads each index and edge id once for both rows. Two indices per
 // pass, o += (wa·a + wb·b) + (wa'·a' + wb'·b'); a leftover index folds alone.
 func scaledSumRows2(orow, a []float32, as int, b []float32, bs int, idx, eid []int32, wa, wb []float32) {
-	n := len(orow)
 	eid = eid[:len(idx)]
 	p := 0
 	for ; p+2 <= len(idx); p += 2 {
-		u, v := int(idx[p]), int(idx[p+1])
-		a0, b0 := a[u*as:][:n], b[u*bs:][:n]
-		a1, b1 := a[v*as:][:n], b[v*bs:][:n]
-		e0, e1 := eid[p], eid[p+1]
-		wa0, wb0, wa1, wb1 := wa[e0], wb[e0], wa[e1], wb[e1]
-		for f := range orow {
-			orow[f] += (wa0*a0[f] + wb0*b0[f]) + (wa1*a1[f] + wb1*b1[f])
-		}
+		u, v, e0, e1 := int(idx[p]), int(idx[p+1]), eid[p], eid[p+1]
+		vec.Axpy4(orow, a[u*as:], b[u*bs:], a[v*as:], b[v*bs:], wa[e0], wb[e0], wa[e1], wb[e1])
 	}
 	if p < len(idx) {
-		u := int(idx[p])
-		a0, b0 := a[u*as:][:n], b[u*bs:][:n]
-		wa0, wb0 := wa[eid[p]], wb[eid[p]]
-		for f := range orow {
-			orow[f] += wa0*a0[f] + wb0*b0[f]
-		}
+		u, e := int(idx[p]), eid[p]
+		vec.Axpy2(orow, a[u*as:], b[u*bs:], wa[e], wb[e])
 	}
 }
 

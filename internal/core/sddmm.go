@@ -13,6 +13,7 @@ import (
 	"featgraph/internal/sparse"
 	"featgraph/internal/telemetry"
 	"featgraph/internal/tensor"
+	"featgraph/internal/vec"
 )
 
 // SDDMMKernel is a built generalized-SDDMM kernel: the paper's
@@ -230,7 +231,7 @@ func (k *SDDMMKernel) dotEdges(odata []float32, elo, ehi int, t partition.Range,
 	rows, eids := k.edges.Row[elo:ehi], k.edges.EID[elo:ehi]
 	for i, c := range k.edges.Col[elo:ehi] {
 		u, v := int(c)*xs, (int(rows[i])+k.dstBase)*ys
-		s := dot8(xd[u+t.Lo:u+t.Hi], yd[v+t.Lo:v+t.Hi])
+		s := vec.Dot(xd[u+t.Lo:u+t.Hi], yd[v+t.Lo:v+t.Hi])
 		if acc {
 			s += odata[eids[i]]
 		}

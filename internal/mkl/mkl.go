@@ -1,7 +1,8 @@
 // Package mkl is the stand-in for Intel MKL's sparse BLAS in the paper's
 // CPU comparisons (see DESIGN.md): a strong, hand-optimized CSR SpMM
-// (mkl_scsrmm equivalent) with row-parallel multi-threading and a tight,
-// vectorizable inner loop — but, like the real library, no graph
+// (mkl_scsrmm equivalent) with row-parallel multi-threading and, like the
+// real library, a vectorized inner loop (internal/vec's SSE row kernels, so
+// FeatGraph's kernels are not measured SIMD against scalar) — but no graph
 // partitioning, no feature tiling, and no support for generalized kernels
 // (MLP aggregation and dot-product attention are not expressible).
 package mkl
@@ -11,6 +12,7 @@ import (
 
 	"featgraph/internal/sparse"
 	"featgraph/internal/tensor"
+	"featgraph/internal/vec"
 	"sync"
 )
 
@@ -35,18 +37,9 @@ func CSRMM(a *sparse.CSR, x, out *tensor.Tensor, numThreads int) error {
 			orow := od[r*d : (r+1)*d]
 			clear(orow)
 			for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
+				// One kernel for binary and weighted values alike: 1·x is x, bit for bit.
 				c := int(a.ColIdx[p])
-				v := a.Val[p]
-				xrow := xd[c*d : (c+1)*d]
-				if v == 1 {
-					for f := range orow {
-						orow[f] += xrow[f]
-					}
-				} else {
-					for f := range orow {
-						orow[f] += v * xrow[f]
-					}
-				}
+				vec.Axpy(orow, xd[c*d:(c+1)*d], a.Val[p])
 			}
 		}
 	}

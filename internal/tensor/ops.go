@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"unsafe"
 
+	"featgraph/internal/vec"
 	"featgraph/internal/workpool"
 )
 
@@ -89,23 +90,17 @@ const (
 
 // RowKernel folds o += a·B for one output row, B row-major [len(a), len(o)]:
 // four rows of B per pass, o[j] += (a0·b0[j] + a1·b1[j]) + (a2·b2[j] +
-// a3·b3[j]), then one row at a time for the len(a) mod 4 tail. It is the one
-// dense inner loop outside internal/core; serve's layer apply calls it too.
+// a3·b3[j]) (vec.Axpy4), then one row at a time for the len(a) mod 4 tail.
+// It is the one dense inner loop outside internal/core; serve's layer apply
+// calls it too.
 func RowKernel(o, a, b []float32) {
 	n := len(o)
 	l := 0
 	for ; l+4 <= len(a); l += 4 {
-		b0, b1, b2, b3 := b[l*n:][:n], b[(l+1)*n:][:n], b[(l+2)*n:][:n], b[(l+3)*n:][:n]
-		a0, a1, a2, a3 := a[l], a[l+1], a[l+2], a[l+3]
-		for j := range o {
-			o[j] += (a0*b0[j] + a1*b1[j]) + (a2*b2[j] + a3*b3[j])
-		}
+		vec.Axpy4(o, b[l*n:], b[(l+1)*n:], b[(l+2)*n:], b[(l+3)*n:], a[l], a[l+1], a[l+2], a[l+3])
 	}
 	for ; l < len(a); l++ {
-		b0, a0 := b[l*n:][:n], a[l]
-		for j := range o {
-			o[j] += a0 * b0[j]
-		}
+		vec.Axpy(o, b[l*n:], a[l])
 	}
 }
 
