@@ -9,6 +9,7 @@
 package featgraph_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -476,7 +477,7 @@ func BenchmarkTable6Training(b *testing.B) {
 				opt := nn.NewAdam(0.01)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := nn.TrainEpoch(m, ds.Features, ds.Labels, ds.TrainMask, opt); err != nil {
+					if _, _, err := nn.TrainEpochCtx(context.Background(), m, ds.Features, ds.Labels, ds.TrainMask, opt); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -503,7 +504,7 @@ func BenchmarkAblationFusion(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tp := newTape()
-				op.Apply(tp, tp.Input(x))
+				op.ApplyCtx(context.Background(), tp, tp.Input(x), nil)
 			}
 		})
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"featgraph/internal/graphio"
 	"featgraph/internal/nn"
+	"featgraph/internal/sparse"
 )
 
 // TestKillAndResumeMatchesUninterrupted is the crash test the durability
@@ -23,11 +27,7 @@ func TestKillAndResumeMatchesUninterrupted(t *testing.T) {
 		t.Skip("builds and kills an external process")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "traingnn")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building traingnn: %v\n%s", err, out)
-	}
+	bin := buildTraingnn(t, dir)
 
 	// Enough epochs that the kill lands mid-run on any machine; small
 	// enough graph that the whole test stays in seconds.
@@ -100,6 +100,45 @@ func TestKillAndResumeMatchesUninterrupted(t *testing.T) {
 	if got := mustLine(t, res, "test accuracy:"); got != refAcc {
 		t.Fatalf("resumed %q != uninterrupted %q", got, refAcc)
 	}
+}
+
+// TestGPUCycleTotalCountsSparseKernels: on -backend featgraph -target gpu
+// the printed cycle total must include the sparse kernels, which report to
+// each epoch's RunInfo, and not only the dense layers charged to the graph.
+// Two plain graph files with the same vertex count give the same dense
+// work, so the one with eight times the edges must print a larger total.
+func TestGPUCycleTotalCountsSparseKernels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the traingnn binary")
+	}
+	dir := t.TempDir()
+	bin := buildTraingnn(t, dir)
+	var totals [2]float64
+	for i, deg := range []int{2, 16} {
+		path := filepath.Join(dir, fmt.Sprintf("deg%d.fgg", deg))
+		if err := graphio.SaveGraph(path, sparse.Random(rand.New(rand.NewSource(3)), 2000, 2000, deg)); err != nil {
+			t.Fatal(err)
+		}
+		out := runToCompletion(t, bin, "-graph", path, "-backend", "featgraph", "-target", "gpu",
+			"-model", "gat", "-epochs", "3", "-hidden", "16", "-feat", "16", "-classes", "4", "-threads", "1")
+		line := mustLine(t, out, "simulated GPU cycles:")
+		if _, err := fmt.Sscanf(line, "simulated GPU cycles: %f Mcycles total", &totals[i]); err != nil {
+			t.Fatalf("parsing %q: %v", line, err)
+		}
+	}
+	if totals[1] <= totals[0] {
+		t.Fatalf("GPU total %.1f Mcycles at 16 edges/vertex, %.1f at 2: the sparse kernels are missing from it", totals[1], totals[0])
+	}
+}
+
+// buildTraingnn compiles the command into dir and returns the binary's path.
+func buildTraingnn(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "traingnn")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building traingnn: %v\n%s", err, out)
+	}
+	return bin
 }
 
 func runToCompletion(t *testing.T, bin string, args ...string) string {

@@ -253,8 +253,12 @@ func run(ctx context.Context, rc runConfig) error {
 	done := startEpoch
 	lastLoss, lastLossValid := resumedLoss, resumedLossValid
 	aborted := false
+	// FeatGraph kernels report their simulated cycles on each epoch's
+	// RunInfo; naive materialisation and the dense layers charge g.
+	var kernelCycles uint64
 	for e := startEpoch; e < rc.epochs; e++ {
-		loss, _, err := nn.TrainEpochCtx(ctx, m, ds.Features, ds.Labels, ds.TrainMask, opt)
+		loss, info, err := nn.TrainEpochCtx(ctx, m, ds.Features, ds.Labels, ds.TrainMask, opt)
+		kernelCycles += info.SimCycles
 		if err != nil {
 			// An abort (SIGINT/SIGTERM, deadline, load shed, stall) ends
 			// training early but still flushes the summary and -trace file;
@@ -303,7 +307,7 @@ func run(ctx context.Context, rc runConfig) error {
 		}
 	}
 	if cfg.Target == core.GPU {
-		fmt.Printf("simulated GPU cycles: %.1f Mcycles total\n", float64(g.SimCycles)/1e6)
+		fmt.Printf("simulated GPU cycles: %.1f Mcycles total\n", float64(g.SimCycles+kernelCycles)/1e6)
 	}
 	if cfg.Backend == dgl.Naive {
 		fmt.Printf("materialized messages: %.1f MB total\n", float64(g.MsgBytes)/1e6)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -86,7 +87,7 @@ func MetricsSmoke(w io.Writer) error {
 	}
 	for e := 0; e < epochs; e++ {
 		tp := autodiff.NewTape()
-		op.Apply(tp, tp.Param(x))
+		op.ApplyCtx(context.Background(), tp, tp.Param(x), nil)
 	}
 
 	return telemetry.WritePrometheus(w)

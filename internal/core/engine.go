@@ -101,14 +101,14 @@ func (e *engineState) finish(ctx context.Context) (RunStats, error) {
 	return RunStats{EdgesProcessed: e.edges.Load(), ChunksStolen: e.stolen.Load()}, stallCause(ctx, e.rc.verdict())
 }
 
-// getState draws a run state from a kernel's freelist, or builds a transient
-// one when concurrent Runs have drained it.
-func getState[S any, K interface{ newRunState() *S }](k K, pool chan *S) *S {
+// getState draws a run (or GPU launch) state from a kernel's freelist, or
+// builds a transient one with newState when concurrent Runs have drained it.
+func getState[S any](pool chan *S, newState func() *S) *S {
 	select {
 	case st := <-pool:
 		return st
 	default:
-		return k.newRunState()
+		return newState()
 	}
 }
 
@@ -191,7 +191,7 @@ func (st *spmmRunState) runChunk(slot, ci int) {
 func (k *SpMMKernel) runCPU(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
 	threads := max(k.opts.NumThreads, 1)
 	pool := workpool.Default()
-	st := getState(k, k.states)
+	st := getState(k.states, k.newRunState)
 	defer putState(k.states, st)
 	ctx, w := st.begin(ctx, k.opts.Admission, "spmm/cpu-engine", out)
 	defer w.end()
@@ -273,7 +273,7 @@ func (st *sddmmRunState) runChunk(slot, ci int) {
 func (k *SDDMMKernel) runCPU(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
 	threads := max(k.opts.NumThreads, 1)
 	pool := workpool.Default()
-	st := getState(k, k.states)
+	st := getState(k.states, k.newRunState)
 	defer putState(k.states, st)
 	ctx, w := st.begin(ctx, k.opts.Admission, "sddmm/cpu-engine", out)
 	defer w.end()

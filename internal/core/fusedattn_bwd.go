@@ -208,7 +208,7 @@ func (st *fusedAttnBwdRunState) runChunk(slot, ci int) {
 func (k *FusedAttnBwdKernel) runCPU(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
 	threads := max(k.opts.NumThreads, 1)
 	pool := workpool.Default()
-	st := getState(k, k.states)
+	st := getState(k.states, k.newRunState)
 	defer putState(k.states, st)
 	ctx, w := st.begin(ctx, k.opts.Admission, "fusedattn.bwd/cpu-engine", out)
 	defer w.end()

@@ -77,23 +77,6 @@ func (k *FusedAttnBwdKernel) newGPULaunch() *fusedAttnGPULaunch {
 	return st
 }
 
-func (g *fusedAttnGPU) getLaunch(newState func() *fusedAttnGPULaunch) *fusedAttnGPULaunch {
-	select {
-	case st := <-g.states:
-		return st
-	default:
-		return newState()
-	}
-}
-
-func (g *fusedAttnGPU) putLaunch(st *fusedAttnGPULaunch) {
-	st.out = nil
-	select {
-	case g.states <- st:
-	default:
-	}
-}
-
 // fusedAttnLaunchDims resolves the grid: row-per-block up to the row count,
 // threads covering the feature dimension.
 func fusedAttnLaunchDims(opts Options, rows, d int) (blocks, threads int) {
@@ -112,8 +95,8 @@ func fusedAttnLaunchDims(opts Options, rows, d int) (blocks, threads int) {
 // runGPU executes the fused forward as one device launch.
 func (k *FusedAttnKernel) runGPU(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
 	g := k.gpu
-	st := g.getLaunch(k.newGPULaunch)
-	defer g.putLaunch(st)
+	st := getState(g.states, k.newGPULaunch)
+	defer func() { st.out = nil; putState(g.states, st) }()
 	ctx, w := startWatch(ctx, k.opts.Admission, &st.beacon, "fusedattn/gpu")
 	defer w.end()
 	st.out = out
@@ -210,8 +193,8 @@ func (k *FusedAttnKernel) gpuBlock(b *cudasim.Block, out *tensor.Tensor, gridBlo
 // rows of the transpose reading the dE buffer the first launch filled.
 func (k *FusedAttnBwdKernel) runGPU(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
 	g := k.gpu
-	st := g.getLaunch(k.newGPULaunch)
-	defer g.putLaunch(st)
+	st := getState(g.states, k.newGPULaunch)
+	defer func() { st.out = nil; putState(g.states, st) }()
 	ctx, w := startWatch(ctx, k.opts.Admission, &st.beacon, "fusedattn.bwd/gpu")
 	defer w.end()
 	st.out = out

@@ -69,23 +69,6 @@ func (k *SDDMMKernel) newGPULaunch() *sddmmGPULaunch {
 	return st
 }
 
-func (g *sddmmGPU) getLaunch(k *SDDMMKernel) *sddmmGPULaunch {
-	select {
-	case st := <-g.states:
-		return st
-	default:
-		return k.newGPULaunch()
-	}
-}
-
-func (g *sddmmGPU) putLaunch(st *sddmmGPULaunch) {
-	st.out = nil
-	select {
-	case g.states <- st:
-	default:
-	}
-}
-
 // block runs one grid block on the dot or generic path with the slot's
 // reusable scratch.
 func (st *sddmmGPULaunch) block(b *cudasim.Block) {
@@ -140,8 +123,8 @@ func (k *SDDMMKernel) runGPU(ctx context.Context, out *tensor.Tensor) (RunStats,
 		return RunStats{}, ctx.Err()
 	}
 	blocks, threads := k.gpuLaunchDims()
-	st := k.gpu.getLaunch(k)
-	defer k.gpu.putLaunch(st)
+	st := getState(k.gpu.states, k.newGPULaunch)
+	defer func() { st.out = nil; putState(k.gpu.states, st) }()
 	ctx, w := startWatch(ctx, k.opts.Admission, &st.beacon, "sddmm/gpu")
 	defer w.end()
 	st.out = out

@@ -62,24 +62,6 @@ func (k *SpMMKernel) newGPULaunch() *spmmGPULaunch {
 	return st
 }
 
-func (g *spmmGPU) getLaunch(k *SpMMKernel) *spmmGPULaunch {
-	select {
-	case st := <-g.states:
-		return st
-	default:
-		return k.newGPULaunch()
-	}
-}
-
-func (g *spmmGPU) putLaunch(st *spmmGPULaunch) {
-	st.out = nil
-	st.gp = nil
-	select {
-	case g.states <- st:
-	default:
-	}
-}
-
 // block runs one grid block, routing the slot's scratch to the kernel body.
 func (st *spmmGPULaunch) block(b *cudasim.Block) {
 	sc := st.scratch[b.Slot()]
@@ -176,8 +158,8 @@ func (k *SpMMKernel) gpuLaunchDims(tileLen int) (blocks, threads int) {
 // blocks (which poll Block.Cancelled between rows).
 func (k *SpMMKernel) runGPU(ctx context.Context, out *tensor.Tensor) (RunStats, error) {
 	g := k.gpu
-	st := g.getLaunch(k)
-	defer g.putLaunch(st)
+	st := getState(g.states, k.newGPULaunch)
+	defer func() { st.out, st.gp = nil, nil; putState(g.states, st) }()
 	ctx, w := startWatch(ctx, k.opts.Admission, &st.beacon, "spmm/gpu")
 	defer w.end()
 	st.out = out

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -70,9 +71,9 @@ func TestDifferentialKernelsAcrossVersions(t *testing.T) {
 				if err != nil {
 					t.Fatalf("v%d %s: fused attention: %v", ver, name, err)
 				}
-				return sum.Apply(tp, vx).Value.Data(),
-					dot.Apply(tp, vx, vy).Value.Data(),
-					fa.Apply(tp, vx, vy).Value.Data()
+				return sum.ApplyCtx(context.Background(), tp, vx, nil).Value.Data(),
+					dot.ApplyCtx(context.Background(), tp, vx, vy, nil).Value.Data(),
+					fa.ApplyCtx(context.Background(), tp, vx, vy, nil).Value.Data()
 			}
 			s1, d1, a1 := run(gs)
 			s2, d2, a2 := run(gr)

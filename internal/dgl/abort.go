@@ -9,7 +9,7 @@ import (
 )
 
 // AbortError is how serving-policy terminations travel out of an op's tape
-// closure. Op Apply runs inside autodiff tape callbacks that cannot return
+// closure. Op ApplyCtx runs inside autodiff tape callbacks that cannot return
 // errors, so kernel failures historically panic; an abort-class failure —
 // cancellation, deadline expiry, admission shedding, a watchdog stall — is
 // not a programming error, so it panics as this typed value instead, which

@@ -16,7 +16,6 @@
 package dgl
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -78,11 +77,6 @@ type Graph struct {
 	adj  *sparse.CSR
 	adjT *sparse.CSR
 
-	// ctx, when set by UseContext, bounds every kernel run the graph's ops
-	// issue. Like the stats fields it belongs to the goroutine executing
-	// Apply; set it between tapes, not during one.
-	ctx context.Context
-
 	invDeg []float32 // 1/in-degree per vertex (0 for isolated)
 
 	// Edge-balanced row chunks for dgl-level segment loops (EdgeSoftmax),
@@ -94,29 +88,18 @@ type Graph struct {
 	mgAdj  *minigun.Graph
 	mgAdjT *minigun.Graph
 
-	// Stats accumulated across ops until ResetStats.
+	// Stats for work outside kernel runs, accumulated until ResetStats:
+	// naive message materialization, EdgeSoftmax and DenseMatMul. Kernel
+	// runs report onto the caller's per-call RunInfo instead, so a
+	// simulated-GPU total is g.SimCycles plus the RunInfo's SimCycles.
+	// Written by the goroutine applying ops; read them from that goroutine.
 	SimCycles uint64 // simulated GPU cycles (Target == GPU)
 	MsgBytes  uint64 // bytes of materialized messages (Naive backend)
-	// Fallbacks counts kernel runs that degraded from the simulated GPU to
-	// the CPU path (core.RunStats.Fallback), and LastFallbackReason keeps
-	// the most recent degradation's reason verbatim — the same string a
-	// direct core kernel run reports, so GPU faults surface identically
-	// whether a kernel is run standalone or through a cached dgl plan.
-	// Like SimCycles, these are written by the goroutine executing Apply;
-	// read them from that goroutine only.
-	//
-	// Deprecated: these graph-wide accumulators only see runs issued
-	// through the legacy Apply path (ApplyCtx with a non-nil *RunInfo
-	// bypasses them by design — that is what makes concurrent requests on
-	// one Graph race-free). Use the per-call RunInfo for fallback
-	// attribution.
-	Fallbacks          uint64
-	LastFallbackReason string
 	// PlanCache counts kernel-plan cache traffic attributed to this graph
-	// (see plancache.go): op construction records misses, every Apply
+	// (see plancache.go): op construction records misses, every ApplyCtx
 	// records hits, so a training loop can assert epochs 2..N rebuild
 	// nothing. The field is written under the cache mutex; read it
-	// directly only from the goroutine issuing the Applies, and use
+	// directly only from the goroutine applying ops, and use
 	// Stats() for a race-free snapshot under concurrency.
 	PlanCache CacheStats
 }
@@ -157,24 +140,6 @@ func (g *Graph) edgeExtent() int { return max(g.NumEdges(), 1) }
 // Adj exposes the adjacency matrix.
 func (g *Graph) Adj() *sparse.CSR { return g.adj }
 
-// UseContext makes ctx bound every subsequent kernel run issued through
-// this graph's ops: cancelling it aborts the op (and with it the training
-// step) with a *AbortError. A nil ctx restores context.Background().
-// Set it between tapes, from the goroutine that Applies ops.
-//
-// Deprecated: pass the context per call via the ops' ApplyCtx variants (or
-// nn's TrainEpochCtx/InferCtx/EvaluateCtx). A graph-wide mutable context
-// cannot serve concurrent requests with distinct deadlines; ApplyCtx can.
-func (g *Graph) UseContext(ctx context.Context) { g.ctx = ctx }
-
-// runCtx is the context kernel runs execute under.
-func (g *Graph) runCtx() context.Context {
-	if g.ctx != nil {
-		return g.ctx
-	}
-	return context.Background()
-}
-
 // Config returns the graph's configuration.
 func (g *Graph) Config() Config { return g.cfg }
 
@@ -182,8 +147,6 @@ func (g *Graph) Config() Config { return g.cfg }
 func (g *Graph) ResetStats() {
 	g.SimCycles = 0
 	g.MsgBytes = 0
-	g.Fallbacks = 0
-	g.LastFallbackReason = ""
 	g.resetPlanCacheStats()
 }
 
@@ -213,16 +176,6 @@ func (g *Graph) coreOptions() core.Options {
 func (g *Graph) charge(cycles uint64) {
 	if g.cfg.Target == core.GPU {
 		g.SimCycles += cycles
-	}
-}
-
-// record accumulates one kernel run's stats onto the graph: simulated
-// cycles, and GPU→CPU degradations with their reason preserved verbatim.
-func (g *Graph) record(stats core.RunStats) {
-	g.charge(stats.SimCycles)
-	if stats.Fallback {
-		g.Fallbacks++
-		g.LastFallbackReason = stats.FallbackReason
 	}
 }
 

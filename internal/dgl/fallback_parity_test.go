@@ -1,6 +1,7 @@
 package dgl
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -70,11 +71,12 @@ func TestFallbackReasonParity(t *testing.T) {
 	reasons["sddmm"] = stats.FallbackReason
 
 	tp := autodiff.NewTape()
-	op.Apply(tp, tp.Param(x)) // forward runs eagerly through the cached plan
-	if g.Fallbacks == 0 {
-		t.Fatal("dgl: GPU fault did not record a fallback on the graph")
+	var info RunInfo
+	op.ApplyCtx(context.Background(), tp, tp.Param(x), &info) // forward runs eagerly through the cached plan
+	if info.Fallbacks == 0 {
+		t.Fatal("dgl: GPU fault did not record a fallback on the RunInfo")
 	}
-	reasons["dgl"] = g.LastFallbackReason
+	reasons["dgl"] = info.FallbackReason
 
 	for path, reason := range reasons {
 		if !strings.Contains(reason, wantReason) {

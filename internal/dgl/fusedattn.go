@@ -82,17 +82,9 @@ func (op *FusedAttentionOp) buildBwd() (core.Kernel, error) {
 	return core.BuildFusedAttentionBwd(g.adj, g.adjT, op.xbuf, op.ybuf, op.alphabuf, op.derivbuf, op.gbuf, g.coreOptions())
 }
 
-// Apply records the fused attention aggregation on the tape. x carries
+// ApplyCtx records the fused attention aggregation on the tape. x carries
 // source-vertex features, y destination-vertex features; in GAT both are
-// the same Var, and the two gradient streams accumulate onto it.
-//
-// Deprecated: use ApplyCtx, which scopes the context and run statistics to
-// this call instead of the shared Graph fields.
-func (op *FusedAttentionOp) Apply(tp *autodiff.Tape, x, y *autodiff.Var) *autodiff.Var {
-	return op.ApplyCtx(nil, tp, x, y, nil)
-}
-
-// ApplyCtx records the fused attention aggregation on the tape. See
+// the same Var, and the two gradient streams accumulate onto it. See
 // CopyAggOp.ApplyCtx for the ctx/info contract.
 func (op *FusedAttentionOp) ApplyCtx(ctx context.Context, tp *autodiff.Tape, x, y *autodiff.Var, info *RunInfo) *autodiff.Var {
 	g := op.g
@@ -103,21 +95,21 @@ func (op *FusedAttentionOp) ApplyCtx(ctx context.Context, tp *autodiff.Tape, x, 
 				copy(op.xbuf.Data(), x.Value.Data())
 				copy(op.ybuf.Data(), y.Value.Data())
 				out := tensor.New(n, op.d)
-				stats, err := g.mustPlan(op.fwdKey, op.buildFwd).RunCtx(g.execCtx(ctx), out)
+				stats, err := g.mustPlan(op.fwdKey, op.buildFwd).RunCtx(ctx, out)
 				if err != nil {
 					panic(opError("fused attention forward", err))
 				}
-				g.track(info, stats)
+				info.observe(stats)
 				return out
 			},
 			func(dOut *tensor.Tensor) {
 				copy(op.gbuf.Data(), dOut.Data())
 				grad := tensor.New(2*n, op.d)
-				stats, err := g.mustPlan(op.bwdKey, op.buildBwd).RunCtx(g.execCtx(ctx), grad)
+				stats, err := g.mustPlan(op.bwdKey, op.buildBwd).RunCtx(ctx, grad)
 				if err != nil {
 					panic(opError("fused attention backward", err))
 				}
-				g.track(info, stats)
+				info.observe(stats)
 				// SeedGrad only adds from its argument, so the two halves
 				// are wrapped in place rather than copied out.
 				gd := grad.Data()

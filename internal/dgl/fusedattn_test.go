@@ -1,6 +1,7 @@
 package dgl
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -42,7 +43,7 @@ func fusedEpoch(t *testing.T, op *FusedAttentionOp, x, y *tensor.Tensor) (out, g
 	t.Helper()
 	tp := autodiff.NewTape()
 	xv, yv := tp.Param(x), tp.Param(y)
-	o := op.Apply(tp, xv, yv)
+	o := op.ApplyCtx(context.Background(), tp, xv, yv, nil)
 	if err := tp.Backward(sumLoss(tp, o)); err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +64,9 @@ func threePassEpoch(t *testing.T, g *Graph, x, y *tensor.Tensor, d int) (out, gx
 	}
 	tp := autodiff.NewTape()
 	xv, yv := tp.Param(x), tp.Param(y)
-	att := tp.Scale(tp.LeakyReLU(dot.Apply(tp, xv, yv), 0.2), float32(1/math.Sqrt(float64(d))))
+	att := tp.Scale(tp.LeakyReLU(dot.ApplyCtx(context.Background(), tp, xv, yv, nil), 0.2), float32(1/math.Sqrt(float64(d))))
 	alpha := g.EdgeSoftmax(tp, att)
-	o := wsum.Apply(tp, xv, alpha)
+	o := wsum.ApplyCtx(context.Background(), tp, xv, alpha, nil)
 	if err := tp.Backward(sumLoss(tp, o)); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestFusedAttentionGradAllBackends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return sumLoss(tp, op.Apply(tp, vars[0], vars[1]))
+			return sumLoss(tp, op.ApplyCtx(context.Background(), tp, vars[0], vars[1], nil))
 		})
 		// GAT's self-attention shape: both feature roles are one Var, whose
 		// gradient is the sum of the dX and dY streams.
@@ -132,7 +133,7 @@ func TestFusedAttentionGradAllBackends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return sumLoss(tp, op.Apply(tp, vars[0], vars[0]))
+			return sumLoss(tp, op.ApplyCtx(context.Background(), tp, vars[0], vars[0], nil))
 		})
 	}
 }

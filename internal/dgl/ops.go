@@ -20,11 +20,11 @@ var negInf32 = float32(math.Inf(-1))
 // Message-passing operations. Each op is built once per model layer (kernel
 // compilation is per-topology, amortized over epochs, §IV-B) and applied
 // once per tape: FeatGraph-backend ops stage their inputs into buffers the
-// compiled kernels are bound to, so a second Apply on the same tape would
+// compiled kernels are bound to, so a second ApplyCtx on the same tape would
 // clobber state the backward pass still needs.
 //
 // Kernels are obtained through the plan cache (plancache.go): op
-// construction registers each plan (a miss builds it), and every Apply
+// construction registers each plan (a miss builds it), and every ApplyCtx
 // re-fetches by key (a hit), so repeated epochs — and re-constructed models
 // sharing buffers — never re-run kernel compilation.
 
@@ -128,20 +128,11 @@ func (op *CopyAggOp) buildBwd() (core.Kernel, error) {
 	return k, nil
 }
 
-// Apply records the aggregation on the tape under the graph-wide context.
-//
-// Deprecated: use ApplyCtx, which scopes the context and run statistics to
-// this call instead of the shared Graph fields.
-func (op *CopyAggOp) Apply(tp *autodiff.Tape, x *autodiff.Var) *autodiff.Var {
-	return op.ApplyCtx(nil, tp, x, nil)
-}
-
 // ApplyCtx records the aggregation on the tape. The kernel runs the op
 // issues (forward now, backward when the tape unwinds) execute under ctx,
-// and their statistics accumulate onto info. Both may be nil: a nil ctx
-// falls back to the graph-wide context, a nil info to the legacy Graph
-// counters. With both set, the call touches no shared graph state, so
-// concurrent callers with distinct ops on one Graph need no locking.
+// and their statistics accumulate onto info (nil collects nothing). ctx
+// must not be nil. The call touches no shared graph state, so concurrent
+// callers with distinct ops on one Graph need no locking.
 func (op *CopyAggOp) ApplyCtx(ctx context.Context, tp *autodiff.Tape, x *autodiff.Var, info *RunInfo) *autodiff.Var {
 	g := op.g
 	n := g.NumVertices()
@@ -150,21 +141,21 @@ func (op *CopyAggOp) ApplyCtx(ctx context.Context, tp *autodiff.Tape, x *autodif
 			func() *tensor.Tensor {
 				copy(op.xbuf.Data(), x.Value.Data())
 				out := tensor.New(n, op.d)
-				stats, err := g.mustPlan(op.fwdKey, op.buildFwd).RunCtx(g.execCtx(ctx), out)
+				stats, err := g.mustPlan(op.fwdKey, op.buildFwd).RunCtx(ctx, out)
 				if err != nil {
 					panic(opError("copy-agg forward", err))
 				}
-				g.track(info, stats)
+				info.observe(stats)
 				return out
 			},
 			func(dOut *tensor.Tensor) {
 				copy(op.gbuf.Data(), dOut.Data())
 				dx := tensor.New(n, op.d)
-				stats, err := g.mustPlan(op.bwdKey, op.buildBwd).RunCtx(g.execCtx(ctx), dx)
+				stats, err := g.mustPlan(op.bwdKey, op.buildBwd).RunCtx(ctx, dx)
 				if err != nil {
 					panic(opError("copy-agg backward", err))
 				}
-				g.track(info, stats)
+				info.observe(stats)
 				autodiff.SeedGrad(x, dx)
 			})
 	}
@@ -287,14 +278,6 @@ func reduceAxisOf(udf *expr.UDF) *expr.Axis {
 	return nil
 }
 
-// Apply records out = Σ w[e]·x[src] on the tape. w must be an [m,1] Var.
-//
-// Deprecated: use ApplyCtx, which scopes the context and run statistics to
-// this call instead of the shared Graph fields.
-func (op *WeightedSumOp) Apply(tp *autodiff.Tape, x, w *autodiff.Var) *autodiff.Var {
-	return op.ApplyCtx(nil, tp, x, w, nil)
-}
-
 // ApplyCtx records out = Σ w[e]·x[src] on the tape; w must be an [m,1]
 // Var. See CopyAggOp.ApplyCtx for the ctx/info contract.
 func (op *WeightedSumOp) ApplyCtx(ctx context.Context, tp *autodiff.Tape, x, w *autodiff.Var, info *RunInfo) *autodiff.Var {
@@ -309,29 +292,29 @@ func (op *WeightedSumOp) ApplyCtx(ctx context.Context, tp *autodiff.Tape, x, w *
 				copy(op.xbuf.Data(), x.Value.Data())
 				copy(op.wbuf.Data(), w.Value.Data())
 				out := tensor.New(n, op.d)
-				stats, err := g.mustPlan(op.fwdKey, op.buildFwd).RunCtx(g.execCtx(ctx), out)
+				stats, err := g.mustPlan(op.fwdKey, op.buildFwd).RunCtx(ctx, out)
 				if err != nil {
 					panic(opError("weighted-sum forward", err))
 				}
-				g.track(info, stats)
+				info.observe(stats)
 				return out
 			},
 			func(dOut *tensor.Tensor) {
 				copy(op.gbuf.Data(), dOut.Data())
 				dx := tensor.New(n, op.d)
-				stats, err := g.mustPlan(op.bwdXKey, op.buildBwdX).RunCtx(g.execCtx(ctx), dx)
+				stats, err := g.mustPlan(op.bwdXKey, op.buildBwdX).RunCtx(ctx, dx)
 				if err != nil {
 					panic(opError("weighted-sum backward dX", err))
 				}
-				g.track(info, stats)
+				info.observe(stats)
 				autodiff.SeedGrad(x, dx)
 
 				dw := tensor.New(m, 1)
-				stats, err = g.mustPlan(op.bwdWKey, op.buildBwdW).RunCtx(g.execCtx(ctx), dw)
+				stats, err = g.mustPlan(op.bwdWKey, op.buildBwdW).RunCtx(ctx, dw)
 				if err != nil {
 					panic(opError("weighted-sum backward dW", err))
 				}
-				g.track(info, stats)
+				info.observe(stats)
 				autodiff.SeedGrad(w, dw)
 			})
 	}
@@ -422,14 +405,6 @@ func (op *DotOp) buildBwdY() (core.Kernel, error) {
 	return k, nil
 }
 
-// Apply records att = x·y per edge. x and y may be the same Var (GAT).
-//
-// Deprecated: use ApplyCtx, which scopes the context and run statistics to
-// this call instead of the shared Graph fields.
-func (op *DotOp) Apply(tp *autodiff.Tape, x, y *autodiff.Var) *autodiff.Var {
-	return op.ApplyCtx(nil, tp, x, y, nil)
-}
-
 // ApplyCtx records att = x·y per edge; x and y may be the same Var (GAT).
 // See CopyAggOp.ApplyCtx for the ctx/info contract.
 func (op *DotOp) ApplyCtx(ctx context.Context, tp *autodiff.Tape, x, y *autodiff.Var, info *RunInfo) *autodiff.Var {
@@ -441,29 +416,29 @@ func (op *DotOp) ApplyCtx(ctx context.Context, tp *autodiff.Tape, x, y *autodiff
 				copy(op.xbuf.Data(), x.Value.Data())
 				copy(op.ybuf.Data(), y.Value.Data())
 				att := tensor.New(m, 1)
-				stats, err := g.mustPlan(op.fwdKey, op.buildFwd).RunCtx(g.execCtx(ctx), att)
+				stats, err := g.mustPlan(op.fwdKey, op.buildFwd).RunCtx(ctx, att)
 				if err != nil {
 					panic(opError("dot forward", err))
 				}
-				g.track(info, stats)
+				info.observe(stats)
 				return att
 			},
 			func(dOut *tensor.Tensor) {
 				copy(op.dattbuf.Data(), dOut.Data())
 				dx := tensor.New(n, op.d)
-				stats, err := g.mustPlan(op.bwdXKey, op.buildBwdX).RunCtx(g.execCtx(ctx), dx)
+				stats, err := g.mustPlan(op.bwdXKey, op.buildBwdX).RunCtx(ctx, dx)
 				if err != nil {
 					panic(opError("dot backward dX", err))
 				}
-				g.track(info, stats)
+				info.observe(stats)
 				autodiff.SeedGrad(x, dx)
 
 				dy := tensor.New(n, op.d)
-				stats, err = g.mustPlan(op.bwdYKey, op.buildBwdY).RunCtx(g.execCtx(ctx), dy)
+				stats, err = g.mustPlan(op.bwdYKey, op.buildBwdY).RunCtx(ctx, dy)
 				if err != nil {
 					panic(opError("dot backward dY", err))
 				}
-				g.track(info, stats)
+				info.observe(stats)
 				autodiff.SeedGrad(y, dy)
 			})
 	}

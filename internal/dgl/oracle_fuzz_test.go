@@ -8,6 +8,7 @@ package dgl
 // the first epoch bit-for-bit — the plan-cache safety property under fuzz.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -109,7 +110,7 @@ func dotEpoch(t *testing.T, op *DotOp, x, y *tensor.Tensor) (out, gx, gy *tensor
 	t.Helper()
 	tp := autodiff.NewTape()
 	xv, yv := tp.Param(x), tp.Param(y)
-	o := op.Apply(tp, xv, yv)
+	o := op.ApplyCtx(context.Background(), tp, xv, yv, nil)
 	if err := tp.Backward(sumLoss(tp, o)); err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func init() {
 // construction — per-topology work the paper amortizes over a whole training
 // run (§IV-B). The cache makes that amortization explicit and observable:
 // ops register their plans on construction (misses) and re-fetch them on
-// every Apply (hits), so epochs 2..N of a training loop never rebuild a
+// every ApplyCtx (hits), so epochs 2..N of a training loop never rebuild a
 // kernel, and a model constructed twice over the same graph and buffers
 // reuses the first model's compiled plans.
 //
@@ -120,7 +120,7 @@ var planCache = struct {
 // Stats returns a consistent snapshot of the graph's plan-cache counters.
 // The counters are written under the cache mutex, so this accessor — not a
 // bare read of the PlanCache field — is the race-free way to observe them
-// while other goroutines Apply ops on the same graph.
+// while other goroutines apply ops on the same graph.
 func (g *Graph) Stats() CacheStats {
 	planCache.mu.Lock()
 	defer planCache.mu.Unlock()
@@ -129,7 +129,7 @@ func (g *Graph) Stats() CacheStats {
 
 // resetPlanCacheStats zeroes the counters under the same lock that guards
 // their writers, keeping Graph.ResetStats safe to call concurrently with
-// Apply.
+// ApplyCtx.
 func (g *Graph) resetPlanCacheStats() {
 	planCache.mu.Lock()
 	defer planCache.mu.Unlock()

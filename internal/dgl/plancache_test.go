@@ -1,6 +1,7 @@
 package dgl
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -15,7 +16,7 @@ func copyAggEpoch(t *testing.T, op *CopyAggOp, x *tensor.Tensor) (*tensor.Tensor
 	t.Helper()
 	tp := autodiff.NewTape()
 	xv := tp.Param(x)
-	y := op.Apply(tp, xv)
+	y := op.ApplyCtx(context.Background(), tp, xv, nil)
 	if err := tp.Backward(sumLoss(tp, y)); err != nil {
 		t.Fatal(err)
 	}

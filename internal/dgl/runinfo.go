@@ -1,7 +1,6 @@
 package dgl
 
 import (
-	"context"
 	"time"
 
 	"featgraph/internal/core"
@@ -9,11 +8,11 @@ import (
 
 // RunInfo accumulates execution statistics for one logical call — a single
 // ApplyCtx, or a whole forward/backward pass when the same *RunInfo is
-// threaded through every op of a tape. Unlike the legacy Graph counters
-// (Fallbacks, LastFallbackReason, SimCycles) it is owned by the caller, so
+// threaded through every op of a tape. It is owned by the caller, so
 // concurrent requests sharing one Graph each observe their own runs with
 // no shared mutable state: fallback attribution, queueing and retries
-// travel per call instead of racing on graph fields.
+// travel per call instead of racing on graph fields. A nil *RunInfo
+// collects nothing.
 //
 // A RunInfo must not be shared across goroutines without external
 // synchronization; give each concurrent request its own.
@@ -36,8 +35,11 @@ type RunInfo struct {
 	BreakerState string
 }
 
-// observe folds one kernel run's stats into the info.
+// observe folds one kernel run's stats into the info; a nil info drops them.
 func (ri *RunInfo) observe(stats core.RunStats) {
+	if ri == nil {
+		return
+	}
 	ri.Runs++
 	ri.SimCycles += stats.SimCycles
 	if stats.Fallback {
@@ -65,26 +67,4 @@ func (ri *RunInfo) Merge(o RunInfo) {
 	if o.BreakerState != "" {
 		ri.BreakerState = o.BreakerState
 	}
-}
-
-// track routes one kernel run's stats either to the caller's RunInfo (the
-// request-scoped path: no graph state touched, safe under concurrency) or,
-// when info is nil, to the legacy per-Graph counters for compatibility
-// with the deprecated Apply/UseContext surface.
-func (g *Graph) track(info *RunInfo, stats core.RunStats) {
-	if info != nil {
-		info.observe(stats)
-		return
-	}
-	g.record(stats)
-}
-
-// execCtx resolves the context a kernel run executes under: the per-call
-// ctx when one was given to ApplyCtx, else the graph-wide context of the
-// deprecated UseContext path.
-func (g *Graph) execCtx(ctx context.Context) context.Context {
-	if ctx != nil {
-		return ctx
-	}
-	return g.runCtx()
 }

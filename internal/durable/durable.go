@@ -36,9 +36,9 @@ import (
 	"math"
 )
 
-// Magic is the 4-byte signature of every durable container file. Readers of
-// formats that migrated from older ad-hoc layouts sniff it to route between
-// the container parser and their legacy path.
+// Magic is the 4-byte signature of every durable container file. Loaders
+// that accept several container kinds sniff it (with the kind string after
+// it) to route a file to the right reader.
 var Magic = [4]byte{'F', 'G', 'D', 'C'}
 
 // ContainerVersion is the layout revision of the container itself,

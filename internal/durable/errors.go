@@ -72,7 +72,7 @@ func IsCorrupt(err error) bool {
 
 // NewCorruptError constructs a CorruptError and records the detection in
 // the featgraph_durable_corrupt_reads_total counter. Format owners outside
-// this package (graphio's legacy parser, checkpoint loaders) use it so
+// this package (graphio's section decoders, checkpoint loaders) use it so
 // their own validation failures count alongside container-level ones.
 func NewCorruptError(path, kind, section, reason string, err error) *CorruptError {
 	if telemetry.Enabled() {

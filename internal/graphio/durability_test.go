@@ -6,90 +6,74 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"featgraph/internal/durable"
 	"featgraph/internal/faultinject"
 	"featgraph/internal/sparse"
-	"featgraph/internal/tensor"
 )
 
-// writeLegacyGraph reproduces the v1 on-disk layout byte-for-byte, so the
-// legacy-read path stays pinned even though the writer moved on.
-func writeLegacyGraph(w io.Writer, g *sparse.CSR) error {
-	if _, err := w.Write([]byte("FGG1")); err != nil {
-		return err
-	}
-	hdr := []uint32{uint32(g.NumRows), uint32(g.NumCols), uint32(g.NNZ())}
-	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
-		return err
-	}
-	for _, arr := range [][]int32{g.RowPtr, g.ColIdx, g.EID} {
-		if err := binary.Write(w, binary.LittleEndian, arr); err != nil {
-			return err
-		}
-	}
-	return binary.Write(w, binary.LittleEndian, g.Val)
-}
+// v1Graph is a well-formed file in the unchecksummed v1 layout that
+// predates the container ("FGG1", u32 rows/cols/nnz, then rowptr, colidx,
+// eid and val): a 2×2 graph with one edge. No reader accepts it any more.
+var v1Graph = append(append([]byte("FGG1"), le32(2, 2, 1, 0, 1, 1, 0, 0)...), le32(math.Float32bits(1))...)
 
-func writeLegacyTensor(w io.Writer, t *tensor.Tensor) error {
-	if _, err := w.Write([]byte("FGT1")); err != nil {
-		return err
-	}
-	shape := t.Shape()
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(shape))); err != nil {
-		return err
-	}
-	for _, d := range shape {
-		if err := binary.Write(w, binary.LittleEndian, uint32(d)); err != nil {
-			return err
-		}
-	}
-	return binary.Write(w, binary.LittleEndian, t.Data())
-}
-
-func TestLegacyGraphStillLoads(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := sparse.Random(rng, 40, 30, 5)
-	for i := range g.Val {
-		g.Val[i] = rng.Float32()
-	}
-	var buf bytes.Buffer
-	if err := writeLegacyGraph(&buf, g); err != nil {
+// TestLoadAnyGraphRejectsV1File: a v1 file handed to the tools' loader
+// fails the container's magic check with a typed error naming the file,
+// which is what `traingnn -graph old.fgg` reports.
+func TestLoadAnyGraphRejectsV1File(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.fgg")
+	if err := os.WriteFile(path, v1Graph, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadGraph(&buf)
-	if err != nil {
-		t.Fatalf("legacy graph failed to load: %v", err)
+	_, err := LoadAnyGraph(path)
+	var ce *durable.CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want *durable.CorruptError, got %T: %v", err, err)
 	}
-	if got.NNZ() != g.NNZ() || got.NumRows != g.NumRows {
-		t.Fatal("legacy graph changed in load")
-	}
-	for i := range g.ColIdx {
-		if got.ColIdx[i] != g.ColIdx[i] || got.Val[i] != g.Val[i] {
-			t.Fatalf("legacy entry %d changed", i)
-		}
+	if ce.Path != path || ce.Kind != graphKind || !strings.Contains(ce.Reason, "bad magic") {
+		t.Fatalf("error %+v, want kind %q, path %q and a bad-magic reason", ce, graphKind, path)
 	}
 }
 
-func TestLegacyTensorStillLoads(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	x := tensor.New(6, 4)
-	x.FillUniform(rng, -1, 1)
+// TestValSectionLengthMismatchReportsGraphKind: a container whose sections
+// all checksum cleanly but whose val section disagrees with the header's
+// edge count is damage to a graph, reported against the val section.
+func TestValSectionLengthMismatchReportsGraphKind(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeLegacyTensor(&buf, x); err != nil {
+	dw, err := durable.NewWriter(&buf, graphKind, graphVersion, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTensor(&buf)
-	if err != nil {
-		t.Fatalf("legacy tensor failed to load: %v", err)
+	for _, sec := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"header", le32(2, 2, 1)}, // one edge declared
+		{"rowptr", le32(0, 1, 1)},
+		{"colidx", le32(0)},
+		{"eid", le32(0)},
+		{"val", le32(math.Float32bits(1), math.Float32bits(2))}, // two values stored
+	} {
+		if err := dw.Section(sec.name, sec.payload); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !got.AllClose(x, 0) {
-		t.Fatal("legacy tensor changed in load")
+	if err := dw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReadGraph(&buf)
+	var ce *durable.CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want *durable.CorruptError, got %T: %v", err, err)
+	}
+	if ce.Kind != graphKind || ce.Section != "val" {
+		t.Fatalf("error kind %q section %q, want %q and %q", ce.Kind, ce.Section, graphKind, "val")
 	}
 }
 
@@ -125,23 +109,20 @@ func TestSaveGraphSurvivesTornWrite(t *testing.T) {
 	}
 }
 
-func TestSaveTensorSurvivesFsyncFailure(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "x.fgt")
-	x := tensor.New(3, 3)
-	x.Fill(1.5)
-	if err := SaveTensor(path, x); err != nil {
+func TestSaveGraphSurvivesFsyncFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.fgg")
+	rng := rand.New(rand.NewSource(11))
+	old := sparse.Random(rng, 20, 20, 3)
+	if err := SaveGraph(path, old); err != nil {
 		t.Fatal(err)
 	}
-	y := tensor.New(3, 3)
-	y.Fill(-2)
 	defer faultinject.Arm(faultinject.SiteDurableFsync, &faultinject.Fault{Kind: faultinject.Err})()
-	if err := SaveTensor(path, y); err == nil {
+	if err := SaveGraph(path, sparse.Random(rng, 30, 30, 4)); err == nil {
 		t.Fatal("fsync failure should fail the save")
 	}
-	got, err := LoadTensor(path)
-	if err != nil || !got.AllClose(x, 0) {
-		t.Fatalf("previous tensor damaged: %v", err)
+	got, err := LoadGraph(path)
+	if err != nil || got.NumRows != old.NumRows || got.NNZ() != old.NNZ() {
+		t.Fatalf("previous graph damaged: %v", err)
 	}
 }
 
@@ -158,23 +139,6 @@ func TestCorruptionMatrixGraphFormat(t *testing.T) {
 	}
 	err := durable.VerifyReader(buf.Bytes(), func(data []byte) error {
 		_, err := ReadGraph(bytes.NewReader(data))
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCorruptionMatrixTensorFormat(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	x := tensor.New(9, 5)
-	x.FillUniform(rng, -2, 2)
-	var buf bytes.Buffer
-	if err := WriteTensor(&buf, x); err != nil {
-		t.Fatal(err)
-	}
-	err := durable.VerifyReader(buf.Bytes(), func(data []byte) error {
-		_, err := ReadTensor(bytes.NewReader(data))
 		return err
 	})
 	if err != nil {
@@ -224,31 +188,19 @@ func TestCorruptionMatrixShardFormat(t *testing.T) {
 	}
 }
 
-// Legacy files carry no checksums, so bit flips in payload data are
-// undetectable by construction — but truncation anywhere must still
-// produce a typed error, and no input may panic the reader.
+// v1 bytes — whole, truncated anywhere, or with adversarial headers that
+// once drove giant allocations — must fail with a typed error, never a
+// panic.
 func TestLegacyTruncationYieldsTypedErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	g := sparse.Random(rng, 15, 15, 3)
-	var buf bytes.Buffer
-	if err := writeLegacyGraph(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	for cut := 0; cut < len(data); cut += max(len(data)/37, 1) {
-		_, err := ReadGraph(bytes.NewReader(data[:cut]))
-		if err == nil {
-			t.Fatalf("truncation at %d silently accepted", cut)
-		}
+	for cut := 0; cut <= len(v1Graph); cut++ {
+		_, err := ReadGraph(bytes.NewReader(v1Graph[:cut]))
 		var ce *durable.CorruptError
 		if !errors.As(err, &ce) {
-			t.Fatalf("truncation at %d gave untyped error %T: %v", cut, err, err)
+			t.Fatalf("v1 prefix of %d bytes gave %T: %v", cut, err, err)
 		}
 	}
 }
 
-// Adversarial legacy headers: huge declared sizes must fail with a typed
-// error quickly, without attempting giant allocations.
 func TestLegacyAdversarialHeaders(t *testing.T) {
 	cases := map[string][]byte{
 		// nnz = 2^30 declared, no data following.
@@ -257,28 +209,18 @@ func TestLegacyAdversarialHeaders(t *testing.T) {
 		"huge-rows": append([]byte("FGG1"), le32(1<<30, 10, 5)...),
 		// Header fields beyond the plausibility cap.
 		"over-cap": append([]byte("FGG1"), le32(1<<31-1, 1, 1)...),
-		// rowptr that disagrees with declared nnz (rowptr says 0 edges,
-		// header says 4): must fail before allocating edge arrays.
+		// rowptr that disagrees with declared nnz.
 		"nnz-mismatch": append(append([]byte("FGG1"), le32(1, 1, 4)...), le32(0, 0)...),
-		// Tensor with a giant rank.
-		"tensor-rank": append([]byte("FGT1"), le32(1<<20)...),
-		// Tensor whose dimension product overflows.
+		// v1 tensor files: a giant rank, an overflowing dimension product.
+		"tensor-rank":     append([]byte("FGT1"), le32(1<<20)...),
 		"tensor-overflow": append([]byte("FGT1"), le32(4, 1<<30, 1<<30, 1<<30, 1<<30)...),
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			var err error
-			if bytes.HasPrefix(data, []byte("FGT")) {
-				_, err = ReadTensor(bytes.NewReader(data))
-			} else {
-				_, err = ReadGraph(bytes.NewReader(data))
-			}
-			if err == nil {
-				t.Fatal("adversarial header accepted")
-			}
+			_, err := ReadGraph(bytes.NewReader(data))
 			var ce *durable.CorruptError
 			if !errors.As(err, &ce) {
-				t.Fatalf("untyped error %T: %v", err, err)
+				t.Fatalf("want *durable.CorruptError, got %T: %v", err, err)
 			}
 		})
 	}

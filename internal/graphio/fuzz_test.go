@@ -9,7 +9,6 @@ import (
 
 	"featgraph/internal/durable"
 	"featgraph/internal/sparse"
-	"featgraph/internal/tensor"
 )
 
 // The durability contract under fuzzing: arbitrary bytes fed to a loader
@@ -17,7 +16,7 @@ import (
 // error (*durable.CorruptError / *durable.VersionError). Panics, untyped
 // errors, and structurally invalid "successes" are all bugs. Accepted
 // inputs must also round-trip: re-encoding and re-reading yields the same
-// object, so the two format generations stay mutually coherent.
+// object.
 
 func requireTypedOrNil(t *testing.T, err error) {
 	t.Helper()
@@ -32,8 +31,9 @@ func requireTypedOrNil(t *testing.T, err error) {
 }
 
 func FuzzLoadGraph(f *testing.F) {
-	// Well-formed seeds in both generations plus historical crashers:
-	// headers declaring huge arrays used to drive giant allocations.
+	// A well-formed container, then v1 bytes that must now be rejected
+	// with a typed error: a whole v1 file and the historical crashers
+	// whose headers declared huge arrays.
 	rng := rand.New(rand.NewSource(1))
 	g := sparse.Random(rng, 12, 10, 3)
 	var v2 bytes.Buffer
@@ -41,11 +41,7 @@ func FuzzLoadGraph(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v2.Bytes())
-	var v1 bytes.Buffer
-	if err := writeLegacyGraph(&v1, g); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v1.Bytes())
+	f.Add(v1Graph)
 	f.Add(append([]byte("FGG1"), le32(100, 100, 1<<30)...))
 	f.Add(append([]byte("FGG1"), le32(1<<30, 1<<30, 1<<29)...))
 	f.Add([]byte("FGDC"))
@@ -69,44 +65,6 @@ func FuzzLoadGraph(f *testing.F) {
 		}
 		if again.NumRows != got.NumRows || again.NumCols != got.NumCols || again.NNZ() != got.NNZ() {
 			t.Fatal("round trip changed dimensions")
-		}
-	})
-}
-
-func FuzzLoadTensor(f *testing.F) {
-	rng := rand.New(rand.NewSource(2))
-	x := tensor.New(5, 3)
-	x.FillUniform(rng, -1, 1)
-	var v2 bytes.Buffer
-	if err := WriteTensor(&v2, x); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2.Bytes())
-	var v1 bytes.Buffer
-	if err := writeLegacyTensor(&v1, x); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v1.Bytes())
-	// Historical crashers: giant rank, overflowing dimension products.
-	f.Add(append([]byte("FGT1"), le32(1<<20)...))
-	f.Add(append([]byte("FGT1"), le32(4, 1<<30, 1<<30, 1<<30, 1<<30)...))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadTensor(bytes.NewReader(data))
-		requireTypedOrNil(t, err)
-		if err != nil {
-			return
-		}
-		var re bytes.Buffer
-		if err := WriteTensor(&re, got); err != nil {
-			t.Fatalf("re-encoding accepted tensor failed: %v", err)
-		}
-		again, err := ReadTensor(&re)
-		if err != nil {
-			t.Fatalf("re-reading re-encoded tensor failed: %v", err)
-		}
-		if !again.AllClose(got, 0) && !hasNaN(got) {
-			t.Fatal("round trip changed tensor")
 		}
 	})
 }
@@ -179,15 +137,4 @@ func FuzzLoadShard(f *testing.F) {
 			t.Fatal("round trip changed dimensions")
 		}
 	})
-}
-
-// hasNaN reports whether the tensor holds any NaN (NaN != NaN breaks the
-// bitwise AllClose comparison for legitimately-parsed NaN payloads).
-func hasNaN(t *tensor.Tensor) bool {
-	for _, v := range t.Data() {
-		if v != v {
-			return true
-		}
-	}
-	return false
 }

@@ -1,21 +1,15 @@
-// Package graphio serializes graphs and feature tensors in a compact
-// binary format, so generated benchmark datasets can be produced once
-// (cmd/featgen) and reloaded across runs instead of being regenerated.
+// Package graphio serializes graphs in a compact binary format, so
+// generated benchmark datasets can be produced once (cmd/featgen) and
+// reloaded across runs instead of being regenerated.
 //
-// Current format (v2): a durable section container (internal/durable) with
-// per-section CRC32-C checksums and a versioned header. Graphs are kind
-// "graph" with sections header/rowptr/colidx/eid/val; tensors are kind
-// "tensor" with sections shape/data. Files are written atomically
-// (temp + fsync + rename), so a crash mid-save leaves the previous file
-// intact instead of a truncated hybrid, and any corruption surfaces as a
-// typed *durable.CorruptError — never a panic, never silently wrong data.
-//
-// Legacy format (v1, read-only): magic "FGG1"/"FGT1" followed by raw
-// little-endian arrays with no checksums. Readers sniff the magic and
-// still load v1 files, with hardened header validation: declared lengths
-// are cross-checked against structure before allocation, and arrays are
-// read in bounded chunks so an adversarial header cannot force a giant
-// allocation or a slice-bounds panic.
+// A graph file is a durable section container (internal/durable) of kind
+// "graph", version 2, with per-section CRC32-C checksums and sections
+// header/rowptr/colidx/eid/val; shard.go adds the sharded out-of-core kind.
+// Files are written atomically (temp + fsync + rename), so a crash mid-save
+// leaves the previous file intact instead of a truncated hybrid, and any
+// corruption surfaces as a typed *durable.CorruptError — never a panic,
+// never silently wrong data. Any other bytes, including the unchecksummed
+// v1 layout that predates the container, fail the container's magic check.
 package graphio
 
 import (
@@ -30,33 +24,23 @@ import (
 
 	"featgraph/internal/durable"
 	"featgraph/internal/sparse"
-	"featgraph/internal/tensor"
-)
-
-var (
-	legacyGraphMagic  = [4]byte{'F', 'G', 'G', '1'}
-	legacyTensorMagic = [4]byte{'F', 'G', 'T', '1'}
 )
 
 const (
-	graphKind     = "graph"
-	graphVersion  = 2
-	tensorKind    = "tensor"
-	tensorVersion = 2
-	// maxDim bounds declared dimensions and edge counts in both formats.
+	graphKind    = "graph"
+	graphVersion = 2
+	// maxDim bounds declared dimensions and edge counts.
 	maxDim = 1 << 30
-	// maxRank bounds tensor rank.
-	maxRank = 8
 )
 
-// LimitError reports a graph or tensor whose counts exceed what a format
-// can represent. Writers return it instead of narrowing counts through
-// fixed-width casts: the v2 graph/tensor headers store u32 counts (and
+// LimitError reports a graph whose counts exceed what a format can
+// represent. Writers return it instead of narrowing counts through
+// fixed-width casts: the v2 graph header stores u32 counts (and
 // readers reject anything past maxDim), so a count past the limit used to
 // truncate silently — exactly the failure mode that corrupts the large
 // graphs the out-of-core shard format exists to serve.
 type LimitError struct {
-	Kind  string // "graph", "tensor", or "gshard"
+	Kind  string // "graph" or "gshard"
 	Field string // which count exceeded the limit
 	Value int64
 	Max   int64
@@ -76,24 +60,6 @@ func graphLimits(numRows, numCols, nnz int) error {
 		if c.v > maxDim {
 			return &LimitError{Kind: graphKind, Field: c.field, Value: c.v, Max: maxDim}
 		}
-	}
-	return nil
-}
-
-// tensorLimits validates a tensor's shape against the format: bounded
-// rank, bounded dimensions, and a total element count the reader's
-// overflow check (decodeShape) will accept back.
-func tensorLimits(shape []int, total int) error {
-	if len(shape) > maxRank {
-		return &LimitError{Kind: tensorKind, Field: "rank", Value: int64(len(shape)), Max: maxRank}
-	}
-	for _, d := range shape {
-		if d > maxDim {
-			return &LimitError{Kind: tensorKind, Field: "dim", Value: int64(d), Max: maxDim}
-		}
-	}
-	if total > math.MaxInt32 {
-		return &LimitError{Kind: tensorKind, Field: "elements", Value: int64(total), Max: math.MaxInt32}
 	}
 	return nil
 }
@@ -137,22 +103,10 @@ func WriteGraph(w io.Writer, g *sparse.CSR) error {
 	return bw.Flush()
 }
 
-// ReadGraph deserializes a CSR matrix from either format, validating
-// structure. Corruption yields a typed *durable.CorruptError.
+// ReadGraph deserializes a CSR matrix, validating structure. Corruption
+// yields a typed *durable.CorruptError.
 func ReadGraph(r io.Reader) (*sparse.CSR, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(4)
-	if err != nil {
-		return nil, corruptf(graphKind, "", "short magic", err)
-	}
-	if [4]byte(magic) == legacyGraphMagic {
-		return readLegacyGraph(br)
-	}
-	return readGraphContainer(br)
-}
-
-func readGraphContainer(r io.Reader) (*sparse.CSR, error) {
-	dr, err := durable.OpenReader(r, "", graphKind, graphVersion)
+	dr, err := durable.OpenReader(bufio.NewReader(r), "", graphKind, graphVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -193,177 +147,6 @@ func readGraphContainer(r io.Reader) (*sparse.CSR, error) {
 	return g, nil
 }
 
-// readLegacyGraph loads the unchecksummed v1 layout. The rowptr array is
-// read and validated first, so the declared nnz is cross-checked against
-// RowPtr[numRows] before the three nnz-sized arrays are allocated — a lying
-// header fails fast instead of forcing gigabytes of allocation.
-func readLegacyGraph(br io.Reader) (*sparse.CSR, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, corruptf(graphKind, "", "short magic", err)
-	}
-	var hdr [3]uint32
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
-		return nil, corruptf(graphKind, "header", "short header", err)
-	}
-	numRows, numCols, nnz := int(hdr[0]), int(hdr[1]), int(hdr[2])
-	if numRows > maxDim || numCols > maxDim || nnz > maxDim {
-		return nil, corruptf(graphKind, "header", fmt.Sprintf("implausible header %v", hdr), nil)
-	}
-	g := &sparse.CSR{NumRows: numRows, NumCols: numCols}
-	rowPtr, err := readInt32s(br, numRows+1, "rowptr")
-	if err != nil {
-		return nil, err
-	}
-	g.RowPtr = rowPtr
-	// Cross-check before allocating nnz-sized arrays: monotone prefix sums
-	// ending exactly at the declared edge count.
-	if rowPtr[0] != 0 || int(rowPtr[numRows]) != nnz {
-		return nil, corruptf(graphKind, "rowptr",
-			fmt.Sprintf("rowptr ends at %d, header declares %d edges", rowPtr[numRows], nnz), nil)
-	}
-	for r := 0; r < numRows; r++ {
-		if rowPtr[r] > rowPtr[r+1] {
-			return nil, corruptf(graphKind, "rowptr", fmt.Sprintf("not monotone at row %d", r), nil)
-		}
-	}
-	if g.ColIdx, err = readInt32s(br, nnz, "colidx"); err != nil {
-		return nil, err
-	}
-	if g.EID, err = readInt32s(br, nnz, "eid"); err != nil {
-		return nil, err
-	}
-	if g.Val, err = readFloat32s(br, nnz, "val"); err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, corruptf(graphKind, "", "structural validation failed", err)
-	}
-	return g, nil
-}
-
-// WriteTensor serializes a dense tensor in the current container format.
-// Shapes past the format's limit fail with a typed *LimitError instead of
-// silently truncating through the header's u32 fields.
-func WriteTensor(w io.Writer, t *tensor.Tensor) error {
-	if err := tensorLimits(t.Shape(), t.Len()); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	dw, err := durable.NewWriter(bw, tensorKind, tensorVersion, 2)
-	if err != nil {
-		return err
-	}
-	shape := t.Shape()
-	sh := make([]byte, 0, 4*(len(shape)+1))
-	sh = binary.LittleEndian.AppendUint32(sh, uint32(len(shape)))
-	for _, d := range shape {
-		sh = binary.LittleEndian.AppendUint32(sh, uint32(d))
-	}
-	if err := dw.Section("shape", sh); err != nil {
-		return err
-	}
-	if err := dw.Stream("data", 4*int64(t.Len()), streamFloat32s(t.Data())); err != nil {
-		return err
-	}
-	if err := dw.Close(); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadTensor deserializes a dense tensor from either format.
-func ReadTensor(r io.Reader) (*tensor.Tensor, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(4)
-	if err != nil {
-		return nil, corruptf(tensorKind, "", "short magic", err)
-	}
-	if [4]byte(magic) == legacyTensorMagic {
-		return readLegacyTensor(br)
-	}
-	return readTensorContainer(br)
-}
-
-func readTensorContainer(r io.Reader) (*tensor.Tensor, error) {
-	dr, err := durable.OpenReader(r, "", tensorKind, tensorVersion)
-	if err != nil {
-		return nil, err
-	}
-	sections, err := dr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	sh := sections["shape"]
-	if len(sh) < 4 || len(sh)%4 != 0 {
-		return nil, corruptf(tensorKind, "shape", fmt.Sprintf("shape section is %d bytes", len(sh)), nil)
-	}
-	rank := int(binary.LittleEndian.Uint32(sh[0:4]))
-	shape, total, err := decodeShape(rank, func(i int) (uint32, error) {
-		if 4+4*i+4 > len(sh) {
-			return 0, corruptf(tensorKind, "shape", "shape section shorter than its rank", nil)
-		}
-		return binary.LittleEndian.Uint32(sh[4+4*i : 8+4*i]), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	data, err := decodeFloat32s(sections["data"], total, "data")
-	if err != nil {
-		return nil, err
-	}
-	return tensor.FromSlice(data, shape...), nil
-}
-
-func readLegacyTensor(br io.Reader) (*tensor.Tensor, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, corruptf(tensorKind, "", "short magic", err)
-	}
-	var rank uint32
-	if err := binary.Read(br, binary.LittleEndian, &rank); err != nil {
-		return nil, corruptf(tensorKind, "shape", "short rank", err)
-	}
-	shape, total, err := decodeShape(int(rank), func(int) (uint32, error) {
-		var d uint32
-		if err := binary.Read(br, binary.LittleEndian, &d); err != nil {
-			return 0, corruptf(tensorKind, "shape", "short shape", err)
-		}
-		return d, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	data, err := readFloat32s(br, total, "data")
-	if err != nil {
-		return nil, err
-	}
-	return tensor.FromSlice(data, shape...), nil
-}
-
-// decodeShape validates a declared rank and dimension list, returning the
-// shape and total element count. Dimension products are overflow-checked
-// before any allocation happens.
-func decodeShape(rank int, dim func(i int) (uint32, error)) ([]int, int, error) {
-	if rank < 0 || rank > maxRank {
-		return nil, 0, corruptf(tensorKind, "shape", fmt.Sprintf("implausible rank %d", rank), nil)
-	}
-	shape := make([]int, rank)
-	total := 1
-	for i := range shape {
-		d, err := dim(i)
-		if err != nil {
-			return nil, 0, err
-		}
-		if d > maxDim || (total > 0 && int(d) > math.MaxInt32/max(total, 1)) {
-			return nil, 0, corruptf(tensorKind, "shape", fmt.Sprintf("implausible dimension %d", d), nil)
-		}
-		shape[i] = int(d)
-		total *= int(d)
-	}
-	return shape, total, nil
-}
-
 // SaveGraph durably writes a graph to a file: a crash mid-save leaves any
 // previous file intact.
 func SaveGraph(path string, g *sparse.CSR) error {
@@ -373,7 +156,7 @@ func SaveGraph(path string, g *sparse.CSR) error {
 	})
 }
 
-// LoadGraph reads a graph from a file (either format version).
+// LoadGraph reads a graph from a file.
 func LoadGraph(path string) (*sparse.CSR, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -382,25 +165,6 @@ func LoadGraph(path string) (*sparse.CSR, error) {
 	defer f.Close()
 	g, err := ReadGraph(f)
 	return g, withPath(err, path)
-}
-
-// SaveTensor durably writes a tensor to a file.
-func SaveTensor(path string, t *tensor.Tensor) error {
-	durable.SweepTempsOnce(filepath.Dir(path))
-	return durable.AtomicWriteFile(path, func(w io.Writer) error {
-		return WriteTensor(w, t)
-	})
-}
-
-// LoadTensor reads a tensor from a file (either format version).
-func LoadTensor(path string) (*tensor.Tensor, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	t, err := ReadTensor(f)
-	return t, withPath(err, path)
 }
 
 // withPath stamps the file path onto typed errors from the stream readers,
@@ -482,7 +246,7 @@ func decodeInt32s(payload []byte, want int, section string) ([]int32, error) {
 
 func decodeFloat32s(payload []byte, want int, section string) ([]float32, error) {
 	if len(payload) != 4*want {
-		return nil, corruptf(tensorKind, section,
+		return nil, corruptf(graphKind, section,
 			fmt.Sprintf("section is %d bytes, want %d elements (%d bytes)", len(payload), want, 4*want), nil)
 	}
 	arr := make([]float32, want)
@@ -490,43 +254,4 @@ func decodeFloat32s(payload []byte, want int, section string) ([]float32, error)
 		arr[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
 	}
 	return arr, nil
-}
-
-// readInt32s reads exactly n int32s from an unchecksummed legacy stream in
-// bounded chunks, so a lying header fails with a typed error before any
-// giant allocation.
-func readInt32s(r io.Reader, n int, section string) ([]int32, error) {
-	if n < 0 || n > maxDim+1 {
-		return nil, corruptf(graphKind, section, fmt.Sprintf("implausible element count %d", n), nil)
-	}
-	out := make([]int32, 0, min(n, ioChunk/4))
-	buf := make([]byte, min(4*n, ioChunk))
-	for len(out) < n {
-		step := min(n-len(out), ioChunk/4)
-		if _, err := io.ReadFull(r, buf[:4*step]); err != nil {
-			return nil, corruptf(graphKind, section, "truncated array", err)
-		}
-		for i := 0; i < step; i++ {
-			out = append(out, int32(binary.LittleEndian.Uint32(buf[4*i:])))
-		}
-	}
-	return out, nil
-}
-
-func readFloat32s(r io.Reader, n int, section string) ([]float32, error) {
-	if n < 0 || n > maxDim+1 {
-		return nil, corruptf(tensorKind, section, fmt.Sprintf("implausible element count %d", n), nil)
-	}
-	out := make([]float32, 0, min(n, ioChunk/4))
-	buf := make([]byte, min(4*n, ioChunk))
-	for len(out) < n {
-		step := min(n-len(out), ioChunk/4)
-		if _, err := io.ReadFull(r, buf[:4*step]); err != nil {
-			return nil, corruptf(tensorKind, section, "truncated array", err)
-		}
-		for i := 0; i < step; i++ {
-			out = append(out, math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
-		}
-	}
-	return out, nil
 }

@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"featgraph/internal/sparse"
-	"featgraph/internal/tensor"
 )
 
 func TestGraphRoundTrip(t *testing.T) {
@@ -55,26 +54,6 @@ func TestGraphRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestTensorRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	x := tensor.New(7, 3, 2)
-	x.FillUniform(rng, -5, 5)
-	var buf bytes.Buffer
-	if err := WriteTensor(&buf, x); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTensor(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.AllClose(x, 0) {
-		t.Fatal("tensor changed in round trip")
-	}
-	if got.Rank() != 3 || got.Dim(2) != 2 {
-		t.Fatal("shape changed")
-	}
-}
-
 func TestRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := sparse.Random(rng, 10, 10, 2)
@@ -94,8 +73,7 @@ func TestRejectsCorruption(t *testing.T) {
 	if _, err := ReadGraph(bytes.NewReader(data[:len(data)/2])); err == nil {
 		t.Error("truncation should fail")
 	}
-	// Corrupt a column index beyond NumCols (first colIdx word sits after
-	// magic + 3 header words + rowPtr words).
+	// A damaged byte inside the sections fails a checksum.
 	off := 4 + 3*4 + (g.NumRows+1)*4
 	bad = append([]byte(nil), data...)
 	bad[off] = 0xFF
@@ -105,17 +83,13 @@ func TestRejectsCorruption(t *testing.T) {
 	if _, err := ReadGraph(bytes.NewReader(bad)); err == nil {
 		t.Error("corrupt column index should fail validation")
 	}
-	// Wrong magic kind.
-	x := tensor.New(2, 2)
-	var tbuf bytes.Buffer
-	if err := WriteTensor(&tbuf, x); err != nil {
+	// Another container kind.
+	var sbuf bytes.Buffer
+	if err := WriteSharded(&sbuf, g, 16); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadGraph(bytes.NewReader(tbuf.Bytes())); err == nil {
-		t.Error("tensor bytes should not parse as graph")
-	}
-	if _, err := ReadTensor(bytes.NewReader(data)); err == nil {
-		t.Error("graph bytes should not parse as tensor")
+	if _, err := ReadGraph(bytes.NewReader(sbuf.Bytes())); err == nil {
+		t.Error("sharded bytes should not parse as graph")
 	}
 }
 
@@ -143,20 +117,6 @@ func TestFileHelpers(t *testing.T) {
 		t.Fatal("file round trip changed graph")
 	}
 
-	x := tensor.New(4, 4)
-	x.FillUniform(rng, 0, 1)
-	tp := filepath.Join(dir, "x.fgt")
-	if err := SaveTensor(tp, x); err != nil {
-		t.Fatal(err)
-	}
-	gotT, err := LoadTensor(tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gotT.AllClose(x, 0) {
-		t.Fatal("file round trip changed tensor")
-	}
-
 	if _, err := LoadGraph(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("missing file should error")
 	}
@@ -168,10 +128,8 @@ func TestFileHelpers(t *testing.T) {
 func TestSaveSweepsStaleTemps(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := sparse.Random(rng, 16, 16, 3)
-	x := tensor.New(3, 3)
 	cases := map[string]func(dir string) error{
 		"graph":   func(dir string) error { return SaveGraph(filepath.Join(dir, "g.fgg"), g) },
-		"tensor":  func(dir string) error { return SaveTensor(filepath.Join(dir, "x.fgt"), x) },
 		"sharded": func(dir string) error { return SaveSharded(filepath.Join(dir, "g.fgs"), g, 16) },
 	}
 	for name, save := range cases {

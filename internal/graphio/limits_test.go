@@ -3,18 +3,16 @@ package graphio
 import (
 	"errors"
 	"io"
-	"math"
 	"testing"
 
 	"featgraph/internal/sparse"
-	"featgraph/internal/tensor"
 )
 
-// These are the regressions for the silent-truncation bug: WriteGraph and
-// WriteTensor narrow counts to u32 header fields, so any count past the
-// format limit used to wrap silently and produce a well-checksummed file
-// describing a different object. Writers must now refuse with a typed
-// *LimitError before emitting a single byte.
+// These are the regressions for the silent-truncation bug: WriteGraph
+// narrows counts to u32 header fields, so any count past the format limit
+// used to wrap silently and produce a well-checksummed file describing a
+// different graph. Writers must now refuse with a typed *LimitError before
+// emitting a single byte.
 
 func wantLimitError(t *testing.T, err error, field string) {
 	t.Helper()
@@ -60,28 +58,6 @@ func TestGraphLimitsBounds(t *testing.T) {
 	wantLimitError(t, graphLimits(maxDim+1, 1, 1), "rows")
 	wantLimitError(t, graphLimits(1, maxDim+1, 1), "cols")
 	wantLimitError(t, graphLimits(1, 1, maxDim+1), "nnz")
-}
-
-func TestWriteTensorRefusesOversizedShapes(t *testing.T) {
-	t.Run("rank", func(t *testing.T) {
-		x := tensor.New(1, 1, 1, 1, 1, 1, 1, 1, 1) // rank 9 > maxRank 8
-		wantLimitError(t, WriteTensor(io.Discard, x), "rank")
-	})
-	t.Run("dim", func(t *testing.T) {
-		// A huge dimension with a zero-size sibling keeps the element count
-		// at zero, so the oversized shape costs no memory to construct.
-		x := tensor.FromSlice([]float32{}, maxDim+1, 0)
-		wantLimitError(t, WriteTensor(io.Discard, x), "dim")
-	})
-}
-
-func TestTensorLimitsBounds(t *testing.T) {
-	if err := tensorLimits([]int{maxDim, 1}, maxDim); err != nil {
-		t.Fatalf("shape at the limit must pass: %v", err)
-	}
-	wantLimitError(t, tensorLimits(make([]int, maxRank+1), 0), "rank")
-	wantLimitError(t, tensorLimits([]int{maxDim + 1}, 0), "dim")
-	wantLimitError(t, tensorLimits([]int{2, 2}, math.MaxInt32+1), "elements")
 }
 
 // A graph at exactly the limit still writes; one past it never reaches the

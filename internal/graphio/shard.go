@@ -632,11 +632,12 @@ func shardCorrupt(path, section, reason string, err error) error {
 	return durable.NewCorruptError(path, shardKind, section, reason, err)
 }
 
-// LoadAnyGraph reads a graph from path regardless of on-disk format:
-// legacy v1, the v2 container, or the sharded out-of-core format —
-// sharded files are assembled into one in-memory CSR (use OpenSharded to
-// stream one instead). This is the loader tools should reach for when
-// the user hands them "a graph file".
+// LoadAnyGraph reads a graph from path in either on-disk kind: the graph
+// container or the sharded out-of-core format — sharded files are
+// assembled into one in-memory CSR (use OpenSharded to stream one
+// instead). This is the loader tools should reach for when the user hands
+// them "a graph file". Anything else, a v1 file included, fails with a
+// *durable.CorruptError carrying the path.
 func LoadAnyGraph(path string) (*sparse.CSR, error) {
 	sharded, err := sniffSharded(path)
 	if err != nil {
@@ -656,8 +657,8 @@ func LoadAnyGraph(path string) (*sparse.CSR, error) {
 
 // sniffSharded reports whether path holds a durable container of the
 // sharded kind, by peeking at the container preamble's kind string.
-// Legacy files, v2 graph containers, and garbage all report false and are
-// left for the other readers to parse (and produce their own errors for).
+// Graph containers and garbage both report false and are left for
+// LoadGraph to parse (and produce its own error for).
 func sniffSharded(path string) (bool, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -47,7 +48,7 @@ func TestCheckpointResumeBitwiseIdentical(t *testing.T) {
 	optA := NewAdam(0.05)
 	var lossA []float64
 	for e := 0; e < 8; e++ {
-		loss, err := TrainEpoch(mA, ds.Features, ds.Labels, ds.TrainMask, optA)
+		loss, _, err := TrainEpochCtx(context.Background(), mA, ds.Features, ds.Labels, ds.TrainMask, optA)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +58,7 @@ func TestCheckpointResumeBitwiseIdentical(t *testing.T) {
 	mB := newGCN(t, g, 2)
 	optB := NewAdam(0.05)
 	for e := 0; e < 4; e++ {
-		if _, err := TrainEpoch(mB, ds.Features, ds.Labels, ds.TrainMask, optB); err != nil {
+		if _, _, err := TrainEpochCtx(context.Background(), mB, ds.Features, ds.Labels, ds.TrainMask, optB); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,7 +84,7 @@ func TestCheckpointResumeBitwiseIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for e := 4; e < 8; e++ {
-		loss, err := TrainEpoch(mC, ds.Features, ds.Labels, ds.TrainMask, optC)
+		loss, _, err := TrainEpochCtx(context.Background(), mC, ds.Features, ds.Labels, ds.TrainMask, optC)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func TestCheckpointSaveSurvivesTornWrite(t *testing.T) {
 	ds, g := trainSetup(t, 4)
 	m := newGCN(t, g, 1)
 	opt := NewAdam(0.05)
-	if _, err := TrainEpoch(m, ds.Features, ds.Labels, ds.TrainMask, opt); err != nil {
+	if _, _, err := TrainEpochCtx(context.Background(), m, ds.Features, ds.Labels, ds.TrainMask, opt); err != nil {
 		t.Fatal(err)
 	}
 	if err := SaveCheckpoint(path, 1, 0.5, m, opt); err != nil {
@@ -154,7 +155,7 @@ func TestCheckpointSaveSurvivesTornWrite(t *testing.T) {
 	want := m.Params()[0].Clone()
 
 	defer faultinject.Arm(faultinject.SiteDurableTornWrite, &faultinject.Fault{Kind: faultinject.Err})()
-	if _, err := TrainEpoch(m, ds.Features, ds.Labels, ds.TrainMask, opt); err != nil {
+	if _, _, err := TrainEpochCtx(context.Background(), m, ds.Features, ds.Labels, ds.TrainMask, opt); err != nil {
 		t.Fatal(err)
 	}
 	if err := SaveCheckpoint(path, 2, 0.4, m, opt); err == nil {
@@ -180,7 +181,7 @@ func TestCorruptionMatrixCheckpointFormat(t *testing.T) {
 	ds, g := trainSetup(t, 5)
 	m := newGCN(t, g, 1)
 	opt := NewAdam(0.05)
-	if _, err := TrainEpoch(m, ds.Features, ds.Labels, ds.TrainMask, opt); err != nil {
+	if _, _, err := TrainEpochCtx(context.Background(), m, ds.Features, ds.Labels, ds.TrainMask, opt); err != nil {
 		t.Fatal(err)
 	}
 	if err := SaveCheckpoint(path, 1, 0.5, m, opt); err != nil {

@@ -64,16 +64,9 @@ func (m *MultiHeadGAT) headOutputs(ctx context.Context, tp *autodiff.Tape, x, w 
 	return outs
 }
 
-// Forward computes the multi-head GAT logits: layer 1 concatenates heads,
-// layer 2 averages them.
-//
-// Deprecated: use ForwardCtx.
-func (m *MultiHeadGAT) Forward(tp *autodiff.Tape, x *tensor.Tensor) (*autodiff.Var, []*autodiff.Var) {
-	return m.ForwardCtx(nil, tp, x, nil)
-}
-
 // ForwardCtx computes the multi-head GAT logits under a per-call context,
-// accumulating kernel stats onto info.
+// accumulating kernel stats onto info: layer 1 concatenates heads, layer 2
+// averages them.
 func (m *MultiHeadGAT) ForwardCtx(ctx context.Context, tp *autodiff.Tape, x *tensor.Tensor, info *dgl.RunInfo) (*autodiff.Var, []*autodiff.Var) {
 	w1, w2 := tp.Param(m.w1), tp.Param(m.w2)
 	h1 := tp.ReLU(tp.ConcatCols(m.headOutputs(ctx, tp, tp.Input(x), w1, m.fused1, info)))

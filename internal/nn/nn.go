@@ -16,16 +16,11 @@ import (
 
 // Model is a GNN whose forward pass produces per-vertex logits.
 type Model interface {
-	// Forward runs the model on the tape and returns the logits Var plus
-	// the parameter Vars (for the optimizer to read gradients from).
-	//
-	// Deprecated: use ForwardCtx; Forward runs under the graph-wide
-	// UseContext and accumulates stats onto shared Graph fields.
-	Forward(tp *autodiff.Tape, x *tensor.Tensor) (*autodiff.Var, []*autodiff.Var)
-	// ForwardCtx is Forward with a per-call context and stats sink: every
-	// kernel run the pass issues (forward now, backward when the tape
-	// unwinds) executes under ctx, and its statistics land on info. Both
-	// may be nil, which falls back to the legacy graph-wide behavior.
+	// ForwardCtx runs the model on the tape and returns the logits Var
+	// plus the parameter Vars (for the optimizer to read gradients from).
+	// Every kernel run the pass issues (forward now, backward when the tape
+	// unwinds) executes under ctx, and its statistics land on info (nil
+	// collects nothing).
 	ForwardCtx(ctx context.Context, tp *autodiff.Tape, x *tensor.Tensor, info *dgl.RunInfo) (*autodiff.Var, []*autodiff.Var)
 	// Params returns the trainable tensors.
 	Params() []*tensor.Tensor
@@ -54,13 +49,6 @@ func NewGCN(g *dgl.Graph, in, hidden, out int, rng *rand.Rand) (*GCN, error) {
 		return nil, fmt.Errorf("nn: gcn layer 2: %w", err)
 	}
 	return m, nil
-}
-
-// Forward computes logits = A·ReLU(A·(X W1)) W2.
-//
-// Deprecated: use ForwardCtx.
-func (m *GCN) Forward(tp *autodiff.Tape, x *tensor.Tensor) (*autodiff.Var, []*autodiff.Var) {
-	return m.ForwardCtx(nil, tp, x, nil)
 }
 
 // ForwardCtx computes logits = A·ReLU(A·(X W1)) W2 under a per-call
@@ -108,13 +96,6 @@ func NewGraphSage(g *dgl.Graph, in, hidden, out int, rng *rand.Rand) (*GraphSage
 		return nil, fmt.Errorf("nn: sage layer 2: %w", err)
 	}
 	return m, nil
-}
-
-// Forward computes the 2-layer GraphSage logits.
-//
-// Deprecated: use ForwardCtx.
-func (m *GraphSage) Forward(tp *autodiff.Tape, x *tensor.Tensor) (*autodiff.Var, []*autodiff.Var) {
-	return m.ForwardCtx(nil, tp, x, nil)
 }
 
 // ForwardCtx computes the 2-layer GraphSage logits under a per-call
@@ -168,13 +149,6 @@ func NewGAT(g *dgl.Graph, in, hidden, out int, rng *rand.Rand) (*GAT, error) {
 func (m *GAT) layer(ctx context.Context, tp *autodiff.Tape, x, w *autodiff.Var, fused *dgl.FusedAttentionOp, info *dgl.RunInfo) *autodiff.Var {
 	z := m.g.DenseMatMul(tp, x, w)
 	return fused.ApplyCtx(ctx, tp, z, z, info)
-}
-
-// Forward computes the 2-layer GAT logits.
-//
-// Deprecated: use ForwardCtx.
-func (m *GAT) Forward(tp *autodiff.Tape, x *tensor.Tensor) (*autodiff.Var, []*autodiff.Var) {
-	return m.ForwardCtx(nil, tp, x, nil)
 }
 
 // ForwardCtx computes the 2-layer GAT logits under a per-call context,

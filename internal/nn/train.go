@@ -107,23 +107,14 @@ func (a *Adam) SetState(params []*tensor.Tensor, st AdamState) error {
 	return nil
 }
 
-// TrainEpoch runs one full-graph epoch: forward, masked cross-entropy,
-// backward, Adam step. Returns the training loss. A serving-policy abort
-// inside an op — cancellation, deadline expiry, load shedding, a watchdog
-// stall — is returned as the error (a *dgl.AbortError) instead of
-// panicking; genuine programming-error panics still propagate.
-//
-// Deprecated: use TrainEpochCtx, which scopes the context and run
-// statistics to the call instead of the graph-wide UseContext.
-func TrainEpoch(m Model, x *tensor.Tensor, labels []int, mask []bool, opt *Adam) (float64, error) {
-	loss, _, err := TrainEpochCtx(nil, m, x, labels, mask, opt)
-	return loss, err
-}
-
-// TrainEpochCtx is TrainEpoch with a per-call context: every kernel run of
-// the epoch executes under ctx, and the returned RunInfo reports the
-// epoch's kernel launches, fallback attribution, admission queueing and
-// retries. A nil ctx falls back to the deprecated graph-wide UseContext.
+// TrainEpochCtx runs one full-graph epoch: forward, masked cross-entropy,
+// backward, Adam step. Returns the training loss. Every kernel run of the
+// epoch executes under ctx, and the returned RunInfo reports the epoch's
+// kernel launches, simulated GPU cycles, fallback attribution, admission
+// queueing and retries. A serving-policy abort inside an op — cancellation,
+// deadline expiry, load shedding, a watchdog stall — is returned as the
+// error (a *dgl.AbortError) instead of panicking; genuine programming-error
+// panics still propagate.
 func TrainEpochCtx(ctx context.Context, m Model, x *tensor.Tensor, labels []int, mask []bool, opt *Adam) (loss float64, info dgl.RunInfo, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -144,16 +135,6 @@ func TrainEpochCtx(ctx context.Context, m Model, x *tensor.Tensor, labels []int,
 	return float64(lossVar.Value.Data()[0]), info, nil
 }
 
-// Infer runs a forward pass and returns the logits tensor.
-//
-// Deprecated: use InferCtx, which scopes the context and run statistics to
-// the call and reports aborts as errors instead of panicking.
-func Infer(m Model, x *tensor.Tensor) *tensor.Tensor {
-	tp := autodiff.NewTape()
-	logits, _ := m.Forward(tp, x)
-	return logits.Value
-}
-
 // InferCtx runs a forward pass under ctx and returns the logits tensor
 // plus the pass's RunInfo. A serving-policy abort inside an op is returned
 // as a *dgl.AbortError.
@@ -170,13 +151,6 @@ func InferCtx(ctx context.Context, m Model, x *tensor.Tensor) (out *tensor.Tenso
 	tp := autodiff.NewTape()
 	logits, _ := m.ForwardCtx(ctx, tp, x, &info)
 	return logits.Value, info, nil
-}
-
-// Evaluate returns classification accuracy over the masked vertices.
-//
-// Deprecated: use EvaluateCtx.
-func Evaluate(m Model, x *tensor.Tensor, labels []int, mask []bool) float64 {
-	return autodiff.Accuracy(Infer(m, x), labels, mask)
 }
 
 // EvaluateCtx returns classification accuracy over the masked vertices,
