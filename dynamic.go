@@ -2,7 +2,6 @@ package featgraph
 
 import (
 	"featgraph/internal/delta"
-	"featgraph/internal/dgl"
 	"featgraph/internal/serve"
 	"featgraph/internal/tensor"
 )
@@ -58,10 +57,10 @@ func WithCompactRows(n int) MutableOption {
 	return func(c *MutableConfig) { c.cfg.CompactRows = n }
 }
 
-// WithReclaimHook registers fn to run when a version's last snapshot
-// reference drains. The engine always invalidates that version's cached
-// kernel plans first; fn observes the reclamation (eviction of
-// version-keyed feature caches, metrics).
+// WithReclaimHook registers fn to run once for each version whose last
+// snapshot reference drains, for evicting version-keyed caches of the
+// caller's own or for metrics. It may run on any goroutine and must not
+// call back into the graph.
 func WithReclaimHook(fn func(version uint64)) MutableOption {
 	return func(c *MutableConfig) { c.cfg.OnReclaim = fn }
 }
@@ -88,7 +87,7 @@ func NewMutableGraph(g *Graph, opts ...MutableOption) (*MutableGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wireMutable(eng, mc), nil
+	return &MutableGraph{eng: eng}, nil
 }
 
 // OpenMutableGraph recovers a durable mutable graph from dir: the last
@@ -105,23 +104,7 @@ func OpenMutableGraph(dir string, opts ...MutableOption) (*MutableGraph, error) 
 	if err != nil {
 		return nil, err
 	}
-	return wireMutable(eng, mc), nil
-}
-
-// wireMutable chains precise plan-cache invalidation ahead of any
-// user-supplied reclaim hook: when a version's last snapshot drains, its
-// compiled kernel plans are dropped from the process-wide cache — only
-// that version's, live versions keep theirs.
-func wireMutable(eng *delta.Engine, mc MutableConfig) *MutableGraph {
-	user := mc.cfg.OnReclaim
-	ident := eng.ID()
-	eng.SetReclaimHook(func(ver uint64) {
-		dgl.InvalidateTopology(ident, ver)
-		if user != nil {
-			user(ver)
-		}
-	})
-	return &MutableGraph{eng: eng}
+	return &MutableGraph{eng: eng}, nil
 }
 
 // ApplyDelta atomically commits one batch of edge mutations and returns

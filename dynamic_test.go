@@ -14,19 +14,20 @@ import (
 // TestDynamicGraphAPISurface drives the exported mutable-graph stack end
 // to end: NewMutableGraph from a static graph, fluent Mutator commits,
 // snapshot pinning across versions, durable reopen via OpenMutableGraph,
-// reclaim-hook observation, and live serving over the mutating graph.
+// reclaim-hook observation (once per drained version), and live serving
+// over the mutating graph.
 func TestDynamicGraphAPISurface(t *testing.T) {
 	g, feats, rng := apiGraph(t, 200, 4, 8)
 	dir := filepath.Join(t.TempDir(), "store")
 
 	var mu sync.Mutex
-	reclaimed := map[uint64]bool{}
+	reclaimed := map[uint64]int{}
 	m, err := featgraph.NewMutableGraph(g,
 		featgraph.WithDeltaDir(dir),
 		featgraph.WithCompactRows(64),
 		featgraph.WithReclaimHook(func(v uint64) {
 			mu.Lock()
-			reclaimed[v] = true
+			reclaimed[v]++
 			mu.Unlock()
 		}),
 	)
@@ -123,11 +124,23 @@ func TestDynamicGraphAPISurface(t *testing.T) {
 		t.Fatalf("post-recovery commit: %v", err)
 	}
 
-	// The reclaim hook observed superseded versions of the first engine.
+	// Every version of the first engine (0..3) drains once Close has
+	// dropped the engine's references, and the hook fires once for each.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		n := len(reclaimed)
+		mu.Unlock()
+		if n >= 4 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	mu.Lock()
-	sawReclaim := len(reclaimed) > 0
-	mu.Unlock()
-	if !sawReclaim {
-		t.Fatal("reclaim hook never fired across commits and Close")
+	defer mu.Unlock()
+	for v := uint64(0); v <= 3; v++ {
+		if reclaimed[v] != 1 {
+			t.Fatalf("reclaim hook fired %d times for version %d, want once (all: %v)", reclaimed[v], v, reclaimed)
+		}
 	}
 }

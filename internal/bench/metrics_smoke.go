@@ -74,13 +74,12 @@ func MetricsSmoke(w io.Writer) error {
 		return fmt.Errorf("bench: metrics smoke expected a build-stage GPU fallback, got %+v", stats)
 	}
 
-	// Two dgl epochs over one op: construction records plan-cache misses,
-	// every epoch's Apply records hits.
+	// Two dgl epochs over one op: construction records plan misses, every
+	// epoch's Apply records hits.
 	g, err := dgl.New(adj, dgl.Config{Backend: dgl.FeatGraph, NumThreads: 2})
 	if err != nil {
 		return fmt.Errorf("bench: metrics smoke dgl: %w", err)
 	}
-	defer g.InvalidatePlans()
 	op, err := g.NewCopySum(d)
 	if err != nil {
 		return fmt.Errorf("bench: metrics smoke dgl op: %w", err)

@@ -57,7 +57,6 @@ func TestMetricsSmokeEmitsCoreCounters(t *testing.T) {
 		"featgraph_kernel_fallbacks_total",
 		"featgraph_plancache_hits_total",
 		"featgraph_plancache_misses_total",
-		"featgraph_plancache_entries",
 		"featgraph_workpool_utilization_ratio",
 		"featgraph_workpool_phases_total",
 		"featgraph_cudasim_launches_total",

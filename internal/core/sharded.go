@@ -72,39 +72,54 @@ type ShardSource interface {
 // cached kernel for (shard, adj) or invokes build and caches the result;
 // adj is the identity key — a re-materialized shard (new CSR pointer)
 // must rebuild, because the cached kernel's precomputed schedule aliases
-// the old arrays. internal/dgl plugs its LRU plan cache in here.
+// the old arrays.
 type ShardPlanner interface {
 	Plan(shard int, adj *sparse.CSR, build func() (Kernel, error)) (Kernel, error)
 }
 
-// mapPlanner is the default ShardPlanner: an unbounded per-executor map.
-// Replacing a stale entry drops the old kernel (and its reference to the
-// evicted shard's arrays), so at most one kernel per shard stays live.
-type mapPlanner struct {
-	mu    sync.Mutex
-	plans map[int]mapPlan
+// ShardPlans is the ShardPlanner: one kernel per shard, owned by whoever
+// holds the ShardPlans. Replacing a stale entry drops the old kernel (and
+// its reference to the evicted shard's arrays), so at most one kernel per
+// shard stays live. An executor built without a planner gets its own; a
+// caller passes one to share it between executors or to read its counts.
+// The zero value is ready to use.
+type ShardPlans struct {
+	mu           sync.Mutex
+	plans        map[int]shardPlan
+	hits, misses uint64
 }
 
-type mapPlan struct {
+type shardPlan struct {
 	adj *sparse.CSR
 	k   Kernel
 }
 
-func (p *mapPlanner) Plan(shard int, adj *sparse.CSR, build func() (Kernel, error)) (Kernel, error) {
+// Plan implements ShardPlanner.
+func (p *ShardPlans) Plan(shard int, adj *sparse.CSR, build func() (Kernel, error)) (Kernel, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if pl, ok := p.plans[shard]; ok && pl.adj == adj {
+		p.hits++
 		return pl.k, nil
 	}
 	k, err := build()
 	if err != nil {
 		return nil, err
 	}
+	p.misses++
 	if p.plans == nil {
-		p.plans = make(map[int]mapPlan)
+		p.plans = make(map[int]shardPlan)
 	}
-	p.plans[shard] = mapPlan{adj: adj, k: k}
+	p.plans[shard] = shardPlan{adj: adj, k: k}
 	return k, nil
+}
+
+// Counts returns how many Plan calls reused a kernel (hits) and how many
+// built one (misses).
+func (p *ShardPlans) Counts() (hits, misses uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.hits, p.misses
 }
 
 // shardedBase is the state the two sharded executors share. The executor
@@ -147,7 +162,7 @@ func (s *shardedBase) build(src ShardSource, udf *expr.UDF, inputs []*tensor.Ten
 	s.src, s.udf, s.inputs, s.fds = src, udf, inputs, fds
 	s.planner = planner
 	if s.planner == nil {
-		s.planner = &mapPlanner{}
+		s.planner = &ShardPlans{}
 	}
 	s.pattern = codegen.Recognize(udf, inputs).Pattern.String()
 	return compiled.OutLen(), nil

@@ -304,19 +304,6 @@ func TestShardedRejectsGPU(t *testing.T) {
 	}
 }
 
-// countingPlanner wraps the default planner and counts kernel builds.
-type countingPlanner struct {
-	inner  mapPlanner
-	builds atomic.Int64
-}
-
-func (p *countingPlanner) Plan(shard int, adj *sparse.CSR, build func() (Kernel, error)) (Kernel, error) {
-	return p.inner.Plan(shard, adj, func() (Kernel, error) {
-		p.builds.Add(1)
-		return build()
-	})
-}
-
 // Stable shard identity across runs must reuse plans; fresh extraction on
 // every Pin (an evicting residency cache) must rebuild, because the cached
 // kernel's schedule aliases the evicted arrays.
@@ -327,7 +314,7 @@ func TestShardPlannerReuseAndInvalidation(t *testing.T) {
 	udf := expr.CopySrc(30, 6)
 
 	stable := newMemShardSource(a, 16)
-	p := &countingPlanner{}
+	p := &ShardPlans{}
 	k, err := BuildShardedSpMM(stable, udf, []*tensor.Tensor{x}, AggSum, nil, Options{Target: CPU}, p)
 	if err != nil {
 		t.Fatal(err)
@@ -338,13 +325,13 @@ func TestShardPlannerReuseAndInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := p.builds.Load(); got != int64(stable.NumShards()) {
-		t.Fatalf("stable source: %d builds over 3 runs, want one per shard (%d)", got, stable.NumShards())
+	if hits, misses := p.Counts(); misses != uint64(stable.NumShards()) || hits != 2*misses {
+		t.Fatalf("stable source: %d builds and %d reuses over 3 runs, want one build per shard (%d) then reuse", misses, hits, stable.NumShards())
 	}
 
 	churning := newMemShardSource(a, 16)
 	churning.fresh = true
-	p2 := &countingPlanner{}
+	p2 := &ShardPlans{}
 	k2, err := BuildShardedSpMM(churning, udf, []*tensor.Tensor{x}, AggSum, nil, Options{Target: CPU}, p2)
 	if err != nil {
 		t.Fatal(err)
@@ -354,8 +341,8 @@ func TestShardPlannerReuseAndInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := p2.builds.Load(); got != 3*int64(churning.NumShards()) {
-		t.Fatalf("churning source: %d builds over 3 runs, want one per shard per run (%d)", got, 3*churning.NumShards())
+	if hits, misses := p2.Counts(); misses != 3*uint64(churning.NumShards()) || hits != 0 {
+		t.Fatalf("churning source: %d builds and %d reuses over 3 runs, want one build per shard per run (%d)", misses, hits, 3*churning.NumShards())
 	}
 }
 

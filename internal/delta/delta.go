@@ -22,7 +22,8 @@
 // Snapshots are reclaimed by refcount: the engine holds one reference for
 // the current version and one for the serving pointer, each reader pin is
 // another, and when the count drains the engine's reclaim hook fires with
-// the dead version — that is where precise plan-cache invalidation hangs.
+// the dead version (Config.OnReclaim), where a caller evicts what it keyed
+// to that version.
 //
 // # Durability
 //
@@ -102,7 +103,7 @@ type Config struct {
 	// OnReclaim, if set, is invoked with each version whose last snapshot
 	// reference drains. Callers hang precise cache invalidation here. It
 	// may be called from any goroutine and must not call back into the
-	// engine. SetReclaimHook replaces it at runtime.
+	// engine.
 	OnReclaim func(version uint64)
 }
 
@@ -137,7 +138,6 @@ type Engine struct {
 	compacting bool
 
 	serving atomic.Pointer[Snapshot] // latest materialized snapshot (one ref)
-	hook    atomic.Value             // func(uint64)
 
 	matCh chan struct{} // coalesced "new version to materialize" signal
 	quit  chan struct{}
@@ -264,9 +264,6 @@ func newEngine(base *sparse.CSR, baseVer uint64, cfg Config) *Engine {
 		done:    make(chan struct{}),
 	}
 	base.BindVersion(e.id, baseVer)
-	if cfg.OnReclaim != nil {
-		e.hook.Store(cfg.OnReclaim)
-	}
 	s := e.newSnapshot(base)
 	e.cur = s // engine ref from newSnapshot
 	s.refs.Add(1)
@@ -295,14 +292,6 @@ func (e *Engine) NumEdges() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.edges
-}
-
-// SetReclaimHook replaces the reclaim callback (see Config.OnReclaim).
-func (e *Engine) SetReclaimHook(fn func(version uint64)) {
-	if fn == nil {
-		fn = func(uint64) {}
-	}
-	e.hook.Store(fn)
 }
 
 // Commit atomically applies b as the next version and returns it. The
@@ -583,8 +572,8 @@ func (e *Engine) reclaim(s *Snapshot) {
 	if telemetry.Enabled() {
 		mReclaimed.Inc()
 	}
-	if fn, ok := e.hook.Load().(func(uint64)); ok && fn != nil {
-		fn(s.version)
+	if e.cfg.OnReclaim != nil {
+		e.cfg.OnReclaim(s.version)
 	}
 }
 

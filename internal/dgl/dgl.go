@@ -18,6 +18,7 @@ package dgl
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"featgraph/internal/admission"
@@ -95,13 +96,28 @@ type Graph struct {
 	// Written by the goroutine applying ops; read them from that goroutine.
 	SimCycles uint64 // simulated GPU cycles (Target == GPU)
 	MsgBytes  uint64 // bytes of materialized messages (Naive backend)
-	// PlanCache counts kernel-plan cache traffic attributed to this graph
-	// (see plancache.go): op construction records misses, every ApplyCtx
-	// records hits, so a training loop can assert epochs 2..N rebuild
-	// nothing. The field is written under the cache mutex; read it
-	// directly only from the goroutine applying ops, and use
-	// Stats() for a race-free snapshot under concurrency.
-	PlanCache CacheStats
+
+	hits, misses atomic.Uint64 // see Stats
+}
+
+// CacheStats counts the kernel traffic of a graph's ops: Misses one per
+// kernel an op constructor compiled, Hits one per kernel an ApplyCtx ran.
+// A training loop whose misses stop moving after its ops are built
+// compiles nothing inside the loop.
+type CacheStats struct {
+	Hits   uint64
+	Misses uint64
+}
+
+// InvalidateTopology does nothing and returns 0. Ops own their kernels
+// (ops.go), so no structure outside an op holds a kernel compiled for
+// version ver of a topology, and a dropped op takes its kernels with it.
+func InvalidateTopology(ident, ver uint64) int { return 0 }
+
+// Stats returns the graph's kernel counters. It is safe to call while
+// other goroutines apply ops on the graph.
+func (g *Graph) Stats() CacheStats {
+	return CacheStats{Hits: g.hits.Load(), Misses: g.misses.Load()}
 }
 
 // New builds a dgl graph. The adjacency is validated and retained.
@@ -147,7 +163,8 @@ func (g *Graph) Config() Config { return g.cfg }
 func (g *Graph) ResetStats() {
 	g.SimCycles = 0
 	g.MsgBytes = 0
-	g.resetPlanCacheStats()
+	g.hits.Store(0)
+	g.misses.Store(0)
 }
 
 // segRowChunks returns the graph's edge-balanced destination-row chunks for

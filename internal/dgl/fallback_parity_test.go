@@ -44,7 +44,6 @@ func TestFallbackReasonParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.InvalidatePlans()
 
 	defer faultinject.Arm(faultinject.SiteCudasimBlock,
 		&faultinject.Fault{Kind: faultinject.Panic, Value: "parity-fault"})()

@@ -19,8 +19,8 @@ import (
 // tape. On the naive backend it materializes messages like every other
 // naive op, so backend-differential tests cover the fused math too.
 //
-// The op owns its alpha/deriv edge buffers: the forward kernel writes them,
-// the backward kernel consumes them, and their identity keys the plans.
+// The op owns its alpha/deriv edge buffers: the forward kernel writes them
+// and the backward kernel consumes them.
 type FusedAttentionOp struct {
 	g   *Graph
 	d   int
@@ -29,7 +29,7 @@ type FusedAttentionOp struct {
 	// FeatGraph backend state.
 	xbuf, ybuf, gbuf   *tensor.Tensor // staged features / upstream gradient
 	alphabuf, derivbuf *tensor.Tensor // [m,1] forward→backward edge vectors
-	fwdKey, bwdKey     planKey
+	fwd, bwd           core.Kernel
 
 	// Naive backend per-tape state (alpha and deriv in plain slices).
 	nAlpha, nDeriv []float32
@@ -58,28 +58,15 @@ func (g *Graph) NewFusedAttentionCfg(d int, cfg core.FusedAttnConfig) (*FusedAtt
 	op.alphabuf = tensor.New(g.edgeExtent(), 1)
 	op.derivbuf = tensor.New(g.edgeExtent(), 1)
 
-	// The buffers' identity (and through them the op, with its fixed score
-	// config) keys the plans; the fused kernels have no UDF or aggregation
-	// choice, so AggSum stands in for the key's agg slot.
-	op.fwdKey = g.planKeyFor("fusedattn.fwd", g.adj, op.xbuf, op.ybuf, d, core.AggSum)
-	op.bwdKey = g.planKeyFor("fusedattn.bwd", g.adj, op.gbuf, op.alphabuf, d, core.AggSum)
-	if _, err := g.plan(op.fwdKey, op.buildFwd); err != nil {
+	opts := g.coreOptions()
+	var err error
+	if op.fwd, err = g.built(core.BuildFusedAttention(g.adj, op.xbuf, op.ybuf, op.alphabuf, op.derivbuf, cfg, opts)); err != nil {
 		return nil, fmt.Errorf("dgl: fused attention forward: %w", err)
 	}
-	if _, err := g.plan(op.bwdKey, op.buildBwd); err != nil {
+	if op.bwd, err = g.built(core.BuildFusedAttentionBwd(g.adj, g.adjT, op.xbuf, op.ybuf, op.alphabuf, op.derivbuf, op.gbuf, opts)); err != nil {
 		return nil, fmt.Errorf("dgl: fused attention backward: %w", err)
 	}
 	return op, nil
-}
-
-func (op *FusedAttentionOp) buildFwd() (core.Kernel, error) {
-	g := op.g
-	return core.BuildFusedAttention(g.adj, op.xbuf, op.ybuf, op.alphabuf, op.derivbuf, op.cfg, g.coreOptions())
-}
-
-func (op *FusedAttentionOp) buildBwd() (core.Kernel, error) {
-	g := op.g
-	return core.BuildFusedAttentionBwd(g.adj, g.adjT, op.xbuf, op.ybuf, op.alphabuf, op.derivbuf, op.gbuf, g.coreOptions())
 }
 
 // ApplyCtx records the fused attention aggregation on the tape. x carries
@@ -95,21 +82,13 @@ func (op *FusedAttentionOp) ApplyCtx(ctx context.Context, tp *autodiff.Tape, x, 
 				copy(op.xbuf.Data(), x.Value.Data())
 				copy(op.ybuf.Data(), y.Value.Data())
 				out := tensor.New(n, op.d)
-				stats, err := g.mustPlan(op.fwdKey, op.buildFwd).RunCtx(ctx, out)
-				if err != nil {
-					panic(opError("fused attention forward", err))
-				}
-				info.observe(stats)
+				g.run(ctx, op.fwd, out, info, "fused attention forward")
 				return out
 			},
 			func(dOut *tensor.Tensor) {
 				copy(op.gbuf.Data(), dOut.Data())
 				grad := tensor.New(2*n, op.d)
-				stats, err := g.mustPlan(op.bwdKey, op.buildBwd).RunCtx(ctx, grad)
-				if err != nil {
-					panic(opError("fused attention backward", err))
-				}
-				info.observe(stats)
+				g.run(ctx, op.bwd, grad, info, "fused attention backward")
 				// SeedGrad only adds from its argument, so the two halves
 				// are wrapped in place rather than copied out.
 				gd := grad.Data()

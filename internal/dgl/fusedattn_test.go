@@ -164,7 +164,6 @@ func checkFusedAttention(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatalf("seed %d: naive graph: %v", seed, err)
 	}
-	defer fg.InvalidatePlans()
 
 	x := tensor.New(n, d)
 	x.FillUniform(rng, 0.5, 1.5)

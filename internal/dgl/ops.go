@@ -9,6 +9,8 @@ import (
 	"featgraph/internal/core"
 	"featgraph/internal/expr"
 	"featgraph/internal/schedule"
+	"featgraph/internal/sparse"
+	"featgraph/internal/telemetry"
 	"featgraph/internal/tensor"
 	"featgraph/internal/workpool"
 )
@@ -17,16 +19,77 @@ import (
 // literal), so any finite score replaces it.
 var negInf32 = float32(math.Inf(-1))
 
-// Message-passing operations. Each op is built once per model layer (kernel
-// compilation is per-topology, amortized over epochs, §IV-B) and applied
-// once per tape: FeatGraph-backend ops stage their inputs into buffers the
-// compiled kernels are bound to, so a second ApplyCtx on the same tape would
-// clobber state the backward pass still needs.
+// Message-passing operations. Each op is built once per model layer and
+// applied once per tape: FeatGraph-backend ops stage their inputs into
+// buffers the compiled kernels are bound to, so a second ApplyCtx on the
+// same tape would clobber state the backward pass still needs.
 //
-// Kernels are obtained through the plan cache (plancache.go): op
-// construction registers each plan (a miss builds it), and every ApplyCtx
-// re-fetches by key (a hit), so repeated epochs — and re-constructed models
-// sharing buffers — never re-run kernel compilation.
+// An op owns its kernels. The constructor compiles every kernel the op will
+// run (validation, UDF compilation, partitioning, chunk schedules — the
+// per-topology work the paper amortizes over a training run, §IV-B) into
+// the op's fields, and every ApplyCtx runs them directly, so repeated
+// epochs never recompile. Nothing outside the op refers to a kernel: the
+// kernels, and the staging buffers they are bound to, are released with
+// the op. The graph counts the traffic (Graph.Stats): one miss per kernel
+// built, one hit per kernel run.
+
+// Plan traffic over every graph in the process, for scrape-style
+// observation next to the per-graph Graph.Stats.
+var (
+	mPlanHits = telemetry.NewCounter("featgraph_plancache_hits_total", "",
+		"Kernel runs served by an op's compiled kernel.")
+	mPlanMisses = telemetry.NewCounter("featgraph_plancache_misses_total", "",
+		"Kernels compiled by op construction.")
+)
+
+// built counts a compiled kernel as a miss; a build error passes through.
+func (g *Graph) built(k core.Kernel, err error) (core.Kernel, error) {
+	if err != nil {
+		return nil, err
+	}
+	g.misses.Add(1)
+	if telemetry.Enabled() {
+		mPlanMisses.Inc()
+	}
+	return k, nil
+}
+
+// spmm compiles one of an op's SpMM kernels over adj.
+func (g *Graph) spmm(adj *sparse.CSR, udf *expr.UDF, agg core.AggOp, inputs ...*tensor.Tensor) (core.Kernel, error) {
+	return g.built(core.BuildSpMM(adj, udf, inputs, agg, g.fdsFor(udf), g.coreOptions()))
+}
+
+// dot compiles an SDDMM kernel computing out[e] = a[src]·b[dst] over the
+// adjacency, with a tree reduction on GPU.
+func (g *Graph) dot(d int, a, b *tensor.Tensor) (core.Kernel, error) {
+	n := g.NumVertices()
+	bld := expr.NewBuilder()
+	ap := bld.Placeholder("A", n, d)
+	bp := bld.Placeholder("B", n, d)
+	i := bld.OutAxis("i", 1)
+	k := bld.ReduceAxis("k", d)
+	udf := bld.UDF(expr.Sum(k, expr.Mul(ap.At(expr.Src, k), bp.At(expr.Dst, k))), i)
+	fds := schedule.New()
+	if g.cfg.Target == core.GPU {
+		fds.TreeReduce(k, schedule.ThreadX)
+	}
+	return g.built(core.BuildSDDMM(g.adj, udf, []*tensor.Tensor{a, b}, fds, g.coreOptions()))
+}
+
+// run executes one of an op's kernels into out under ctx, counting a hit
+// and folding the run's stats onto info. A failure panics with opError's
+// value, naming the op stage what.
+func (g *Graph) run(ctx context.Context, k core.Kernel, out *tensor.Tensor, info *RunInfo, what string) {
+	g.hits.Add(1)
+	if telemetry.Enabled() {
+		mPlanHits.Inc()
+	}
+	stats, err := k.RunCtx(ctx, out)
+	if err != nil {
+		panic(opError(what, err))
+	}
+	info.observe(stats)
+}
 
 // fdsFor builds the op's feature dimension schedule from the config: tile
 // the output axis on CPU, bind it to thread.x on GPU.
@@ -48,10 +111,9 @@ type CopyAggOp struct {
 	d    int
 	mean bool
 
-	// FeatGraph backend state.
-	xbuf, gbuf     *tensor.Tensor
-	invDegEdge     *tensor.Tensor // per-edge 1/deg(dst) weights (mean backward)
-	fwdKey, bwdKey planKey
+	// FeatGraph backend state: staging buffers and the kernels bound to them.
+	xbuf, gbuf *tensor.Tensor
+	fwd, bwd   core.Kernel
 }
 
 // NewCopySum builds a sum-aggregation op for d-dimensional features
@@ -70,62 +132,29 @@ func (g *Graph) newCopyAgg(d int, mean bool) (*CopyAggOp, error) {
 	op.xbuf = tensor.New(n, d)
 	op.gbuf = tensor.New(n, d)
 
-	agg := core.AggSum
+	agg, bwdUDF, bwdIn := core.AggSum, expr.CopySrc(n, d), []*tensor.Tensor{op.gbuf}
 	if mean {
 		agg = core.AggMean
 		// dX[u] = Σ_{u→v} dOut[v] / deg(v): a weighted copy along the
 		// transposed edges with constant per-edge weights.
-		op.invDegEdge = tensor.New(g.edgeExtent(), 1)
-		wd := op.invDegEdge.Data()
+		invDegEdge := tensor.New(g.edgeExtent(), 1)
+		wd := invDegEdge.Data()
 		for r := 0; r < n; r++ {
 			for p := g.adj.RowPtr[r]; p < g.adj.RowPtr[r+1]; p++ {
 				wd[g.adj.EID[p]] = g.invDeg[r]
 			}
 		}
+		bwdUDF = expr.SrcMulEdgeScalar(n, g.edgeExtent(), d)
+		bwdIn = append(bwdIn, invDegEdge)
 	}
-	// The nil/non-nil invDegEdge distinguishes the sum and mean backward
-	// plans; everything else about the keys is shared.
-	op.fwdKey = g.planKeyFor("copyagg.fwd", g.adj, op.xbuf, nil, d, agg)
-	op.bwdKey = g.planKeyFor("copyagg.bwd", g.adjT, op.gbuf, op.invDegEdge, d, core.AggSum)
-	if _, err := g.plan(op.fwdKey, op.buildFwd); err != nil {
+	var err error
+	if op.fwd, err = g.spmm(g.adj, expr.CopySrc(n, d), agg, op.xbuf); err != nil {
 		return nil, fmt.Errorf("dgl: copy-agg forward: %w", err)
 	}
-	if _, err := g.plan(op.bwdKey, op.buildBwd); err != nil {
+	if op.bwd, err = g.spmm(g.adjT, bwdUDF, core.AggSum, bwdIn...); err != nil {
 		return nil, fmt.Errorf("dgl: copy-agg backward: %w", err)
 	}
 	return op, nil
-}
-
-func (op *CopyAggOp) buildFwd() (core.Kernel, error) {
-	g := op.g
-	agg := core.AggSum
-	if op.mean {
-		agg = core.AggMean
-	}
-	udf := expr.CopySrc(g.NumVertices(), op.d)
-	k, err := core.BuildSpMM(g.adj, udf, []*tensor.Tensor{op.xbuf}, agg, g.fdsFor(udf), g.coreOptions())
-	if err != nil {
-		return nil, err
-	}
-	return k, nil
-}
-
-func (op *CopyAggOp) buildBwd() (core.Kernel, error) {
-	g := op.g
-	n := g.NumVertices()
-	var udf *expr.UDF
-	inputs := []*tensor.Tensor{op.gbuf}
-	if op.mean {
-		udf = expr.SrcMulEdgeScalar(n, g.edgeExtent(), op.d)
-		inputs = append(inputs, op.invDegEdge)
-	} else {
-		udf = expr.CopySrc(n, op.d)
-	}
-	k, err := core.BuildSpMM(g.adjT, udf, inputs, core.AggSum, g.fdsFor(udf), g.coreOptions())
-	if err != nil {
-		return nil, err
-	}
-	return k, nil
 }
 
 // ApplyCtx records the aggregation on the tape. The kernel runs the op
@@ -141,21 +170,13 @@ func (op *CopyAggOp) ApplyCtx(ctx context.Context, tp *autodiff.Tape, x *autodif
 			func() *tensor.Tensor {
 				copy(op.xbuf.Data(), x.Value.Data())
 				out := tensor.New(n, op.d)
-				stats, err := g.mustPlan(op.fwdKey, op.buildFwd).RunCtx(ctx, out)
-				if err != nil {
-					panic(opError("copy-agg forward", err))
-				}
-				info.observe(stats)
+				g.run(ctx, op.fwd, out, info, "copy-agg forward")
 				return out
 			},
 			func(dOut *tensor.Tensor) {
 				copy(op.gbuf.Data(), dOut.Data())
 				dx := tensor.New(n, op.d)
-				stats, err := g.mustPlan(op.bwdKey, op.buildBwd).RunCtx(ctx, dx)
-				if err != nil {
-					panic(opError("copy-agg backward", err))
-				}
-				info.observe(stats)
+				g.run(ctx, op.bwd, dx, info, "copy-agg backward")
 				autodiff.SeedGrad(x, dx)
 			})
 	}
@@ -186,9 +207,9 @@ type WeightedSumOp struct {
 	g *Graph
 	d int
 
-	xbuf, gbuf               *tensor.Tensor
-	wbuf                     *tensor.Tensor // [m,1] edge weights
-	fwdKey, bwdXKey, bwdWKey planKey
+	xbuf, gbuf      *tensor.Tensor
+	wbuf            *tensor.Tensor // [m,1] edge weights
+	fwd, bwdX, bwdW core.Kernel
 }
 
 // NewWeightedSum builds a weighted-sum op for d-dimensional features.
@@ -202,80 +223,19 @@ func (g *Graph) NewWeightedSum(d int) (*WeightedSumOp, error) {
 	op.gbuf = tensor.New(n, d)
 	op.wbuf = tensor.New(g.edgeExtent(), 1)
 
-	op.fwdKey = g.planKeyFor("wsum.fwd", g.adj, op.xbuf, op.wbuf, d, core.AggSum)
-	op.bwdXKey = g.planKeyFor("wsum.bwdX", g.adjT, op.gbuf, op.wbuf, d, core.AggSum)
-	op.bwdWKey = g.planKeyFor("wsum.bwdW", g.adj, op.xbuf, op.gbuf, d, core.AggSum)
-	if _, err := g.plan(op.fwdKey, op.buildFwd); err != nil {
+	udf := expr.SrcMulEdgeScalar(n, g.edgeExtent(), d)
+	var err error
+	if op.fwd, err = g.spmm(g.adj, udf, core.AggSum, op.xbuf, op.wbuf); err != nil {
 		return nil, fmt.Errorf("dgl: weighted-sum forward: %w", err)
 	}
-	if _, err := g.plan(op.bwdXKey, op.buildBwdX); err != nil {
+	if op.bwdX, err = g.spmm(g.adjT, udf, core.AggSum, op.gbuf, op.wbuf); err != nil {
 		return nil, fmt.Errorf("dgl: weighted-sum backward dX: %w", err)
 	}
-	if _, err := g.plan(op.bwdWKey, op.buildBwdW); err != nil {
+	// dW[e] = x[src] · dOut[dst]: an SDDMM.
+	if op.bwdW, err = g.dot(d, op.xbuf, op.gbuf); err != nil {
 		return nil, fmt.Errorf("dgl: weighted-sum backward dW: %w", err)
 	}
 	return op, nil
-}
-
-func (op *WeightedSumOp) buildFwd() (core.Kernel, error) {
-	g := op.g
-	udf := expr.SrcMulEdgeScalar(g.NumVertices(), g.edgeExtent(), op.d)
-	k, err := core.BuildSpMM(g.adj, udf, []*tensor.Tensor{op.xbuf, op.wbuf}, core.AggSum, g.fdsFor(udf), g.coreOptions())
-	if err != nil {
-		return nil, err
-	}
-	return k, nil
-}
-
-func (op *WeightedSumOp) buildBwdX() (core.Kernel, error) {
-	g := op.g
-	udf := expr.SrcMulEdgeScalar(g.NumVertices(), g.edgeExtent(), op.d)
-	k, err := core.BuildSpMM(g.adjT, udf, []*tensor.Tensor{op.gbuf, op.wbuf}, core.AggSum, g.fdsFor(udf), g.coreOptions())
-	if err != nil {
-		return nil, err
-	}
-	return k, nil
-}
-
-// buildBwdW compiles dW[e] = x[src] · dOut[dst]: an SDDMM.
-func (op *WeightedSumOp) buildBwdW() (core.Kernel, error) {
-	g := op.g
-	udf, inputs := dotUDF(g.NumVertices(), op.d, op.xbuf, op.gbuf)
-	k, err := core.BuildSDDMM(g.adj, udf, inputs, sddmmFDS(g, udf), g.coreOptions())
-	if err != nil {
-		return nil, err
-	}
-	return k, nil
-}
-
-// dotUDF builds the two-operand dot-product edge function
-// out[0] = Σ_k A[src,k] * B[dst,k].
-func dotUDF(n, d int, a, b *tensor.Tensor) (*expr.UDF, []*tensor.Tensor) {
-	bld := expr.NewBuilder()
-	ap := bld.Placeholder("A", n, d)
-	bp := bld.Placeholder("B", n, d)
-	i := bld.OutAxis("i", 1)
-	k := bld.ReduceAxis("k", d)
-	udf := bld.UDF(expr.Sum(k, expr.Mul(ap.At(expr.Src, k), bp.At(expr.Dst, k))), i)
-	return udf, []*tensor.Tensor{a, b}
-}
-
-// sddmmFDS gives SDDMM ops their schedule: tree reduction on GPU.
-func sddmmFDS(g *Graph, udf *expr.UDF) *schedule.FDS {
-	fds := schedule.New()
-	if g.cfg.Target == core.GPU {
-		if ax := reduceAxisOf(udf); ax != nil {
-			fds.TreeReduce(ax, schedule.ThreadX)
-		}
-	}
-	return fds
-}
-
-func reduceAxisOf(udf *expr.UDF) *expr.Axis {
-	if red, ok := udf.Body.(*expr.Reduce); ok {
-		return red.Axis
-	}
-	return nil
 }
 
 // ApplyCtx records out = Σ w[e]·x[src] on the tape; w must be an [m,1]
@@ -292,29 +252,17 @@ func (op *WeightedSumOp) ApplyCtx(ctx context.Context, tp *autodiff.Tape, x, w *
 				copy(op.xbuf.Data(), x.Value.Data())
 				copy(op.wbuf.Data(), w.Value.Data())
 				out := tensor.New(n, op.d)
-				stats, err := g.mustPlan(op.fwdKey, op.buildFwd).RunCtx(ctx, out)
-				if err != nil {
-					panic(opError("weighted-sum forward", err))
-				}
-				info.observe(stats)
+				g.run(ctx, op.fwd, out, info, "weighted-sum forward")
 				return out
 			},
 			func(dOut *tensor.Tensor) {
 				copy(op.gbuf.Data(), dOut.Data())
 				dx := tensor.New(n, op.d)
-				stats, err := g.mustPlan(op.bwdXKey, op.buildBwdX).RunCtx(ctx, dx)
-				if err != nil {
-					panic(opError("weighted-sum backward dX", err))
-				}
-				info.observe(stats)
+				g.run(ctx, op.bwdX, dx, info, "weighted-sum backward dX")
 				autodiff.SeedGrad(x, dx)
 
 				dw := tensor.New(m, 1)
-				stats, err = g.mustPlan(op.bwdWKey, op.buildBwdW).RunCtx(ctx, dw)
-				if err != nil {
-					panic(opError("weighted-sum backward dW", err))
-				}
-				info.observe(stats)
+				g.run(ctx, op.bwdW, dw, info, "weighted-sum backward dW")
 				autodiff.SeedGrad(w, dw)
 			})
 	}
@@ -342,9 +290,9 @@ type DotOp struct {
 	g *Graph
 	d int
 
-	xbuf, ybuf               *tensor.Tensor
-	dattbuf                  *tensor.Tensor
-	fwdKey, bwdXKey, bwdYKey planKey
+	xbuf, ybuf      *tensor.Tensor
+	dattbuf         *tensor.Tensor
+	fwd, bwdX, bwdY core.Kernel
 }
 
 // NewDot builds a dot-product attention op for d-dimensional features.
@@ -358,51 +306,20 @@ func (g *Graph) NewDot(d int) (*DotOp, error) {
 	op.ybuf = tensor.New(n, d)
 	op.dattbuf = tensor.New(g.edgeExtent(), 1)
 
-	op.fwdKey = g.planKeyFor("dot.fwd", g.adj, op.xbuf, op.ybuf, d, core.AggSum)
-	op.bwdXKey = g.planKeyFor("dot.bwdX", g.adjT, op.ybuf, op.dattbuf, d, core.AggSum)
-	op.bwdYKey = g.planKeyFor("dot.bwdY", g.adj, op.xbuf, op.dattbuf, d, core.AggSum)
-	if _, err := g.plan(op.fwdKey, op.buildFwd); err != nil {
+	var err error
+	if op.fwd, err = g.dot(d, op.xbuf, op.ybuf); err != nil {
 		return nil, fmt.Errorf("dgl: dot forward: %w", err)
 	}
-	if _, err := g.plan(op.bwdXKey, op.buildBwdX); err != nil {
+	// dX[u] = Σ_{u→v} dAtt[e]·y[v] (SpMM on the transpose) and
+	// dY[v] = Σ_{u→v} dAtt[e]·x[u] (SpMM on the adjacency).
+	udf := expr.SrcMulEdgeScalar(n, g.edgeExtent(), d)
+	if op.bwdX, err = g.spmm(g.adjT, udf, core.AggSum, op.ybuf, op.dattbuf); err != nil {
 		return nil, fmt.Errorf("dgl: dot backward dX: %w", err)
 	}
-	if _, err := g.plan(op.bwdYKey, op.buildBwdY); err != nil {
+	if op.bwdY, err = g.spmm(g.adj, udf, core.AggSum, op.xbuf, op.dattbuf); err != nil {
 		return nil, fmt.Errorf("dgl: dot backward dY: %w", err)
 	}
 	return op, nil
-}
-
-func (op *DotOp) buildFwd() (core.Kernel, error) {
-	g := op.g
-	udf, inputs := dotUDF(g.NumVertices(), op.d, op.xbuf, op.ybuf)
-	k, err := core.BuildSDDMM(g.adj, udf, inputs, sddmmFDS(g, udf), g.coreOptions())
-	if err != nil {
-		return nil, err
-	}
-	return k, nil
-}
-
-// buildBwdX compiles dX[u] = Σ_{u→v} dAtt[e]·y[v] (SpMM on the transpose).
-func (op *DotOp) buildBwdX() (core.Kernel, error) {
-	g := op.g
-	udf := expr.SrcMulEdgeScalar(g.NumVertices(), g.edgeExtent(), op.d)
-	k, err := core.BuildSpMM(g.adjT, udf, []*tensor.Tensor{op.ybuf, op.dattbuf}, core.AggSum, g.fdsFor(udf), g.coreOptions())
-	if err != nil {
-		return nil, err
-	}
-	return k, nil
-}
-
-// buildBwdY compiles dY[v] = Σ_{u→v} dAtt[e]·x[u] (SpMM on the adjacency).
-func (op *DotOp) buildBwdY() (core.Kernel, error) {
-	g := op.g
-	udf := expr.SrcMulEdgeScalar(g.NumVertices(), g.edgeExtent(), op.d)
-	k, err := core.BuildSpMM(g.adj, udf, []*tensor.Tensor{op.xbuf, op.dattbuf}, core.AggSum, g.fdsFor(udf), g.coreOptions())
-	if err != nil {
-		return nil, err
-	}
-	return k, nil
 }
 
 // ApplyCtx records att = x·y per edge; x and y may be the same Var (GAT).
@@ -416,29 +333,17 @@ func (op *DotOp) ApplyCtx(ctx context.Context, tp *autodiff.Tape, x, y *autodiff
 				copy(op.xbuf.Data(), x.Value.Data())
 				copy(op.ybuf.Data(), y.Value.Data())
 				att := tensor.New(m, 1)
-				stats, err := g.mustPlan(op.fwdKey, op.buildFwd).RunCtx(ctx, att)
-				if err != nil {
-					panic(opError("dot forward", err))
-				}
-				info.observe(stats)
+				g.run(ctx, op.fwd, att, info, "dot forward")
 				return att
 			},
 			func(dOut *tensor.Tensor) {
 				copy(op.dattbuf.Data(), dOut.Data())
 				dx := tensor.New(n, op.d)
-				stats, err := g.mustPlan(op.bwdXKey, op.buildBwdX).RunCtx(ctx, dx)
-				if err != nil {
-					panic(opError("dot backward dX", err))
-				}
-				info.observe(stats)
+				g.run(ctx, op.bwdX, dx, info, "dot backward dX")
 				autodiff.SeedGrad(x, dx)
 
 				dy := tensor.New(n, op.d)
-				stats, err = g.mustPlan(op.bwdYKey, op.buildBwdY).RunCtx(ctx, dy)
-				if err != nil {
-					panic(opError("dot backward dY", err))
-				}
-				info.observe(stats)
+				g.run(ctx, op.bwdY, dy, info, "dot backward dY")
 				autodiff.SeedGrad(y, dy)
 			})
 	}

@@ -41,7 +41,6 @@ func checkBackendsAgree(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatalf("seed %d: naive graph: %v", seed, err)
 	}
-	defer fg.InvalidatePlans()
 
 	x := tensor.New(n, d)
 	x.FillUniform(rng, 0.5, 1.5)

@@ -1,7 +1,6 @@
 package dgl
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,10 +8,9 @@ import (
 	"featgraph/internal/core"
 )
 
-// TestPlanCacheStatsConcurrent is the regression test for the stats data
-// race: counters are written under the cache mutex by concurrent Applies
-// while another goroutine polls them. Reading the bare PlanCache field here
-// used to trip -race; Stats() must not. Run with -race to get the guarantee.
+// TestPlanCacheStatsConcurrent polls Stats while concurrent Applies on one
+// graph move its counters. Run with -race to get the guarantee that the
+// counters are read and written without a data race.
 func TestPlanCacheStatsConcurrent(t *testing.T) {
 	adj := testGraph(t, 41, 48, 4)
 	g, err := New(adj, Config{Backend: FeatGraph, Target: core.CPU, NumThreads: 2})
@@ -64,7 +62,7 @@ func TestPlanCacheStatsConcurrent(t *testing.T) {
 	close(done)
 	poller.Wait()
 
-	// 2 plans per op construction; every epoch re-fetches both.
+	// 2 kernels per op construction; every epoch runs both.
 	s := g.Stats()
 	if want := uint64(workers * 2); s.Misses != want {
 		t.Fatalf("misses = %d, want %d", s.Misses, want)
@@ -76,54 +74,5 @@ func TestPlanCacheStatsConcurrent(t *testing.T) {
 	g.ResetStats()
 	if g.Stats() != (CacheStats{}) {
 		t.Fatalf("ResetStats left counters: %+v", g.Stats())
-	}
-}
-
-// TestPlanCacheEvictionAttribution pins the documented eviction-charging
-// semantics: evictions are charged to the graph whose insert triggered
-// them, even when the evicted plan belongs to another graph.
-func TestPlanCacheEvictionAttribution(t *testing.T) {
-	adjA := testGraph(t, 43, 8, 2)
-	adjB := testGraph(t, 45, 8, 2)
-	gA, err := New(adjA, Config{Backend: FeatGraph})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gB, err := New(adjB, Config{Backend: FeatGraph})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		gA.InvalidatePlans()
-		gB.InvalidatePlans()
-	}()
-	build := func() (core.Kernel, error) { return nil, nil }
-
-	// Fill the process-wide cache to capacity with plans owned by A.
-	for i := 0; i < PlanCacheCap; i++ {
-		key := gA.planKeyFor(fmt.Sprintf("test.evict.%d", i), gA.adj, nil, nil, i, core.AggSum)
-		if _, err := gA.plan(key, build); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := planCacheLen(); got != PlanCacheCap {
-		t.Fatalf("cache holds %d plans after fill, want cap %d", got, PlanCacheCap)
-	}
-	evA := gA.Stats().Evictions
-
-	// B inserts one plan: the LRU victim is one of A's plans, but the
-	// eviction is pressure caused by B and is charged to B.
-	keyB := gB.planKeyFor("test.evict.B", gB.adj, nil, nil, 0, core.AggSum)
-	if _, err := gB.plan(keyB, build); err != nil {
-		t.Fatal(err)
-	}
-	if got := gB.Stats().Evictions; got != 1 {
-		t.Fatalf("inserting graph charged %d evictions, want 1", got)
-	}
-	if got := gA.Stats().Evictions; got != evA {
-		t.Fatalf("victim graph's evictions moved %d -> %d; eviction must be charged to the inserter", evA, got)
-	}
-	if got := planCacheLen(); got != PlanCacheCap {
-		t.Fatalf("cache holds %d plans after eviction, want cap %d", got, PlanCacheCap)
 	}
 }

@@ -3,7 +3,9 @@ package dgl
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
+	"weak"
 
 	"featgraph/internal/autodiff"
 	"featgraph/internal/core"
@@ -36,9 +38,10 @@ func sameData(a, b *tensor.Tensor) bool {
 	return true
 }
 
-// TestPlanCacheEpochsHitWithoutRebuild is the headline cache property:
-// constructing the ops records the misses, and every later epoch is pure
-// hits — no kernel is ever rebuilt inside the training loop.
+// TestPlanCacheEpochsHitWithoutRebuild is the headline property: building
+// the ops compiles their kernels (misses), and every later epoch only runs
+// them (hits) — no kernel is ever rebuilt inside the training loop, however
+// many ops share the graph.
 func TestPlanCacheEpochsHitWithoutRebuild(t *testing.T) {
 	adj := testGraph(t, 21, 64, 4)
 	g, err := New(adj, Config{Backend: FeatGraph, Target: core.CPU, NumThreads: 2, GraphPartitions: 2, FeatureTileFactor: 4})
@@ -50,13 +53,12 @@ func TestPlanCacheEpochsHitWithoutRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.PlanCache.Misses != 2 || g.PlanCache.Hits != 0 {
-		t.Fatalf("after construction: %+v, want 2 misses, 0 hits", g.PlanCache)
+	if s := g.Stats(); s.Misses != 2 || s.Hits != 0 {
+		t.Fatalf("after construction: %+v, want 2 misses, 0 hits", s)
 	}
 
 	rng := rand.New(rand.NewSource(22))
 	x := randT(rng, 64, d)
-	missesAfterBuild := g.PlanCache.Misses
 	var firstOut, firstGrad *tensor.Tensor
 	const epochs = 4
 	for e := 0; e < epochs; e++ {
@@ -66,20 +68,58 @@ func TestPlanCacheEpochsHitWithoutRebuild(t *testing.T) {
 			continue
 		}
 		if !sameData(out, firstOut) || !sameData(grad, firstGrad) {
-			t.Fatalf("epoch %d: cached plans produced different results", e)
+			t.Fatalf("epoch %d: reused kernels produced different results", e)
 		}
 	}
-	if g.PlanCache.Misses != missesAfterBuild {
-		t.Fatalf("epochs rebuilt kernels: misses %d -> %d", missesAfterBuild, g.PlanCache.Misses)
+	if s := g.Stats(); s.Misses != 2 || s.Hits != epochs*2 {
+		t.Fatalf("after %d epochs: %+v, want 2 misses and %d hits (fwd+bwd per epoch)", epochs, s, epochs*2)
 	}
-	if want := uint64(epochs * 2); g.PlanCache.Hits != want {
-		t.Fatalf("hits = %d, want %d (fwd+bwd per epoch)", g.PlanCache.Hits, want)
+
+	// 65 ops hold 130 kernels, more than any bounded shared cache of 128
+	// would keep: epochs over all of them must still compile nothing.
+	ops := make([]*CopyAggOp, 65)
+	for i := range ops {
+		if ops[i], err = g.NewCopySum(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	built := g.Stats().Misses
+	for e := 0; e < 3; e++ {
+		for _, op := range ops {
+			copyAggEpoch(t, op, x)
+		}
+	}
+	if got := g.Stats().Misses; got != built {
+		t.Fatalf("3 epochs over %d ops rebuilt %d kernels", len(ops), got-built)
+	}
+}
+
+// TestDroppedOpReleasesItsBuffers checks that nothing outside an op keeps
+// its kernels: once the graph and its op are unreachable, a collection
+// frees the staging buffer the op's kernels were bound to.
+func TestDroppedOpReleasesItsBuffers(t *testing.T) {
+	xbuf := func() weak.Pointer[tensor.Tensor] {
+		adj := testGraph(t, 31, 48, 4)
+		g, err := New(adj, Config{Backend: FeatGraph, Target: core.CPU, NumThreads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, err := g.NewCopySum(6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copyAggEpoch(t, op, randT(rand.New(rand.NewSource(32)), 48, 6))
+		return weak.Make(op.xbuf)
+	}()
+	runtime.GC()
+	if xbuf.Value() != nil {
+		t.Fatal("a dropped op's staging buffer survived a collection")
 	}
 }
 
 // TestPlanCacheCachedMatchesFresh builds the same op twice per backend: the
-// second op stages into fresh buffers, so it compiles fresh plans; its
-// results must be bit-identical to the first op's cached-plan results.
+// second op compiles its own kernels over its own buffers, and its results
+// must be bit-identical to the first op's reused kernels.
 func TestPlanCacheCachedMatchesFresh(t *testing.T) {
 	adj := testGraph(t, 23, 48, 5)
 	const d = 6
@@ -100,26 +140,26 @@ func TestPlanCacheCachedMatchesFresh(t *testing.T) {
 		}
 		// Warm the cached op's plans, then run it again (all hits).
 		copyAggEpoch(t, cached, x)
-		hitsBefore := g.PlanCache.Hits
+		hitsBefore := g.Stats().Hits
 		cachedOut, cachedGrad := copyAggEpoch(t, cached, x)
-		if g.PlanCache.Hits <= hitsBefore {
-			t.Fatalf("%s: second epoch recorded no cache hits: %+v", name, g.PlanCache)
+		if s := g.Stats(); s.Hits <= hitsBefore {
+			t.Fatalf("%s: second epoch recorded no hits: %+v", name, s)
 		}
 
-		fresh, err := g.NewCopyMean(d) // fresh buffers -> fresh plans
+		fresh, err := g.NewCopyMean(d) // a second op compiles its own kernels
 		if err != nil {
 			t.Fatal(err)
 		}
 		freshOut, freshGrad := copyAggEpoch(t, fresh, x)
 		if !sameData(cachedOut, freshOut) || !sameData(cachedGrad, freshGrad) {
-			t.Fatalf("%s: cached plan diverges from freshly compiled plan", name)
+			t.Fatalf("%s: reused kernel diverges from a freshly compiled one", name)
 		}
 	}
 }
 
 // TestPlanCacheShapeChangeMissesNotCorrupts rebuilds an op at a different
-// feature width over the same graph: the new shape must miss the cache (new
-// plans) and both widths must keep producing correct results.
+// feature width over the same graph: the new op compiles new kernels
+// (misses) and both widths must keep producing correct results.
 func TestPlanCacheShapeChangeMissesNotCorrupts(t *testing.T) {
 	adj := testGraph(t, 25, 40, 4)
 	g, err := New(adj, Config{Backend: FeatGraph, Target: core.CPU, NumThreads: 2})
@@ -132,13 +172,13 @@ func TestPlanCacheShapeChangeMissesNotCorrupts(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(26))
 	for _, d := range []int{4, 8} {
-		missesBefore := g.PlanCache.Misses
+		missesBefore := g.Stats().Misses
 		op, err := g.NewCopySum(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.PlanCache.Misses != missesBefore+2 {
-			t.Fatalf("d=%d: expected 2 new misses, got %+v", d, g.PlanCache)
+		if s := g.Stats(); s.Misses != missesBefore+2 {
+			t.Fatalf("d=%d: expected 2 new misses, got %+v", d, s)
 		}
 		naiveOp, err := naiveG.NewCopySum(d)
 		if err != nil {
@@ -153,39 +193,6 @@ func TestPlanCacheShapeChangeMissesNotCorrupts(t *testing.T) {
 	}
 }
 
-// TestInvalidatePlansForcesRebuild drops a graph's plans and checks the next
-// epoch recompiles them (misses) without changing results.
-func TestInvalidatePlansForcesRebuild(t *testing.T) {
-	adj := testGraph(t, 27, 32, 3)
-	g, err := New(adj, Config{Backend: FeatGraph, Target: core.CPU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const d = 5
-	op, err := g.NewCopySum(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(28))
-	x := randT(rng, 32, d)
-	out1, grad1 := copyAggEpoch(t, op, x)
-
-	if removed := g.InvalidatePlans(); removed < 2 {
-		t.Fatalf("InvalidatePlans removed %d plans, want >= 2", removed)
-	}
-	missesBefore := g.PlanCache.Misses
-	out2, grad2 := copyAggEpoch(t, op, x)
-	if g.PlanCache.Misses != missesBefore+2 {
-		t.Fatalf("epoch after invalidation should rebuild both plans: %+v", g.PlanCache)
-	}
-	if !sameData(out1, out2) || !sameData(grad1, grad2) {
-		t.Fatal("rebuild after invalidation changed results")
-	}
-	if planCacheLen() == 0 {
-		t.Fatal("rebuilt plans should be back in the cache")
-	}
-}
-
 // TestResetStatsZeroesPlanCacheCounters pins CacheStats into the stats
 // lifecycle.
 func TestResetStatsZeroesPlanCacheCounters(t *testing.T) {
@@ -197,11 +204,11 @@ func TestResetStatsZeroesPlanCacheCounters(t *testing.T) {
 	if _, err := g.NewDot(4); err != nil {
 		t.Fatal(err)
 	}
-	if g.PlanCache == (CacheStats{}) {
-		t.Fatal("op construction should have recorded cache traffic")
+	if g.Stats() == (CacheStats{}) {
+		t.Fatal("op construction should have recorded kernel builds")
 	}
 	g.ResetStats()
-	if g.PlanCache != (CacheStats{}) {
-		t.Fatalf("ResetStats left plan-cache counters: %+v", g.PlanCache)
+	if s := g.Stats(); s != (CacheStats{}) {
+		t.Fatalf("ResetStats left kernel counters: %+v", s)
 	}
 }

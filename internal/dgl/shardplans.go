@@ -1,85 +1,35 @@
 package dgl
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-
 	"featgraph/internal/core"
 	"featgraph/internal/sparse"
 )
 
-// ShardPlanCache adapts the process-wide LRU plan cache to
-// core.ShardPlanner, so out-of-core executors share the same bounded,
-// observable plan store as the in-memory ops instead of growing a private
-// unbounded map. Each shard's plan is keyed by (instance, shard index,
-// shard CSR identity): a re-materialized shard has a new CSR pointer, so
-// its stale plan can never be wrongly hit — and the adapter deletes it
-// eagerly rather than leaving it to age out, because a stale shard plan
-// pins the evicted shard's arrays in memory, exactly what an out-of-core
-// budget exists to prevent.
+// ShardPlanCache is a core.ShardPlanner whose traffic reads as CacheStats:
+// one kernel per shard (core.ShardPlans), each replaced in place when its
+// shard is re-materialized. The kernels belong to the cache and are
+// released with it.
 type ShardPlanCache struct {
-	kind string
-
-	mu      sync.Mutex
-	lastAdj map[int]*sparse.CSR // CSR identity behind each shard's live key
-	stats   CacheStats
+	plans core.ShardPlans
 }
 
-// shardPlanSeq uniquifies ShardPlanCache instances: two executors with the
-// same kind label must never collide in the shared cache, since their
-// plans bind different UDFs, inputs, or options.
-var shardPlanSeq atomic.Uint64
-
-// NewShardPlanCache returns a planner caching shard plans in the
-// process-wide plan cache. kind labels the plans (e.g. "spmm.outofcore")
-// for humans; isolation between instances is automatic.
-func NewShardPlanCache(kind string) *ShardPlanCache {
-	return &ShardPlanCache{
-		kind:    fmt.Sprintf("shard.%s.%d", kind, shardPlanSeq.Add(1)),
-		lastAdj: make(map[int]*sparse.CSR),
-	}
-}
+// NewShardPlanCache returns an empty planner. kind names the executor it
+// serves (e.g. "spmm.outofcore") at the call site; every instance is
+// separate, so two caches never share a kernel.
+func NewShardPlanCache(kind string) *ShardPlanCache { return &ShardPlanCache{} }
 
 // Plan implements core.ShardPlanner.
 func (c *ShardPlanCache) Plan(shard int, adj *sparse.CSR, build func() (core.Kernel, error)) (core.Kernel, error) {
-	c.mu.Lock()
-	if prev, ok := c.lastAdj[shard]; ok && prev != adj {
-		// The shard was evicted and re-materialized since this plan was
-		// built; drop the stale plan so it stops holding the old arrays.
-		planCacheDelete(planKey{kind: c.kind, shard: shard, topo: topoKeyFor(prev)})
-	}
-	c.lastAdj[shard] = adj
-	c.mu.Unlock()
-	return cachePlan(&c.stats, planKey{kind: c.kind, shard: shard, topo: topoKeyFor(adj)}, build)
+	return c.plans.Plan(shard, adj, build)
 }
 
-// Invalidate drops every plan this adapter has cached, returning how many
-// were removed. Call it when the backing shard source closes.
-func (c *ShardPlanCache) Invalidate() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	removed := 0
-	for shard, adj := range c.lastAdj {
-		key := planKey{kind: c.kind, shard: shard, topo: topoKeyFor(adj)}
-		planCache.mu.Lock()
-		if el, ok := planCache.entries[key]; ok {
-			delete(planCache.entries, key)
-			planCache.lru.Remove(el)
-			removed++
-		}
-		planCache.mu.Unlock()
-		delete(c.lastAdj, shard)
-	}
-	return removed
-}
+// Invalidate does nothing. The kernels belong to the cache, so dropping
+// the cache releases them and the shard arrays they alias.
+func (c *ShardPlanCache) Invalidate() {}
 
-// Stats returns a consistent snapshot of the adapter's cache counters.
+// Stats returns the cache's counters: Misses one per kernel built, Hits
+// one per Plan call served by a held kernel.
 func (c *ShardPlanCache) Stats() CacheStats {
-	planCache.mu.Lock()
-	defer planCache.mu.Unlock()
-	return c.stats
+	hits, misses := c.plans.Counts()
+	return CacheStats{Hits: hits, Misses: misses}
 }
-
-// Compile-time check: the adapter satisfies core.ShardPlanner.
-var _ core.ShardPlanner = (*ShardPlanCache)(nil)

@@ -38,7 +38,6 @@ func TestShardPlanCacheHitsAndStaleDeletion(t *testing.T) {
 
 	c := NewShardPlanCache("spmm.test")
 	var builds atomic.Int64
-	before := planCacheLen()
 
 	// First pass misses per shard; second pass hits with the same CSRs.
 	for pass := 0; pass < 2; pass++ {
@@ -55,34 +54,20 @@ func TestShardPlanCacheHitsAndStaleDeletion(t *testing.T) {
 	if s.Misses != uint64(len(shards)) || s.Hits != uint64(len(shards)) {
 		t.Fatalf("stats = %+v, want %d misses and %d hits", s, len(shards), len(shards))
 	}
-	if got := planCacheLen(); got != before+len(shards) {
-		t.Fatalf("process cache grew by %d entries, want %d", got-before, len(shards))
-	}
 
-	// Re-materialized shard 0 (new CSR pointer): must rebuild AND delete
-	// the stale plan rather than stranding it in the shared cache.
+	// Re-materialized shard 0 (new CSR pointer): the stale plan must not be
+	// hit, so the shard rebuilds.
 	fresh := partition.ExtractShard(a, shards[0])
 	if _, err := c.Plan(0, fresh, buildCounter(&builds)); err != nil {
 		t.Fatal(err)
 	}
-	if got := builds.Load(); got != int64(len(shards))+1 {
-		t.Fatalf("re-materialized shard did not rebuild (builds=%d)", got)
-	}
-	if got := planCacheLen(); got != before+len(shards) {
-		t.Fatalf("stale plan not deleted: cache holds %d extra entries, want %d", got-before, len(shards))
-	}
-
-	// Invalidate drops every plan this adapter owns.
-	if removed := c.Invalidate(); removed != len(shards) {
-		t.Fatalf("Invalidate removed %d plans, want %d", removed, len(shards))
-	}
-	if got := planCacheLen(); got != before {
-		t.Fatalf("cache not restored after Invalidate: %d vs %d", got, before)
+	if got := c.Stats().Misses; got != uint64(len(shards))+1 {
+		t.Fatalf("re-materialized shard did not rebuild: %d misses, want %d", got, len(shards)+1)
 	}
 }
 
-// Two adapters with the same human label must not collide: each instance's
-// plans are keyed by a unique kind.
+// Two adapters with the same label must not share a plan: each instance
+// holds its own.
 func TestShardPlanCacheInstancesIsolated(t *testing.T) {
 	a := testGraph(t, 61, 20, 3)
 	adj := partition.ExtractShard(a, partition.EdgeShards(a, a.NNZ())[0])
@@ -99,8 +84,6 @@ func TestShardPlanCacheInstancesIsolated(t *testing.T) {
 	if b1.Load() != 1 || b2.Load() != 1 {
 		t.Fatalf("instances shared a plan: builds %d/%d, want 1/1", b1.Load(), b2.Load())
 	}
-	c1.Invalidate()
-	c2.Invalidate()
 }
 
 // testShardSource serves an in-memory CSR as shards for the executor
@@ -131,8 +114,8 @@ func (s *testShardSource) Pin(ctx context.Context, i int) (*sparse.CSR, func(), 
 }
 
 // The adapter must satisfy the executor contract end to end: a sharded
-// SpMM through ShardPlanCache returns the same result as the reference,
-// and its plans leave the cache on Invalidate.
+// SpMM through ShardPlanCache returns the same result as the reference
+// and builds one plan per shard.
 func TestShardPlanCacheDrivesShardedSpMM(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	adj := testGraph(t, 62, 30, 4)
@@ -141,7 +124,6 @@ func TestShardPlanCacheDrivesShardedSpMM(t *testing.T) {
 	udf := expr.CopySrc(30, 5)
 
 	c := NewShardPlanCache("spmm.outofcore")
-	before := planCacheLen()
 	k, err := core.BuildShardedSpMM(src, udf, []*tensor.Tensor{x}, core.AggSum, nil, core.Options{Target: core.CPU}, c)
 	if err != nil {
 		t.Fatal(err)
@@ -157,10 +139,7 @@ func TestShardPlanCacheDrivesShardedSpMM(t *testing.T) {
 	if !out.AllClose(want, 1e-4) {
 		t.Fatalf("sharded SpMM through ShardPlanCache diverges, max diff %v", out.MaxAbsDiff(want))
 	}
-	if got := planCacheLen(); got != before+src.NumShards() {
-		t.Fatalf("plan cache grew by %d, want one per shard (%d)", got-before, src.NumShards())
-	}
-	if removed := c.Invalidate(); removed != src.NumShards() {
-		t.Fatalf("Invalidate removed %d, want %d", removed, src.NumShards())
+	if got := c.Stats().Misses; got != uint64(src.NumShards()) {
+		t.Fatalf("%d plans built, want one per shard (%d)", got, src.NumShards())
 	}
 }

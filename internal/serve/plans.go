@@ -14,10 +14,11 @@ import (
 
 // The serving plan pool: compiled kernel reuse across sampled blocks.
 //
-// The dgl plan cache keys on adjacency and buffer *identity*, which is
+// A dgl op owns kernels bound to its own adjacency and buffers, which is
 // right for training (one topology, thousands of epochs) and useless for
 // serving, where every batch samples a fresh block — identical in shape
-// class, unique in pointer. Following Morphling's observation that small
+// class, unique in pointer. This pool is the only plan structure shared
+// between callers. Following Morphling's observation that small
 // GNN launches are dominated by per-launch setup and that kernels tuned
 // per (graph stats, feature width) bucket transfer across graphs, the pool
 // keys compiled kernels by a rounded shape class {rows, cols, nnz, width}

@@ -11,9 +11,8 @@ import "time"
 //	        featgraph.WithGraphPartitions(16))
 //	k, _ := featgraph.SpMM(g, udf, inputs, featgraph.AggSum, fds, opts)
 //
-// The Options struct remains the canonical representation (it is
-// comparable, which the dgl plan cache relies on); Option values are just
-// constructors for it.
+// The Options struct remains the canonical representation; Option values
+// are just constructors for it.
 type Option func(*Options)
 
 // NewOptions builds an Options value from functional settings. Zero

@@ -8,7 +8,7 @@ import (
 
 // Observability surface. The execution stack is instrumented with
 // zero-dependency counters, gauges and histograms (kernel run latency,
-// edges processed, plan-cache traffic, GPU→CPU fallbacks, work-stealing
+// edges processed, dgl kernel traffic, GPU→CPU fallbacks, work-stealing
 // imbalance, recovered panics) and a ring-buffer trace recorder of per-run
 // span events. Both are off by default and cost a few atomic loads per run
 // while disabled; see README.md's Observability section.
