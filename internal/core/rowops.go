@@ -7,12 +7,12 @@ import "featgraph/internal/vec"
 // same bits either way. What lives here is the walk over a row's
 // neighbours: how many operand rows fold into the output row per pass (four,
 // or two pairs), so it is loaded and stored once per pass instead of once
-// per neighbour, and the leftover rows a pass does not cover; plus mlpFold,
-// whose per-edge message is not a row of any operand, and maxMinRows, whose
-// fold compares instead of adding. Summation order is a function of the
-// operand order alone: results are deterministic per row and neighbour
-// order, and differ from the serial left-to-right sum only in rounding
-// (DESIGN.md §11.1).
+// per neighbour, and the leftover rows a pass does not cover; plus
+// maxMinRows, whose fold compares instead of adding. (The MLP message is not
+// a row of any operand: spmm.go hands two edges' at a time to vec.MLP2.)
+// Summation order is a function of the operand order alone: results are
+// deterministic per row and neighbour order, and differ from the serial
+// left-to-right sum only in rounding (DESIGN.md §11.1).
 
 // dotRows sets dots[p] to row idx[p] of data (row stride stride) dotted with
 // y, for every p: vec.Dot2 over pairs of rows, vec.Dot for a leftover one.
@@ -93,67 +93,5 @@ func maxMinRows(op AggOp, orow, data []float32, stride, lo int, idx []int32) {
 				orow[f] = v
 			}
 		}
-	}
-}
-
-// mlpFold computes one edge's MLP message m = act(t × W[:, lo:lo+len(orow)])
-// and folds it into orow with op. wd is W's data offset to column lo, ws its
-// row stride. Each 8-column block of m is produced in registers over all of
-// t, activated and folded from there, so the message never round-trips
-// through a buffer; columns past the last full block take the scalar loop.
-func mlpFold(op AggOp, orow, t, wd []float32, ws int, relu bool) {
-	f := 0
-	for ; f+8 <= len(orow); f += 8 {
-		var m0, m1, m2, m3, m4, m5, m6, m7 float32
-		for kk, a := range t {
-			wb := (*[8]float32)(wd[kk*ws+f : kk*ws+f+8])
-			m0 += a * wb[0]
-			m1 += a * wb[1]
-			m2 += a * wb[2]
-			m3 += a * wb[3]
-			m4 += a * wb[4]
-			m5 += a * wb[5]
-			m6 += a * wb[6]
-			m7 += a * wb[7]
-		}
-		if relu { // max, not a branch: a message's sign is data-dependent
-			m0, m1, m2, m3 = max(m0, 0), max(m1, 0), max(m2, 0), max(m3, 0)
-			m4, m5, m6, m7 = max(m4, 0), max(m5, 0), max(m6, 0), max(m7, 0)
-		}
-		ob := (*[8]float32)(orow[f : f+8])
-		fold1(op, &ob[0], m0)
-		fold1(op, &ob[1], m1)
-		fold1(op, &ob[2], m2)
-		fold1(op, &ob[3], m3)
-		fold1(op, &ob[4], m4)
-		fold1(op, &ob[5], m5)
-		fold1(op, &ob[6], m6)
-		fold1(op, &ob[7], m7)
-	}
-	for ; f < len(orow); f++ {
-		var s float32
-		for kk, a := range t {
-			s += a * wd[kk*ws+f]
-		}
-		if relu {
-			s = max(s, 0)
-		}
-		fold1(op, &orow[f], s)
-	}
-}
-
-// fold1 is aggInto for one element.
-func fold1(op AggOp, acc *float32, v float32) {
-	switch op {
-	case AggMax:
-		if v > *acc {
-			*acc = v
-		}
-	case AggMin:
-		if v < *acc {
-			*acc = v
-		}
-	default:
-		*acc += v
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"featgraph/internal/sparse"
 	"featgraph/internal/telemetry"
 	"featgraph/internal/tensor"
+	"featgraph/internal/vec"
 )
 
 // SpMMKernel is a built generalized-SpMM kernel: the paper's
@@ -168,7 +169,7 @@ func buildSpMM(adj *sparse.CSR, udf *expr.UDF, inputs []*tensor.Tensor, agg AggO
 	// Admission memory estimate: the output surface plus one run state's
 	// per-slot scratch, in float32 bytes.
 	k.memEstimate = 4 * (int64(adj.NumRows)*int64(k.outLen) +
-		int64(scratchSlots(opts.NumThreads))*int64(k.maxTile+k.tmpLen))
+		int64(scratchSlots(opts.NumThreads))*int64(k.maxTile+2*k.tmpLen))
 
 	// Pre-create one run state (and GPU launch state) so scratch is
 	// allocated at build time and the first Run is already allocation-free;
@@ -208,11 +209,11 @@ func (k *SpMMKernel) RunCtx(ctx context.Context, out *tensor.Tensor) (RunStats, 
 type spmmScratch struct {
 	env *codegen.Env
 	msg []float32 // message buffer (one feature tile)
-	tmp []float32 // x_src + x_dst buffer for the MLP fast path
+	tmp []float32 // x_src + x_dst of two edges for the MLP fast path
 }
 
 func (k *SpMMKernel) newScratch() *spmmScratch {
-	return &spmmScratch{env: k.compiled.NewEnv(), msg: make([]float32, k.maxTile), tmp: make([]float32, k.tmpLen)}
+	return &spmmScratch{env: k.compiled.NewEnv(), msg: make([]float32, k.maxTile), tmp: make([]float32, 2*k.tmpLen)}
 }
 
 // cpuRows processes rows [rlo, rhi) of one partition for one feature tile.
@@ -257,24 +258,42 @@ func (k *SpMMKernel) cpuRows(out *tensor.Tensor, part *sparse.CSR, tile partitio
 
 	case k.match.Pattern == codegen.MLPSrcDst:
 		// MLP aggregation with the scheduled loop order: the combined
-		// feature x_src+x_dst is computed once per edge, then the product
-		// walks rows of W (contiguous) an 8-column register block at a time
-		// — the optimization the blackbox baselines cannot apply.
+		// feature x_src+x_dst is computed once per edge, then vec.MLP2
+		// walks rows of W (contiguous) a 16-column register block at a
+		// time for two in-edges at once, and folds both messages from
+		// registers, in edge order — the optimization the blackbox
+		// baselines cannot apply. A leftover edge takes vec.MLP.
 		x, w := k.match.X, k.match.W
 		xd, xs := x.Data(), x.RowStride()
 		wd, ws := w.Data()[lo:], w.RowStride()
-		tmp := sc.tmp[:w.Dim(0)]
+		d1 := w.Dim(0)
+		t1, t2 := sc.tmp[:d1], sc.tmp[d1:2*d1]
+		fold := vec.FoldSum
+		switch k.agg {
+		case AggMax:
+			fold = vec.FoldMax
+		case AggMin:
+			fold = vec.FoldMin
+		}
 		for r := rlo; r < rhi; r++ {
 			orow := odata[r*ostride+lo : r*ostride+hi]
 			// Dst features live at the global row; out at the local one
 			// (identical for non-sharded kernels, where dstBase is 0).
-			xv := xd[(r+k.dstBase)*xs:][:len(tmp)]
-			for p := part.RowPtr[r]; p < part.RowPtr[r+1]; p++ {
-				xu := xd[int(part.ColIdx[p])*xs:][:len(tmp)]
-				for kk := range tmp {
-					tmp[kk] = xu[kk] + xv[kk]
+			xv := xd[(r+k.dstBase)*xs:][:d1]
+			p, end := part.RowPtr[r], part.RowPtr[r+1]
+			for ; p+2 <= end; p += 2 {
+				xu, xu2 := xd[int(part.ColIdx[p])*xs:][:d1], xd[int(part.ColIdx[p+1])*xs:][:d1]
+				for kk := range t1 {
+					t1[kk], t2[kk] = xu[kk]+xv[kk], xu2[kk]+xv[kk]
 				}
-				mlpFold(k.agg, orow, tmp, wd, ws, k.match.Relu)
+				vec.MLP2(orow, t1, t2, wd, ws, k.match.Relu, fold)
+			}
+			if p < end {
+				xu := xd[int(part.ColIdx[p])*xs:][:d1]
+				for kk := range t1 {
+					t1[kk] = xu[kk] + xv[kk]
+				}
+				vec.MLP(orow, t1, wd, ws, k.match.Relu, fold)
 			}
 		}
 

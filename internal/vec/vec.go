@@ -1,7 +1,8 @@
 // Package vec holds the float32 row kernels the CPU hot loops are made of:
 // o += a, o += (a+b)+(c+d), o += wa·a, o += wa·a+wb·b,
-// o += (wa·a+wb·b)+(wc·c+wd·d), and the 8-block dot product summed in four
-// lanes, for one row or for two rows against a shared one.
+// o += (wa·a+wb·b)+(wc·c+wd·d), the 8-block dot product summed in four
+// lanes, for one row or for two rows against a shared one, and the MLP
+// message o ⊕= act(t × W) folded by sum, max or min.
 //
 // On amd64 each kernel runs an SSE2 loop (vec_amd64.s; SSE2 is the amd64
 // baseline, so nothing is probed). Every lane evaluates the Go loop's
@@ -15,6 +16,8 @@
 // (len(x) for the dots) first, so one without that capacity panics with o
 // untouched.
 package vec
+
+import "math"
 
 // Add adds a into o. It is Axpy with wa = 1: 1·a is a, bit for bit.
 func Add(o, a []float32) { axpy(o, a, 1, sse) }
@@ -140,4 +143,122 @@ func dotGo(s *[4]float32, x, y []float32) {
 		s0 += x[f] * y[f]
 	}
 	*s = [4]float32{s0, s1, s2, s3}
+}
+
+// Fold is how MLP folds a message element v into its accumulator acc.
+type Fold int
+
+const (
+	FoldSum Fold = iota // acc + v
+	FoldMax             // v > acc ? v : acc
+	FoldMin             // v < acc ? v : acc
+)
+
+// MLP folds the message act(t × W) into o by op. Column f of the message is
+// Σ t[kk]·w[kk*ws+f] summed from +0 in ascending kk, then max(·, 0) when
+// relu is set: w holds len(t) rows of W at row stride ws ≥ 0, each at least
+// len(o) long, so a tile of W's columns is W's data from the tile's first
+// column on. The message stays in registers: the SSE body computes 16
+// columns in four lanes of accumulators over all of t (then 4 at a time),
+// activates and folds them from there, and the len(o) mod 4 columns past
+// the last block take the Go loop.
+func MLP(o, t, w []float32, ws int, relu bool, op Fold) { mlp(o, t, w, ws, relu, op, sse) }
+
+func mlp(o, t, w []float32, ws int, relu bool, op Fold, asm bool) {
+	w = mlpW(o, t, w, ws)
+	f := 0
+	if asm && len(o) >= 4 && len(t) > 0 {
+		f = len(o) &^ 3
+		floor := mlpFloor(relu)
+		switch op {
+		case FoldMax:
+			mlpMaxSSE(&o[0], &t[0], &w[0], len(t), ws, f, floor)
+		case FoldMin:
+			mlpMinSSE(&o[0], &t[0], &w[0], len(t), ws, f, floor)
+		default:
+			mlpSumSSE(&o[0], &t[0], &w[0], len(t), ws, f, floor)
+		}
+	}
+	mlpGo(o, t, w, ws, f, relu, op)
+}
+
+// MLP2 is MLP(o, t1, w, ws, relu, op) then MLP(o, t2, w, ws, relu, op), bit
+// for bit, loading each block of W once for both messages.
+func MLP2(o, t1, t2, w []float32, ws int, relu bool, op Fold) {
+	mlp2(o, t1, t2, w, ws, relu, op, sse)
+}
+
+func mlp2(o, t1, t2, w []float32, ws int, relu bool, op Fold, asm bool) {
+	t2 = t2[:len(t1)]
+	w = mlpW(o, t1, w, ws)
+	f := 0
+	if asm && len(o) >= 4 && len(t1) > 0 {
+		f = len(o) &^ 3
+		floor := mlpFloor(relu)
+		switch op {
+		case FoldMax:
+			mlp2MaxSSE(&o[0], &t1[0], &t2[0], &w[0], len(t1), ws, f, floor)
+		case FoldMin:
+			mlp2MinSSE(&o[0], &t1[0], &t2[0], &w[0], len(t1), ws, f, floor)
+		default:
+			mlp2SumSSE(&o[0], &t1[0], &t2[0], &w[0], len(t1), ws, f, floor)
+		}
+	}
+	// Columns are independent, so folding t2's message after all of t1's
+	// is folding each column's pair in turn.
+	mlpGo(o, t1, w, ws, f, relu, op)
+	mlpGo(o, t2, w, ws, f, relu, op)
+}
+
+// mlpW reslices w to the len(t) rows of len(o) elements MLP reads.
+func mlpW(o, t, w []float32, ws int) []float32 {
+	if ws < 0 {
+		panic("vec: negative row stride")
+	}
+	if len(o) == 0 || len(t) == 0 {
+		return nil
+	}
+	return w[:(len(t)-1)*ws+len(o)]
+}
+
+// mlpFloor is the SSE bodies' ReLU, max(floor, m): 0, or −Inf for none.
+func mlpFloor(relu bool) float32 {
+	if relu {
+		return 0
+	}
+	return float32(math.Inf(-1))
+}
+
+// mlpGo is MLP's Go loop over columns f and up, the fold chosen once.
+func mlpGo(o, t, w []float32, ws, f int, relu bool, op Fold) {
+	switch op {
+	case FoldMax:
+		for ; f < len(o); f++ {
+			if v := mlpCol(t, w, ws, f, relu); v > o[f] {
+				o[f] = v
+			}
+		}
+	case FoldMin:
+		for ; f < len(o); f++ {
+			if v := mlpCol(t, w, ws, f, relu); v < o[f] {
+				o[f] = v
+			}
+		}
+	default:
+		for ; f < len(o); f++ {
+			o[f] += mlpCol(t, w, ws, f, relu)
+		}
+	}
+}
+
+// mlpCol is column f of MLP's message.
+func mlpCol(t, w []float32, ws, f int, relu bool) float32 {
+	var m float32
+	for kk, a := range t {
+		m += a * w[kk*ws+f]
+	}
+	if relu {
+		m = max(m, 0)
+	}
+	return m
 }

@@ -3,7 +3,8 @@
 package vec
 
 // sse selects vec_amd64.s: each body does the first n elements, n a positive
-// multiple of 4 (of 8 for the dots, which add into the lanes s and t).
+// multiple of 4 (of 8 for the dots, which add into the lanes s and t; the
+// mlp bodies take d1 > 0 rows of w, ws floats apart, and the ReLU floor).
 const sse = true
 
 //go:noescape
@@ -23,3 +24,21 @@ func dotSSE(s *[4]float32, x, y *float32, n int)
 
 //go:noescape
 func dot2SSE(s, t *[4]float32, x1, x2, y *float32, n int)
+
+//go:noescape
+func mlpSumSSE(o, t, w *float32, d1, ws, n int, floor float32)
+
+//go:noescape
+func mlpMaxSSE(o, t, w *float32, d1, ws, n int, floor float32)
+
+//go:noescape
+func mlpMinSSE(o, t, w *float32, d1, ws, n int, floor float32)
+
+//go:noescape
+func mlp2SumSSE(o, t1, t2, w *float32, d1, ws, n int, floor float32)
+
+//go:noescape
+func mlp2MaxSSE(o, t1, t2, w *float32, d1, ws, n int, floor float32)
+
+//go:noescape
+func mlp2MinSSE(o, t1, t2, w *float32, d1, ws, n int, floor float32)

@@ -166,3 +166,258 @@ dot2loop:
 	MOVUPS X0, (DI)
 	MOVUPS X5, (R10)
 	RET
+
+// The mlp bodies: o ⊕= max(floor, t × W[:, :n]), one TEXT per fold, for one
+// message (mlp*SSE) or two folded in turn (mlp2*SSE). A 16-column block
+// keeps a message in four registers over all d1 rows of W (then a 4-column
+// block in one): per row kk, t[kk] broadcast times W's block, MULPS, added
+// into the message, ADDPS, as m = m + t[kk]·W[kk][f] from m = +0. The pair
+// bodies load each block of W once for both messages.
+//
+// ReLU is MAXPS with the floor as destination, floor > m ? floor : m: that
+// keeps a NaN m, as Go's max(m, 0) does, and differs from it only at
+// m = −0, which a sum started at +0 never is (x + y rounds to −0 only when
+// both are −0). Without ReLU the floor is −Inf, and m comes through whole.
+// FOLD(m, acc) keeps Go's comparison: max is MAXPS with the message as
+// destination, v > acc ? v : acc (MINPS likewise), then the result moves
+// into acc; sum is ADDPS into acc, acc + v.
+//
+// Registers: DI o, SI t (t1), R12 t2 − t1 in bytes, DX W's block, CX d1,
+// R8 ws in bytes, BX columns left, X14 the floor, X15 a temporary (the
+// loaded o block in the fold).
+// Each TEXT loads its arguments itself, where go vet's asmdecl checks them
+// against the frame.
+#define FOLD_SUM(m, acc) ADDPS m, acc
+#define FOLD_MAX(m, acc) MAXPS acc, m; MOVAPS m, acc
+#define FOLD_MIN(m, acc) MINPS acc, m; MOVAPS m, acc
+
+// ACT_FOLD folds the activated message m into o at byte offset off.
+#define ACT_FOLD(FOLD, m, off) \
+	MOVAPS X14, X8; \
+	MAXPS  m, X8; \
+	MOVUPS off(DI), X15; \
+	FOLD(X8, X15); \
+	MOVUPS X15, off(DI)
+
+// ACT_FOLD2 folds the activated messages m1, then m2, into o at off.
+#define ACT_FOLD2(FOLD, m1, m2, off) \
+	MOVAPS X14, X8; \
+	MAXPS  m1, X8; \
+	MOVAPS X14, X9; \
+	MAXPS  m2, X9; \
+	MOVUPS off(DI), X15; \
+	FOLD(X8, X15); \
+	FOLD(X9, X15); \
+	MOVUPS X15, off(DI)
+
+#define MLP_BODY(FOLD) \
+	SHLQ   $2, R8; \
+	SHUFPS $0, X14, X14; \
+	CMPQ   BX, $16; \
+	JLT    quad; \
+block16: \
+	XORPS  X0, X0; \
+	XORPS  X1, X1; \
+	XORPS  X2, X2; \
+	XORPS  X3, X3; \
+	MOVQ   SI, R9; \
+	MOVQ   DX, R10; \
+	MOVQ   CX, R11; \
+row16: \
+	MOVSS  (R9), X12; \
+	SHUFPS $0, X12, X12; \
+	MOVUPS (R10), X4; \
+	MULPS  X12, X4; \
+	ADDPS  X4, X0; \
+	MOVUPS 16(R10), X5; \
+	MULPS  X12, X5; \
+	ADDPS  X5, X1; \
+	MOVUPS 32(R10), X6; \
+	MULPS  X12, X6; \
+	ADDPS  X6, X2; \
+	MOVUPS 48(R10), X7; \
+	MULPS  X12, X7; \
+	ADDPS  X7, X3; \
+	ADDQ   $4, R9; \
+	ADDQ   R8, R10; \
+	DECQ   R11; \
+	JNZ    row16; \
+	ACT_FOLD(FOLD, X0, 0); \
+	ACT_FOLD(FOLD, X1, 16); \
+	ACT_FOLD(FOLD, X2, 32); \
+	ACT_FOLD(FOLD, X3, 48); \
+	ADDQ   $64, DI; \
+	ADDQ   $64, DX; \
+	SUBQ   $16, BX; \
+	CMPQ   BX, $16; \
+	JGE    block16; \
+quad: \
+	TESTQ  BX, BX; \
+	JZ     done; \
+block4: \
+	XORPS  X0, X0; \
+	MOVQ   SI, R9; \
+	MOVQ   DX, R10; \
+	MOVQ   CX, R11; \
+row4: \
+	MOVSS  (R9), X12; \
+	SHUFPS $0, X12, X12; \
+	MOVUPS (R10), X4; \
+	MULPS  X12, X4; \
+	ADDPS  X4, X0; \
+	ADDQ   $4, R9; \
+	ADDQ   R8, R10; \
+	DECQ   R11; \
+	JNZ    row4; \
+	ACT_FOLD(FOLD, X0, 0); \
+	ADDQ   $16, DI; \
+	ADDQ   $16, DX; \
+	SUBQ   $4, BX; \
+	JNZ    block4; \
+done: \
+	RET
+
+// MAC2 adds t1·w into m1 and t2·w into m2, w the W block at off(R10).
+#define MAC2(off, w, m1, m2) \
+	MOVUPS off(R10), w; \
+	MOVAPS w, X15; \
+	MULPS  X12, X15; \
+	ADDPS  X15, m1; \
+	MULPS  X13, w; \
+	ADDPS  w, m2
+
+#define MLP2_BODY(FOLD) \
+	SHLQ   $2, R8; \
+	SHUFPS $0, X14, X14; \
+	SUBQ   SI, R12; \
+	CMPQ   BX, $16; \
+	JLT    quad; \
+block16: \
+	XORPS  X0, X0; \
+	XORPS  X1, X1; \
+	XORPS  X2, X2; \
+	XORPS  X3, X3; \
+	XORPS  X4, X4; \
+	XORPS  X5, X5; \
+	XORPS  X6, X6; \
+	XORPS  X7, X7; \
+	MOVQ   SI, R9; \
+	MOVQ   DX, R10; \
+	MOVQ   CX, R11; \
+row16: \
+	MOVSS  (R9), X12; \
+	SHUFPS $0, X12, X12; \
+	MOVSS  (R9)(R12*1), X13; \
+	SHUFPS $0, X13, X13; \
+	MAC2(0, X8, X0, X4); \
+	MAC2(16, X9, X1, X5); \
+	MAC2(32, X10, X2, X6); \
+	MAC2(48, X11, X3, X7); \
+	ADDQ   $4, R9; \
+	ADDQ   R8, R10; \
+	DECQ   R11; \
+	JNZ    row16; \
+	ACT_FOLD2(FOLD, X0, X4, 0); \
+	ACT_FOLD2(FOLD, X1, X5, 16); \
+	ACT_FOLD2(FOLD, X2, X6, 32); \
+	ACT_FOLD2(FOLD, X3, X7, 48); \
+	ADDQ   $64, DI; \
+	ADDQ   $64, DX; \
+	SUBQ   $16, BX; \
+	CMPQ   BX, $16; \
+	JGE    block16; \
+quad: \
+	TESTQ  BX, BX; \
+	JZ     done; \
+block4: \
+	XORPS  X0, X0; \
+	XORPS  X4, X4; \
+	MOVQ   SI, R9; \
+	MOVQ   DX, R10; \
+	MOVQ   CX, R11; \
+row4: \
+	MOVSS  (R9), X12; \
+	SHUFPS $0, X12, X12; \
+	MOVSS  (R9)(R12*1), X13; \
+	SHUFPS $0, X13, X13; \
+	MAC2(0, X8, X0, X4); \
+	ADDQ   $4, R9; \
+	ADDQ   R8, R10; \
+	DECQ   R11; \
+	JNZ    row4; \
+	ACT_FOLD2(FOLD, X0, X4, 0); \
+	ADDQ   $16, DI; \
+	ADDQ   $16, DX; \
+	SUBQ   $4, BX; \
+	JNZ    block4; \
+done: \
+	RET
+
+// func mlpSumSSE(o, t, w *float32, d1, ws, n int, floor float32)
+TEXT ·mlpSumSSE(SB), NOSPLIT, $0-52
+	MOVQ  o+0(FP), DI
+	MOVQ  t+8(FP), SI
+	MOVQ  w+16(FP), DX
+	MOVQ  d1+24(FP), CX
+	MOVQ  ws+32(FP), R8
+	MOVQ  n+40(FP), BX
+	MOVSS floor+48(FP), X14
+	MLP_BODY(FOLD_SUM)
+
+// func mlpMaxSSE(o, t, w *float32, d1, ws, n int, floor float32)
+TEXT ·mlpMaxSSE(SB), NOSPLIT, $0-52
+	MOVQ  o+0(FP), DI
+	MOVQ  t+8(FP), SI
+	MOVQ  w+16(FP), DX
+	MOVQ  d1+24(FP), CX
+	MOVQ  ws+32(FP), R8
+	MOVQ  n+40(FP), BX
+	MOVSS floor+48(FP), X14
+	MLP_BODY(FOLD_MAX)
+
+// func mlpMinSSE(o, t, w *float32, d1, ws, n int, floor float32)
+TEXT ·mlpMinSSE(SB), NOSPLIT, $0-52
+	MOVQ  o+0(FP), DI
+	MOVQ  t+8(FP), SI
+	MOVQ  w+16(FP), DX
+	MOVQ  d1+24(FP), CX
+	MOVQ  ws+32(FP), R8
+	MOVQ  n+40(FP), BX
+	MOVSS floor+48(FP), X14
+	MLP_BODY(FOLD_MIN)
+
+// func mlp2SumSSE(o, t1, t2, w *float32, d1, ws, n int, floor float32)
+TEXT ·mlp2SumSSE(SB), NOSPLIT, $0-60
+	MOVQ  o+0(FP), DI
+	MOVQ  t1+8(FP), SI
+	MOVQ  t2+16(FP), R12
+	MOVQ  w+24(FP), DX
+	MOVQ  d1+32(FP), CX
+	MOVQ  ws+40(FP), R8
+	MOVQ  n+48(FP), BX
+	MOVSS floor+56(FP), X14
+	MLP2_BODY(FOLD_SUM)
+
+// func mlp2MaxSSE(o, t1, t2, w *float32, d1, ws, n int, floor float32)
+TEXT ·mlp2MaxSSE(SB), NOSPLIT, $0-60
+	MOVQ  o+0(FP), DI
+	MOVQ  t1+8(FP), SI
+	MOVQ  t2+16(FP), R12
+	MOVQ  w+24(FP), DX
+	MOVQ  d1+32(FP), CX
+	MOVQ  ws+40(FP), R8
+	MOVQ  n+48(FP), BX
+	MOVSS floor+56(FP), X14
+	MLP2_BODY(FOLD_MAX)
+
+// func mlp2MinSSE(o, t1, t2, w *float32, d1, ws, n int, floor float32)
+TEXT ·mlp2MinSSE(SB), NOSPLIT, $0-60
+	MOVQ  o+0(FP), DI
+	MOVQ  t1+8(FP), SI
+	MOVQ  t2+16(FP), R12
+	MOVQ  w+24(FP), DX
+	MOVQ  d1+32(FP), CX
+	MOVQ  ws+40(FP), R8
+	MOVQ  n+48(FP), BX
+	MOVSS floor+56(FP), X14
+	MLP2_BODY(FOLD_MIN)

@@ -2,6 +2,7 @@ package vec
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,13 +11,15 @@ import (
 // kernel pairs an exported kernel with the Go loop it must match bit for
 // bit. Both take operand rows r (the output row first for the row kernels)
 // and weights w, and return what they computed: the output row, or the dots.
+// Operand i of a call at width n has size(i, n) elements, n if size is nil.
 type kernel struct {
 	name     string
 	rows, ws int
 	run, ref func(r [][]float32, w []float32) []float32
+	size     func(i, n int) int
 }
 
-var kernels = []kernel{
+var kernels = append([]kernel{
 	{"Add", 2, 0,
 		func(r [][]float32, w []float32) []float32 { Add(r[0], r[1]); return r[0] },
 		func(r [][]float32, w []float32) []float32 {
@@ -24,16 +27,16 @@ var kernels = []kernel{
 				r[0][i] += r[1][i]
 			}
 			return r[0]
-		}},
+		}, nil},
 	{"Add4", 5, 0,
 		func(r [][]float32, w []float32) []float32 { Add4(r[0], r[1], r[2], r[3], r[4]); return r[0] },
-		func(r [][]float32, w []float32) []float32 { add4(r[0], r[1], r[2], r[3], r[4], false); return r[0] }},
+		func(r [][]float32, w []float32) []float32 { add4(r[0], r[1], r[2], r[3], r[4], false); return r[0] }, nil},
 	{"Axpy", 2, 1,
 		func(r [][]float32, w []float32) []float32 { Axpy(r[0], r[1], w[0]); return r[0] },
-		func(r [][]float32, w []float32) []float32 { axpy(r[0], r[1], w[0], false); return r[0] }},
+		func(r [][]float32, w []float32) []float32 { axpy(r[0], r[1], w[0], false); return r[0] }, nil},
 	{"Axpy2", 3, 2,
 		func(r [][]float32, w []float32) []float32 { Axpy2(r[0], r[1], r[2], w[0], w[1]); return r[0] },
-		func(r [][]float32, w []float32) []float32 { axpy2(r[0], r[1], r[2], w[0], w[1], false); return r[0] }},
+		func(r [][]float32, w []float32) []float32 { axpy2(r[0], r[1], r[2], w[0], w[1], false); return r[0] }, nil},
 	{"Axpy4", 5, 4,
 		func(r [][]float32, w []float32) []float32 {
 			Axpy4(r[0], r[1], r[2], r[3], r[4], w[0], w[1], w[2], w[3])
@@ -42,16 +45,70 @@ var kernels = []kernel{
 		func(r [][]float32, w []float32) []float32 {
 			axpy4(r[0], r[1], r[2], r[3], r[4], w[0], w[1], w[2], w[3], false)
 			return r[0]
-		}},
+		}, nil},
 	{"Dot", 2, 0,
 		func(r [][]float32, w []float32) []float32 { return []float32{Dot(r[0], r[1])} },
-		func(r [][]float32, w []float32) []float32 { return []float32{dot(r[0], r[1], false)} }},
+		func(r [][]float32, w []float32) []float32 { return []float32{dot(r[0], r[1], false)} }, nil},
 	{"Dot2", 3, 0,
 		func(r [][]float32, w []float32) []float32 { s, t := Dot2(r[0], r[1], r[2]); return []float32{s, t} },
 		func(r [][]float32, w []float32) []float32 {
 			// Two independent dots: Dot2's sharing of y must not change a bit.
 			return []float32{dot(r[0], r[2], false), dot(r[1], r[2], false)}
-		}},
+		}, nil},
+}, mlpKernels()...)
+
+// mlpKernels is MLP and MLP2 at every fold, with ReLU on and off, for d1 ∈
+// {0, 1, 5, 8, 9} rows of W at row stride n (a whole W) and n+3 (a tile of
+// a wider one). The operands are o (n), t (d1; MLP2's t1 and t2) and W's
+// rows ((d1-1)·stride + n).
+func mlpKernels() []kernel {
+	var ks []kernel
+	folds := map[Fold]string{FoldSum: "sum", FoldMax: "max", FoldMin: "min"}
+	for _, d1 := range []int{0, 1, 5, 8, 9} {
+		for _, pad := range []int{0, 3} {
+			size := func(last int) func(i, n int) int {
+				return func(i, n int) int {
+					switch {
+					case i == 0:
+						return n
+					case i < last:
+						return d1
+					case d1 == 0:
+						return 0
+					}
+					return (d1-1)*(n+pad) + n
+				}
+			}
+			for _, relu := range []bool{false, true} {
+				for op := FoldSum; op <= FoldMin; op++ {
+					name := fmt.Sprintf("d1=%d ws=n+%d relu=%v %s", d1, pad, relu, folds[op])
+					ks = append(ks, kernel{"MLP " + name, 3, 0,
+						func(r [][]float32, w []float32) []float32 {
+							MLP(r[0], r[1], r[2], len(r[0])+pad, relu, op)
+							return r[0]
+						},
+						func(r [][]float32, w []float32) []float32 {
+							mlp(r[0], r[1], r[2], len(r[0])+pad, relu, op, false)
+							return r[0]
+						},
+						size(2)})
+					ks = append(ks, kernel{"MLP2 " + name, 4, 0,
+						func(r [][]float32, w []float32) []float32 {
+							MLP2(r[0], r[1], r[2], r[3], len(r[0])+pad, relu, op)
+							return r[0]
+						},
+						func(r [][]float32, w []float32) []float32 {
+							// Two MLPs in turn: the pair's sharing of W must not change a bit.
+							mlp(r[0], r[1], r[3], len(r[0])+pad, relu, op, false)
+							mlp(r[0], r[2], r[3], len(r[0])+pad, relu, op, false)
+							return r[0]
+						},
+						size(3)})
+				}
+			}
+		}
+	}
+	return ks
 }
 
 // same reports whether got is want to the bit, or both are NaN (an SSE NaN
@@ -69,13 +126,16 @@ func check(t *testing.T, k kernel, n int, off func(i int) int, val func() float3
 	bufs, refBufs := make([][]float32, k.rows), make([][]float32, k.rows)
 	rows, refRows := make([][]float32, k.rows), make([][]float32, k.rows)
 	for i := range bufs {
-		lo := 1 + off(i)
-		bufs[i] = make([]float32, lo+n+1)
+		lo, hi := 1+off(i), 1+off(i)+n
+		if k.size != nil {
+			hi = lo + k.size(i, n)
+		}
+		bufs[i] = make([]float32, hi+1)
 		for j := range bufs[i] {
 			bufs[i][j] = val()
 		}
 		refBufs[i] = append([]float32(nil), bufs[i]...)
-		rows[i], refRows[i] = bufs[i][lo:lo+n:lo+n], refBufs[i][lo:lo+n:lo+n]
+		rows[i], refRows[i] = bufs[i][lo:hi:hi], refBufs[i][lo:hi:hi]
 	}
 	w := make([]float32, k.ws)
 	for i := range w {
@@ -105,7 +165,8 @@ var specials = []float32{
 
 // TestKernelsMatchGoLoops holds every kernel to its Go loop over block
 // tails, unaligned rows, and values whose sums round differently when
-// regrouped (a wide exponent spread) or that are IEEE special cases.
+// regrouped (a wide exponent spread) or that are IEEE special cases, often
+// (most MLP messages are then NaN) or rarely.
 func TestKernelsMatchGoLoops(t *testing.T) {
 	var lens []int
 	for n := 0; n <= 17; n++ {
@@ -120,6 +181,12 @@ func TestKernelsMatchGoLoops(t *testing.T) {
 		}
 		return wide()
 	}
+	rare := func() float32 {
+		if rng.Intn(32) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return wide()
+	}
 	for _, k := range kernels {
 		for _, n := range lens {
 			for off := 0; off < 4; off++ {
@@ -127,6 +194,7 @@ func TestKernelsMatchGoLoops(t *testing.T) {
 				for trial := 0; trial < 3; trial++ {
 					check(t, k, n, shift, wide)
 					check(t, k, n, shift, mixed)
+					check(t, k, n, shift, rare)
 				}
 			}
 		}
@@ -158,20 +226,31 @@ func FuzzVec(f *testing.F) {
 	})
 }
 
-// TestShortOperandPanicsBeforeWriting: an operand without len(o) elements
-// of capacity panics with o untouched.
+// TestShortOperandPanicsBeforeWriting: an operand without the capacity the
+// kernel reads panics with o untouched.
 func TestShortOperandPanicsBeforeWriting(t *testing.T) {
-	o := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	full, short := make([]float32, len(o)), make([]float32, len(o)-1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add4 with a short operand did not panic")
-		}
+	full, short := make([]float32, 9), make([]float32, 8)
+	t1, w := []float32{1, 2}, make([]float32, 2*9) // two rows of W at stride 9
+	for name, call := range map[string]func(o []float32){
+		"Add4":            func(o []float32) { Add4(o, full, full, full, short) },
+		"MLP short W":     func(o []float32) { MLP(o, t1, w[:17:17], 9, false, FoldSum) },
+		"MLP2 short t2":   func(o []float32) { MLP2(o, t1, t1[:1:1], w, 9, false, FoldMax) },
+		"MLP2 short W":    func(o []float32) { MLP2(o, t1, t1, w[:17:17], 9, true, FoldMin) },
+		"MLP wide stride": func(o []float32) { MLP(o, t1, w, 10, false, FoldSum) },
+	} {
+		o := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			call(o)
+		}()
 		for i, v := range o {
 			if v != float32(i+1) {
-				t.Fatalf("o[%d] = %v after the panic, want %v", i, v, i+1)
+				t.Fatalf("%s: o[%d] = %v after the panic, want %v", name, i, v, i+1)
 			}
 		}
-	}()
-	Add4(o, full, full, full, short)
+	}
 }
