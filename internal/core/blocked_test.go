@@ -321,8 +321,8 @@ func TestMLPFastPathKeepsZeroTimesInf(t *testing.T) {
 	for v := 0; v < n; v++ {
 		x.Set(0, v, 2) // x_src[2] + x_dst[2] == 0 on every edge
 	}
-	// Met only by that zero: column 0 in vec.MLP's first 4-column SSE block,
-	// column 8 in its Go tail (9 mod 4).
+	// Met only by that zero: column 0 in the first 4-column SSE block of the
+	// vec MLP kernels, column 8 in their Go tail (9 mod 4).
 	w.Set(float32(math.Inf(1)), 2, 0)
 	w.Set(float32(math.Inf(-1)), 2, 8)
 	udf, inputs := mlpUDF(n, d1, d2, false), []*tensor.Tensor{x, w}

@@ -158,8 +158,8 @@ const (
 // Σ t[kk]·w[kk*ws+f] summed from +0 in ascending kk, then max(·, 0) when
 // relu is set: w holds len(t) rows of W at row stride ws ≥ 0, each at least
 // len(o) long, so a tile of W's columns is W's data from the tile's first
-// column on. The message stays in registers: the SSE body computes 16
-// columns in four lanes of accumulators over all of t (then 4 at a time),
+// column on. The message stays in registers: the SSE body accumulates 16
+// columns in four registers over all of t (then 4 columns in one),
 // activates and folds them from there, and the len(o) mod 4 columns past
 // the last block take the Go loop.
 func MLP(o, t, w []float32, ws int, relu bool, op Fold) { mlp(o, t, w, ws, relu, op, sse) }
