@@ -15,15 +15,18 @@ import "featgraph/internal/vec"
 // left-to-right sum only in rounding (DESIGN.md §11.1).
 
 // dotRows sets dots[p] to row idx[p] of data (row stride stride) dotted with
-// y, for every p: vec.Dot2 over pairs of rows, vec.Dot for a leftover one.
+// y, for every p: vec.Dot4 over four rows per pass, each against y (whose
+// loads after the first hit L1), vec.Dot for the up to three leftover rows.
 func dotRows(dots, data []float32, stride int, idx []int32, y []float32) {
 	n := len(y)
 	dots = dots[:len(idx)]
 	p := 0
-	for ; p+2 <= len(idx); p += 2 {
-		dots[p], dots[p+1] = vec.Dot2(data[int(idx[p])*stride:][:n], data[int(idx[p+1])*stride:][:n], y)
+	for ; p+4 <= len(idx); p += 4 {
+		s := vec.Dot4(data[int(idx[p])*stride:][:n], y, data[int(idx[p+1])*stride:][:n], y,
+			data[int(idx[p+2])*stride:][:n], y, data[int(idx[p+3])*stride:][:n], y)
+		copy(dots[p:p+4], s[:])
 	}
-	if p < len(idx) {
+	for ; p < len(idx); p++ {
 		dots[p] = vec.Dot(data[int(idx[p])*stride:][:n], y)
 	}
 }

@@ -222,19 +222,32 @@ func (k *SDDMMKernel) cpuEdges(rc *runControl, env *codegen.Env, out *tensor.Ten
 }
 
 // dotEdges is the dot fast path over traversal positions [elo, ehi) and
-// reduce-axis tile t. The first tile stores its partial dot product and
-// later tiles accumulate onto it, so the output needs no zeroing pass and a
-// single-tile schedule never reads it.
+// reduce-axis tile t, four positions per vec.Dot4 and a leftover one per
+// vec.Dot. The first tile stores its partial dot product and later tiles
+// accumulate onto it, so the output needs no zeroing pass and a single-tile
+// schedule never reads it.
 func (k *SDDMMKernel) dotEdges(odata []float32, elo, ehi int, t partition.Range, acc bool) {
 	xd, xs := k.match.X.Data(), k.match.X.RowStride()
 	yd, ys := k.match.Y.Data(), k.match.Y.RowStride()
-	rows, eids := k.edges.Row[elo:ehi], k.edges.EID[elo:ehi]
-	for i, c := range k.edges.Col[elo:ehi] {
-		u, v := int(c)*xs, (int(rows[i])+k.dstBase)*ys
-		s := vec.Dot(xd[u+t.Lo:u+t.Hi], yd[v+t.Lo:v+t.Hi])
+	cols, rows, eids := k.edges.Col[elo:ehi], k.edges.Row[elo:ehi], k.edges.EID[elo:ehi]
+	rows, eids = rows[:len(cols)], eids[:len(cols)]
+	x := func(i int) []float32 { u := int(cols[i]) * xs; return xd[u+t.Lo : u+t.Hi] }
+	y := func(i int) []float32 { v := (int(rows[i]) + k.dstBase) * ys; return yd[v+t.Lo : v+t.Hi] }
+	put := func(i int, s float32) {
 		if acc {
 			s += odata[eids[i]]
 		}
 		odata[eids[i]] = s
+	}
+	i := 0
+	for ; i+4 <= len(cols); i += 4 {
+		s := vec.Dot4(x(i), y(i), x(i+1), y(i+1), x(i+2), y(i+2), x(i+3), y(i+3))
+		put(i, s[0])
+		put(i+1, s[1])
+		put(i+2, s[2])
+		put(i+3, s[3])
+	}
+	for ; i < len(cols); i++ {
+		put(i, vec.Dot(x(i), y(i)))
 	}
 }

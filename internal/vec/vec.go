@@ -1,7 +1,7 @@
 // Package vec holds the float32 row kernels the CPU hot loops are made of:
 // o += a, o += (a+b)+(c+d), o += wa·a, o += wa·a+wb·b,
 // o += (wa·a+wb·b)+(wc·c+wd·d), the 8-block dot product summed in four
-// lanes, for one row or for two rows against a shared one, and the MLP
+// lanes, for one pair of rows or for four pairs at once, and the MLP
 // message o ⊕= act(t × W) folded by sum, max or min.
 //
 // On amd64 each kernel runs an SSE2 loop (vec_amd64.s; SSE2 is the amd64
@@ -9,12 +9,13 @@
 // per-element expression in the same order, with no fused multiply-add,
 // under Go's default MXCSR (round to nearest, no flush-to-zero), so the
 // result is the Go loop's to the bit; only a NaN's payload may differ.
-// Elements past the last block (len mod 4, mod 8 for the dots) take the Go
+// Elements past the last block (len mod 4, mod 8 for Dot) take the Go
 // loop, which is also the whole body on other platforms and under the race
 // detector, and what the tests compare against: each kernel's lower-case
-// twin runs it alone when asm is false. Every operand is resliced to len(o)
-// (len(x) for the dots) first, so one without that capacity panics with o
-// untouched.
+// twin runs it alone when asm is false. (Dot4's SSE body runs its pairs'
+// tails too, in the Go loop's order.) Every operand is resliced to len(o)
+// (len(x), len(x1) for the dots) first, so one without that capacity panics
+// with o untouched.
 package vec
 
 import "math"
@@ -108,23 +109,23 @@ func dot(x, y []float32, asm bool) float32 {
 	return (s[0] + s[1]) + (s[2] + s[3])
 }
 
-// Dot2 returns Dot(x1, y) and Dot(x2, y), bit for bit, loading each block of
-// y once for both.
-func Dot2(x1, x2, y []float32) (float32, float32) { return dot2(x1, x2, y, sse) }
+// Dot4 returns Dot(x1, y1), Dot(x2, y2), Dot(x3, y3) and Dot(x4, y4), bit
+// for bit, every pair over len(x1) elements. The SSE body runs the four
+// pairs' lane chains side by side and combines the lanes in registers: a
+// 4×4 transpose of the four pairs' lanes, then (L0+L1) + (L2+L3), which is
+// each pair's (s0+s1) + (s2+s3). Below 8 elements each pair takes dot.
+func Dot4(x1, y1, x2, y2, x3, y3, x4, y4 []float32) [4]float32 {
+	return dot4(x1, y1, x2, y2, x3, y3, x4, y4, sse)
+}
 
-func dot2(x1, x2, y []float32, asm bool) (float32, float32) {
-	x2, y = x2[:len(x1)], y[:len(x1)]
-	var s, t [4]float32
-	f := 0
-	if asm && len(x1) >= 8 {
-		f = len(x1) &^ 7
-		dot2SSE(&s, &t, &x1[0], &x2[0], &y[0], f)
+func dot4(x1, y1, x2, y2, x3, y3, x4, y4 []float32, asm bool) (r [4]float32) {
+	n := len(x1)
+	y1, x2, y2, x3, y3, x4, y4 = y1[:n], x2[:n], y2[:n], x3[:n], y3[:n], x4[:n], y4[:n]
+	if asm && n >= 8 {
+		dot4SSE(&r, &x1[0], &y1[0], &x2[0], &y2[0], &x3[0], &y3[0], &x4[0], &y4[0], n)
+		return r
 	}
-	if f < len(x1) {
-		dotGo(&s, x1[f:], y[f:])
-		dotGo(&t, x2[f:], y[f:])
-	}
-	return (s[0] + s[1]) + (s[2] + s[3]), (t[0] + t[1]) + (t[2] + t[3])
+	return [4]float32{dot(x1, y1, asm), dot(x2, y2, asm), dot(x3, y3, asm), dot(x4, y4, asm)}
 }
 
 // dotGo carries the lanes s on over x·y as Dot describes.

@@ -3,8 +3,9 @@
 package vec
 
 // sse selects vec_amd64.s: each body does the first n elements, n a positive
-// multiple of 4 (of 8 for the dots, which add into the lanes s and t; the
-// mlp bodies take d1 > 0 rows of w, ws floats apart, and the ReLU floor).
+// multiple of 4 (of 8 for dotSSE, which adds into the lanes s; dot4SSE takes
+// all n ≥ 8 elements of its four pairs and stores their dots in r; the mlp
+// bodies take d1 > 0 rows of w, ws floats apart, and the ReLU floor).
 const sse = true
 
 //go:noescape
@@ -23,7 +24,7 @@ func axpy4SSE(o, a, b, c, d *float32, wa, wb, wc, wd float32, n int)
 func dotSSE(s *[4]float32, x, y *float32, n int)
 
 //go:noescape
-func dot2SSE(s, t *[4]float32, x1, x2, y *float32, n int)
+func dot4SSE(r *[4]float32, x1, y1, x2, y2, x3, y3, x4, y4 *float32, n int)
 
 //go:noescape
 func mlpSumSSE(o, t, w *float32, d1, ws, n int, floor float32)

@@ -134,37 +134,80 @@ dotloop:
 	MOVUPS X0, (DI)
 	RET
 
-// func dot2SSE(s, t *[4]float32, x1, x2, y *float32, n int): x1 in X0, x2 in X5
-TEXT ·dot2SSE(SB), NOSPLIT, $0-48
-	MOVQ   s+0(FP), DI
-	MOVQ   t+8(FP), R10
-	MOVQ   x1+16(FP), SI
-	MOVQ   x2+24(FP), BX
-	MOVQ   y+32(FP), DX
-	MOVQ   n+40(FP), CX
-	MOVUPS (DI), X0
-	MOVUPS (R10), X5
-	XORQ   AX, AX
-dot2loop:
-	MOVUPS (DX)(AX*4), X3
-	MOVUPS 16(DX)(AX*4), X4
-	MOVUPS (SI)(AX*4), X1
-	MOVUPS 16(SI)(AX*4), X2
-	MULPS  X3, X1
-	MULPS  X4, X2
-	ADDPS  X2, X1
-	ADDPS  X1, X0
-	MOVUPS (BX)(AX*4), X6
-	MOVUPS 16(BX)(AX*4), X7
-	MULPS  X3, X6
-	MULPS  X4, X7
-	ADDPS  X7, X6
-	ADDPS  X6, X5
-	ADDQ   $8, AX
-	CMPQ   AX, CX
-	JLT    dot2loop
-	MOVUPS X0, (DI)
-	MOVUPS X5, (R10)
+// DOT8 adds block AX of x·y into acc, as dotSSE's loop body does.
+#define DOT8(x, y, acc, t0, t1, t2, t3) \
+	MOVUPS (x)(AX*4), t0; \
+	MOVUPS 16(x)(AX*4), t1; \
+	MOVUPS (y)(AX*4), t2; \
+	MOVUPS 16(y)(AX*4), t3; \
+	MULPS  t2, t0; \
+	MULPS  t3, t1; \
+	ADDPS  t1, t0; \
+	ADDPS  t0, acc
+
+// DOT1 adds x[AX]·y[AX] into lane 0 of acc, as dotGo's tail does.
+#define DOT1(x, y, acc, t) \
+	MOVSS (x)(AX*4), t; \
+	MULSS (y)(AX*4), t; \
+	ADDSS t, acc
+
+// func dot4SSE(r *[4]float32, x1, y1, x2, y2, x3, y3, x4, y4 *float32, n int):
+// pair i's lanes in X(i-1), four independent chains; the n mod 8 tail into
+// lane 0 of each; then a 4×4 transpose puts lane k of every pair in Lk, and
+// (L0+L1)+(L2+L3) is each pair's (s0+s1)+(s2+s3), stored at once.
+TEXT ·dot4SSE(SB), NOSPLIT, $0-80
+	MOVQ  r+0(FP), R12
+	MOVQ  x1+8(FP), SI
+	MOVQ  y1+16(FP), DI
+	MOVQ  x2+24(FP), BX
+	MOVQ  y2+32(FP), DX
+	MOVQ  x3+40(FP), R8
+	MOVQ  y3+48(FP), R9
+	MOVQ  x4+56(FP), R10
+	MOVQ  y4+64(FP), R11
+	MOVQ  n+72(FP), R13
+	MOVQ  R13, CX
+	ANDQ  $-8, CX
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	XORQ  AX, AX
+dot4loop:
+	DOT8(SI, DI, X0, X4, X5, X6, X7)
+	DOT8(BX, DX, X1, X8, X9, X10, X11)
+	DOT8(R8, R9, X2, X12, X13, X14, X15)
+	DOT8(R10, R11, X3, X4, X5, X6, X7)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  dot4loop
+	CMPQ AX, R13
+	JGE  dot4combine
+dot4tail:
+	DOT1(SI, DI, X0, X4)
+	DOT1(BX, DX, X1, X5)
+	DOT1(R8, R9, X2, X6)
+	DOT1(R10, R11, X3, X7)
+	INCQ AX
+	CMPQ AX, R13
+	JLT  dot4tail
+dot4combine:
+	MOVAPS   X0, X4
+	UNPCKLPS X1, X4   // a0 b0 a1 b1
+	UNPCKHPS X1, X0   // a2 b2 a3 b3
+	MOVAPS   X2, X5
+	UNPCKLPS X3, X5   // c0 d0 c1 d1
+	UNPCKHPS X3, X2   // c2 d2 c3 d3
+	MOVAPS   X4, X6
+	MOVLHPS  X5, X6   // L0 = a0 b0 c0 d0
+	MOVHLPS  X4, X5   // L1 = a1 b1 c1 d1
+	MOVAPS   X0, X7
+	MOVLHPS  X2, X7   // L2 = a2 b2 c2 d2
+	MOVHLPS  X0, X2   // L3 = a3 b3 c3 d3
+	ADDPS    X5, X6   // L0+L1
+	ADDPS    X2, X7   // L2+L3
+	ADDPS    X7, X6
+	MOVUPS   X6, (R12)
 	RET
 
 // The mlp bodies: o ⊕= max(floor, t × W[:, :n]), one TEXT per fold, for one

@@ -49,13 +49,35 @@ var kernels = append([]kernel{
 	{"Dot", 2, 0,
 		func(r [][]float32, w []float32) []float32 { return []float32{Dot(r[0], r[1])} },
 		func(r [][]float32, w []float32) []float32 { return []float32{dot(r[0], r[1], false)} }, nil},
-	{"Dot2", 3, 0,
-		func(r [][]float32, w []float32) []float32 { s, t := Dot2(r[0], r[1], r[2]); return []float32{s, t} },
+	{"Dot4", 8, 0,
 		func(r [][]float32, w []float32) []float32 {
-			// Two independent dots: Dot2's sharing of y must not change a bit.
-			return []float32{dot(r[0], r[2], false), dot(r[1], r[2], false)}
-		}, nil},
+			s := Dot4(r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7])
+			return s[:]
+		},
+		dot4Ref(0, 1, 2, 3, 4, 5, 6, 7), nil},
+	{"Dot4 shared y", 5, 0,
+		func(r [][]float32, w []float32) []float32 {
+			s := Dot4(r[0], r[4], r[1], r[4], r[2], r[4], r[3], r[4])
+			return s[:]
+		},
+		dot4Ref(0, 4, 1, 4, 2, 4, 3, 4), nil},
+	{"Dot4 x==y", 4, 0,
+		func(r [][]float32, w []float32) []float32 {
+			s := Dot4(r[0], r[0], r[1], r[1], r[2], r[2], r[3], r[3])
+			return s[:]
+		},
+		dot4Ref(0, 0, 1, 1, 2, 2, 3, 3), nil},
 }, mlpKernels()...)
+
+// dot4Ref is four independent Go-loop dots over operands (x1, y1) … (x4,
+// y4): Dot4's running the pairs side by side and combining their lanes in
+// registers must not change a bit.
+func dot4Ref(x1, y1, x2, y2, x3, y3, x4, y4 int) func(r [][]float32, w []float32) []float32 {
+	return func(r [][]float32, w []float32) []float32 {
+		return []float32{dot(r[x1], r[y1], false), dot(r[x2], r[y2], false),
+			dot(r[x3], r[y3], false), dot(r[x4], r[y4], false)}
+	}
+}
 
 // mlpKernels is MLP and MLP2 at every fold, with ReLU on and off, for d1 ∈
 // {0, 1, 5, 8, 9} rows of W at row stride n (a whole W) and n+3 (a tile of
