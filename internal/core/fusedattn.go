@@ -38,10 +38,9 @@ import (
 	"featgraph/internal/workpool"
 )
 
-// negInf32 is the streaming-softmax running-max initializer: a true
-// -Inf rather than a most-negative-finite literal, so any finite score
-// (however small) replaces it and the e^(m_old−m_new) rescale underflows
-// cleanly to zero on the first edge.
+// negInf32 is the row maximum's initializer: a true -Inf rather than a
+// most-negative-finite literal, so any finite score (however small)
+// replaces it.
 var negInf32 = float32(math.Inf(-1))
 
 // FusedAttnConfig parameterizes the score transform applied between the
@@ -247,7 +246,7 @@ func (k *FusedAttnKernel) runCPU(ctx context.Context, out *tensor.Tensor) (RunSt
 }
 
 // fwdRows runs the fused forward for destination rows [rlo, rhi), one body
-// for every feature width: raw scores two in-edges at a time (dotRows), the
+// for every feature width: raw scores four in-edges at a time (dotRows), the
 // score transform with the row maximum, expShiftSumF32's one exponential per
 // edge, α into the alpha buffer, and scaledSumRows reading α back by edge id
 // to fold four neighbours per pass into the output row. out rows must be

@@ -242,7 +242,7 @@ func (k *FusedAttnBwdKernel) runCPU(ctx context.Context, out *tensor.Tensor) (Ru
 // bwdDstRows runs phase 1 for destination rows [rlo, rhi): per-edge dα,
 // the softmax Jacobian's row reduction, dE, and the dY accumulation. Writes
 // dE into dEdge[eid] and dY into out rows NumCols+v. One body for every
-// width: dα two in-edges at a time (dotRows, sharing the dOut row's loads),
+// width: dα four in-edges at a time (dotRows, against the dOut row each),
 // then scaledSumRows folds dE·x four neighbours per pass.
 func (k *FusedAttnBwdKernel) bwdDstRows(out *tensor.Tensor, dEdge []float32, sc *fusedAttnScratch, rlo, rhi int) {
 	adj := k.adj

@@ -5,7 +5,7 @@ import "math"
 // Float32 math for kernel hot loops. The dgl-level exp32 routes through a
 // float64 math.Exp round-trip, which is fine for the 3-pass edge softmax
 // (one call per edge amid allocation-heavy staging) but dominates the fused
-// attention kernel's inner loop, where every edge pays two exponentials with
+// attention kernel's inner loop, where every edge pays one exponential with
 // no staging to hide behind. Expf32 is a Cephes-style pure-float32
 // polynomial expf: branch-light, no float64 conversions, vectorization-
 // friendly when applied over a row's score scratch (expShiftSumF32), and
