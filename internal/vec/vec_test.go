@@ -255,6 +255,7 @@ func TestShortOperandPanicsBeforeWriting(t *testing.T) {
 	t1, w := []float32{1, 2}, make([]float32, 2*9) // two rows of W at stride 9
 	for name, call := range map[string]func(o []float32){
 		"Add4":            func(o []float32) { Add4(o, full, full, full, short) },
+		"Dot4 short y4":   func(o []float32) { o[0] = Dot4(o, full, o, full, o, full, o, short)[0] },
 		"MLP short W":     func(o []float32) { MLP(o, t1, w[:17:17], 9, false, FoldSum) },
 		"MLP2 short t2":   func(o []float32) { MLP2(o, t1, t1[:1:1], w, 9, false, FoldMax) },
 		"MLP2 short W":    func(o []float32) { MLP2(o, t1, t1, w[:17:17], 9, true, FoldMin) },
