@@ -227,27 +227,27 @@ func (k *SDDMMKernel) cpuEdges(rc *runControl, env *codegen.Env, out *tensor.Ten
 // accumulate onto it, so the output needs no zeroing pass and a single-tile
 // schedule never reads it.
 func (k *SDDMMKernel) dotEdges(odata []float32, elo, ehi int, t partition.Range, acc bool) {
-	xd, xs := k.match.X.Data(), k.match.X.RowStride()
-	yd, ys := k.match.Y.Data(), k.match.Y.RowStride()
+	n := t.Hi - t.Lo
+	xd, xs := k.match.X.Data()[t.Lo:], k.match.X.RowStride()
+	ys := k.match.Y.RowStride()
+	yd := k.match.Y.Data()[k.dstBase*ys+t.Lo:]
 	cols, rows, eids := k.edges.Col[elo:ehi], k.edges.Row[elo:ehi], k.edges.EID[elo:ehi]
 	rows, eids = rows[:len(cols)], eids[:len(cols)]
-	x := func(i int) []float32 { u := int(cols[i]) * xs; return xd[u+t.Lo : u+t.Hi] }
-	y := func(i int) []float32 { v := (int(rows[i]) + k.dstBase) * ys; return yd[v+t.Lo : v+t.Hi] }
-	put := func(i int, s float32) {
+	i := 0
+	for ; i+4 <= len(cols); i += 4 {
+		c, r, e := cols[i:i+4:i+4], rows[i:i+4:i+4], eids[i:i+4:i+4]
+		s := vec.Dot4(xd[int(c[0])*xs:][:n], yd[int(r[0])*ys:][:n], xd[int(c[1])*xs:][:n], yd[int(r[1])*ys:][:n],
+			xd[int(c[2])*xs:][:n], yd[int(r[2])*ys:][:n], xd[int(c[3])*xs:][:n], yd[int(r[3])*ys:][:n])
+		if acc {
+			s[0], s[1], s[2], s[3] = s[0]+odata[e[0]], s[1]+odata[e[1]], s[2]+odata[e[2]], s[3]+odata[e[3]]
+		}
+		odata[e[0]], odata[e[1]], odata[e[2]], odata[e[3]] = s[0], s[1], s[2], s[3]
+	}
+	for ; i < len(cols); i++ {
+		s := vec.Dot(xd[int(cols[i])*xs:][:n], yd[int(rows[i])*ys:][:n])
 		if acc {
 			s += odata[eids[i]]
 		}
 		odata[eids[i]] = s
-	}
-	i := 0
-	for ; i+4 <= len(cols); i += 4 {
-		s := vec.Dot4(x(i), y(i), x(i+1), y(i+1), x(i+2), y(i+2), x(i+3), y(i+3))
-		put(i, s[0])
-		put(i+1, s[1])
-		put(i+2, s[2])
-		put(i+3, s[3])
-	}
-	for ; i < len(cols); i++ {
-		put(i, vec.Dot(x(i), y(i)))
 	}
 }
