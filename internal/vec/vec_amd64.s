@@ -111,30 +111,8 @@ axpy4loop:
 	JLT    axpy4loop
 	RET
 
-// func dotSSE(s *[4]float32, x, y *float32, n int): lane k of X0 is chain s_k.
-TEXT ·dotSSE(SB), NOSPLIT, $0-32
-	MOVQ   s+0(FP), DI
-	MOVQ   x+8(FP), SI
-	MOVQ   y+16(FP), DX
-	MOVQ   n+24(FP), CX
-	MOVUPS (DI), X0
-	XORQ   AX, AX
-dotloop:
-	MOVUPS (SI)(AX*4), X1
-	MOVUPS 16(SI)(AX*4), X2
-	MOVUPS (DX)(AX*4), X3
-	MOVUPS 16(DX)(AX*4), X4
-	MULPS  X3, X1         // x[f+k]·y[f+k]
-	MULPS  X4, X2         // x[f+k+4]·y[f+k+4]
-	ADDPS  X2, X1
-	ADDPS  X1, X0
-	ADDQ   $8, AX
-	CMPQ   AX, CX
-	JLT    dotloop
-	MOVUPS X0, (DI)
-	RET
-
-// DOT8 adds block AX of x·y into acc, as dotSSE's loop body does.
+// DOT8 adds lane k of block AX of x·y, x[f+k]·y[f+k] + x[f+k+4]·y[f+k+4],
+// into lane k of acc.
 #define DOT8(x, y, acc, t0, t1, t2, t3) \
 	MOVUPS (x)(AX*4), t0; \
 	MOVUPS 16(x)(AX*4), t1; \
@@ -150,6 +128,22 @@ dotloop:
 	MOVSS (x)(AX*4), t; \
 	MULSS (y)(AX*4), t; \
 	ADDSS t, acc
+
+// func dotSSE(s *[4]float32, x, y *float32, n int): lane k of X0 is chain s_k.
+TEXT ·dotSSE(SB), NOSPLIT, $0-32
+	MOVQ   s+0(FP), DI
+	MOVQ   x+8(FP), SI
+	MOVQ   y+16(FP), DX
+	MOVQ   n+24(FP), CX
+	MOVUPS (DI), X0
+	XORQ   AX, AX
+dotloop:
+	DOT8(SI, DX, X0, X1, X2, X3, X4)
+	ADDQ   $8, AX
+	CMPQ   AX, CX
+	JLT    dotloop
+	MOVUPS X0, (DI)
+	RET
 
 // func dot4SSE(r *[4]float32, x1, y1, x2, y2, x3, y3, x4, y4 *float32, n int):
 // pair i's lanes in X(i-1), four independent chains; the n mod 8 tail into
