@@ -29,23 +29,24 @@ import (
 
 // goldenDotBits holds the hashes, keyed by case name.
 var goldenDotBits = map[string]uint64{
-	"sddmm d=1":      0x16cbdc5204003e51,
-	"sddmm d=3":      0xfbbbfda54de7521d,
-	"sddmm d=7":      0xf216896c148cddf5,
-	"sddmm d=8":      0xa11b5aa8c45ca4ad,
-	"sddmm d=9":      0xdbeb8d90238a7c31,
-	"sddmm d=12":     0xd025e0678f439ced,
-	"sddmm d=16":     0x627b2a2a176a85f1,
-	"sddmm d=31":     0xaf1c12e8bba0d615,
-	"sddmm d=64":     0x5e22e51066f64575,
-	"sddmm d=65":     0xb1a2cd44f89c6b0d,
-	"sddmm specials": 0x649a9523e947e129,
-	"fused d=1":      0xd828e17ff7b923fd,
-	"fused d=8":      0xea711a9a60fe2b71,
-	"fused d=9":      0x99c0b2873611ec6d,
-	"fused d=64":     0x6aee528d90aa0875,
-	"fused d=65":     0x142f70a871b73125,
-	"fused specials": 0x4cb7ee5a155955a5,
+	"sddmm d=1":           0x16cbdc5204003e51,
+	"sddmm d=3":           0xfbbbfda54de7521d,
+	"sddmm d=7":           0xf216896c148cddf5,
+	"sddmm d=8":           0xa11b5aa8c45ca4ad,
+	"sddmm d=9":           0xdbeb8d90238a7c31,
+	"sddmm d=12":          0xd025e0678f439ced,
+	"sddmm d=16":          0x627b2a2a176a85f1,
+	"sddmm d=31":          0xaf1c12e8bba0d615,
+	"sddmm d=64":          0x5e22e51066f64575,
+	"sddmm d=65":          0xb1a2cd44f89c6b0d,
+	"sddmm specials":      0x649a9523e947e129,
+	"fused d=1":           0xd828e17ff7b923fd,
+	"fused d=8":           0xea711a9a60fe2b71,
+	"fused d=9":           0x99c0b2873611ec6d,
+	"fused d=64":          0x6aee528d90aa0875,
+	"fused d=65":          0x142f70a871b73125,
+	"fused specials":      0x4cb7ee5a155955a5,
+	"fused softmax edges": 0xf5c4feafdf8c0d21,
 }
 
 // bitsCount hashes vals' Float32bits into h, NaNs as one value, and counts
@@ -155,11 +156,11 @@ func TestDotBitsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fat := fa.Transpose()
-	m := fa.NNZ()
 	cfg := core.FusedAttnConfig{NegSlope: 0.2, Scale: 0.25}
-	fused := func(name string, x, y, dout *tensor.Tensor) {
+	fused := func(name string, fa *sparse.CSR, x, y, dout *tensor.Tensor) {
 		t.Helper()
+		fat := fa.Transpose()
+		m := fa.NNZ()
 		h := fnv.New64a()
 		var first []*tensor.Tensor
 		for _, o := range []core.Options{cpu, gpu} {
@@ -186,15 +187,66 @@ func TestDotBitsGolden(t *testing.T) {
 	}
 	for _, d := range []int{1, 8, 9, 64, 65} {
 		rng := rand.New(rand.NewSource(int64(1000 + d)))
-		fused(fmt.Sprintf("fused d=%d", d), randT(rng, fn, d), randT(rng, fn, d), randT(rng, fn, d))
+		fused(fmt.Sprintf("fused d=%d", d), fa, randT(rng, fn, d), randT(rng, fn, d), randT(rng, fn, d))
 	}
 	rng = rand.New(rand.NewSource(36))
 	x, y := randT(rng, fn, 9), randT(rng, fn, 9)
 	sprinkleSpecials(x)
 	nans, infs = 0, 0
-	fused("fused specials", x, y, randT(rng, fn, 9))
+	fused("fused specials", fa, x, y, randT(rng, fn, 9))
 	if nans == 0 {
 		t.Fatalf("fused specials: no NaN output, want some")
+	}
+
+	// The softmax's exponential at its edges: row v has 4 + v mod 10
+	// in-edges, so its first group of four always fills. Source row u is
+	// scaled by 1, 30, 1000 or 3000 by u mod 4, so most rows hold scores
+	// more than 87 below their maximum, past the underflow cut. Source 0
+	// holds a NaN and source 1 a +Inf that y's positive first column makes
+	// a +Inf score; rows take source 0 when v mod 4 < 2 and source 1 when
+	// v mod 4 is even, so being the smallest column ids they share the
+	// first group of four in every fourth row, with the rest of the group
+	// finite.
+	rng = rand.New(rand.NewSource(37))
+	ecoo := &sparse.COO{NumRows: fn, NumCols: fn}
+	for v := 0; v < fn; v++ {
+		var srcs []int
+		if v%4 < 2 {
+			srcs = append(srcs, 0)
+		}
+		if v%2 == 0 {
+			srcs = append(srcs, 1)
+		}
+		for _, u := range rng.Perm(fn - 2) {
+			if len(srcs) == 4+v%10 {
+				break
+			}
+			srcs = append(srcs, u+2)
+		}
+		for _, u := range srcs {
+			ecoo.Row = append(ecoo.Row, int32(v))
+			ecoo.Col = append(ecoo.Col, int32(u))
+		}
+	}
+	ea, err := sparse.FromCOO(ecoo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y = randT(rng, fn, 9), randT(rng, fn, 9)
+	for u, xd := 0, x.Data(); u < fn; u++ {
+		for j := range 9 {
+			xd[u*9+j] *= [4]float32{1, 30, 1000, 3000}[u%4]
+		}
+	}
+	for v := 0; v < fn; v++ {
+		y.Set(float32(math.Abs(float64(y.At(v, 0))))+0.5, v, 0)
+	}
+	x.Set(float32(math.NaN()), 0, 4)
+	x.Set(float32(math.Inf(1)), 1, 0)
+	nans, infs = 0, 0
+	fused("fused softmax edges", ea, x, y, randT(rng, fn, 9))
+	if nans == 0 {
+		t.Fatalf("fused softmax edges: no NaN output, want some")
 	}
 
 	for _, name := range names {
