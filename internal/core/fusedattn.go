@@ -11,11 +11,13 @@
 // Numerics: each row runs a max-then-exponentiate softmax — one pass
 // maintains the running maximum while buffering raw scores, then a second
 // pass computes e^(s−max) and its sum in one float32 traversal
-// (expShiftSumF32), and normalizes. Every exponentiated argument is ≤ 0, so
-// the sums stay finite for any input magnitudes — the same stability
-// guarantee as the flash-attention online-softmax recurrence, at one exp per
-// edge instead of two (the scores are already buffered in chunk-local
-// scratch, so there is no need to rescale a partial sum on a new maximum).
+// (vec.ExpShiftSum: SSE lanes, the sum added in ascending order, the same
+// bits as its Go loop), and normalizes. Every exponentiated argument is
+// ≤ 0, so the sums stay finite for any input magnitudes — the same
+// stability guarantee as the flash-attention online-softmax recurrence, at
+// one exp per edge instead of two (the scores are already buffered in
+// chunk-local scratch, so there is no need to rescale a partial sum on a
+// new maximum).
 //
 // The forward additionally writes two per-edge vectors the fused backward
 // needs: alpha (the softmax probabilities) and deriv (dscore/ddot =
@@ -35,6 +37,7 @@ import (
 	"featgraph/internal/sparse"
 	"featgraph/internal/telemetry"
 	"featgraph/internal/tensor"
+	"featgraph/internal/vec"
 	"featgraph/internal/workpool"
 )
 
@@ -246,11 +249,11 @@ func (k *FusedAttnKernel) runCPU(ctx context.Context, out *tensor.Tensor) (RunSt
 }
 
 // fwdRows runs the fused forward for destination rows [rlo, rhi), one body
-// for every feature width: raw scores four in-edges at a time (dotRows), the
-// score transform with the row maximum, expShiftSumF32's one exponential per
-// edge, α into the alpha buffer, and scaledSumRows reading α back by edge id
-// to fold four neighbours per pass into the output row. out rows must be
-// pre-zeroed.
+// for every feature width: raw scores four in-edges at a time (dotRows,
+// which prefetches the in-edge rows two passes ahead), the score transform
+// with the row maximum, vec.ExpShiftSum's one exponential per edge, α into
+// the alpha buffer, and scaledSumRows reading α back by edge id to fold four
+// neighbours per pass into the output row. out rows must be pre-zeroed.
 func (k *FusedAttnKernel) fwdRows(out *tensor.Tensor, sc *fusedAttnScratch, rlo, rhi int) {
 	adj := k.adj
 	d := k.d
@@ -272,7 +275,7 @@ func (k *FusedAttnKernel) fwdRows(out *tensor.Tensor, sc *fusedAttnScratch, rlo,
 		scores := sc.scores[:hi-lo]
 		dotRows(scores, xd, xs, cols, yd[v*ys:v*ys+d])
 
-		// The scores are buffered, so the sum waits for expShiftSumF32: one
+		// The scores are buffered, so the sum waits for vec.ExpShiftSum: one
 		// exponential per edge serves both the sum and the probabilities.
 		runMax := negInf32
 		for j, dot := range scores {
@@ -288,7 +291,7 @@ func (k *FusedAttnKernel) fwdRows(out *tensor.Tensor, sc *fusedAttnScratch, rlo,
 				runMax = s
 			}
 		}
-		inv := 1 / expShiftSumF32(scores, runMax)
+		inv := 1 / vec.ExpShiftSum(scores, runMax)
 		for j, e := range eids {
 			ad[e] = scores[j] * inv
 		}

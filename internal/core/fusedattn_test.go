@@ -425,51 +425,6 @@ func TestFusedAttentionValidation(t *testing.T) {
 	}
 }
 
-func TestExpf32MatchesFloat64Exp(t *testing.T) {
-	// Sweep the finite range; Expf32 must stay within a few ULPs of the
-	// correctly-rounded float32 exponential.
-	worst := 0
-	for x := float32(-87); x < 88; x += 0.0037 {
-		want := float32(math.Exp(float64(x)))
-		got := Expf32(x)
-		w, g := int64(math.Float32bits(want)), int64(math.Float32bits(got))
-		ulps := int(math.Abs(float64(w - g)))
-		if ulps > worst {
-			worst = ulps
-		}
-	}
-	if worst > 4 {
-		t.Fatalf("Expf32 worst-case error %d ULPs, want <= 4", worst)
-	}
-	if Expf32(0) != 1 {
-		t.Fatalf("Expf32(0) = %v", Expf32(0))
-	}
-	if !math.IsInf(float64(Expf32(200)), 1) {
-		t.Fatalf("Expf32(200) = %v, want +Inf", Expf32(200))
-	}
-	if Expf32(-200) != 0 {
-		t.Fatalf("Expf32(-200) = %v, want 0", Expf32(-200))
-	}
-	if Expf32(negInf32) != 0 {
-		t.Fatalf("Expf32(-Inf) = %v, want 0", Expf32(negInf32))
-	}
-	// The softmax's fused shift-exponentiate-sum agrees with the scalar form
-	// element-wise.
-	vals := []float32{-80, -1.5, -1e-4, 0, 0.3, 5, 42, 87}
-	batch := append([]float32(nil), vals...)
-	sum := expShiftSumF32(batch, 0)
-	var want float32
-	for i, v := range vals {
-		if batch[i] != Expf32(v) {
-			t.Fatalf("expShiftSumF32[%d] = %v, Expf32 = %v", i, batch[i], Expf32(v))
-		}
-		want += batch[i]
-	}
-	if sum != want {
-		t.Fatalf("expShiftSumF32 sum = %v, want %v", sum, want)
-	}
-}
-
 // fusedBench is the fused pair at kernels_inmem's shape: Skewed(24000, 130,
 // 1.4), d=64, two threads. Built once and shared by both benchmarks.
 var fusedBench struct {

@@ -223,9 +223,12 @@ func (k *SDDMMKernel) cpuEdges(rc *runControl, env *codegen.Env, out *tensor.Ten
 
 // dotEdges is the dot fast path over traversal positions [elo, ehi) and
 // reduce-axis tile t, four positions per vec.Dot4 and a leftover one per
-// vec.Dot. The first tile stores its partial dot product and later tiles
-// accumulate onto it, so the output needs no zeroing pass and a single-tile
-// schedule never reads it.
+// vec.Dot. Unlike dotRows it prefetches nothing: a Hilbert-ordered walk
+// meets its rows again while they are cached, and prefetching the rows
+// prefetchAhead positions on made the Hilbert-ordered dot kernel slower.
+// The first tile stores its partial dot product and later tiles accumulate
+// onto it, so the output needs no zeroing pass and a single-tile schedule
+// never reads it.
 func (k *SDDMMKernel) dotEdges(odata []float32, elo, ehi int, t partition.Range, acc bool) {
 	n := t.Hi - t.Lo
 	xd, xs := k.match.X.Data()[t.Lo:], k.match.X.RowStride()
@@ -237,7 +240,7 @@ func (k *SDDMMKernel) dotEdges(odata []float32, elo, ehi int, t partition.Range,
 	for ; i+4 <= len(cols); i += 4 {
 		c, r, e := cols[i:i+4:i+4], rows[i:i+4:i+4], eids[i:i+4:i+4]
 		s := vec.Dot4(xd[int(c[0])*xs:][:n], yd[int(r[0])*ys:][:n], xd[int(c[1])*xs:][:n], yd[int(r[1])*ys:][:n],
-			xd[int(c[2])*xs:][:n], yd[int(r[2])*ys:][:n], xd[int(c[3])*xs:][:n], yd[int(r[3])*ys:][:n])
+			xd[int(c[2])*xs:][:n], yd[int(r[2])*ys:][:n], xd[int(c[3])*xs:][:n], yd[int(r[3])*ys:][:n], nil)
 		if acc {
 			s[0], s[1], s[2], s[3] = s[0]+odata[e[0]], s[1]+odata[e[1]], s[2]+odata[e[2]], s[3]+odata[e[3]]
 		}

@@ -1,7 +1,9 @@
 // Package vec holds the float32 row kernels the CPU hot loops are made of:
 // o += a, o += (a+b)+(c+d), o += wa·a, o += wa·a+wb·b,
 // o += (wa·a+wb·b)+(wc·c+wd·d), the 8-block dot product summed in four
-// lanes, for one pair of rows or for four pairs at once, and the MLP
+// lanes, for one pair of rows or for four pairs at once (prefetching the
+// four rows dotted next), the softmax step s ← e^(s−shift) with the sum of
+// the results (Expf32, the float32 exponential, per element), and the MLP
 // message o ⊕= act(t × W) folded by sum, max or min.
 //
 // On amd64 each kernel runs an SSE2 loop (vec_amd64.s; SSE2 is the amd64
@@ -13,9 +15,10 @@
 // loop, which is also the whole body on other platforms and under the race
 // detector, and what the tests compare against: each kernel's lower-case
 // twin runs it alone when asm is false. (Dot4's SSE body runs its pairs'
-// tails too, in the Go loop's order.) Every operand is resliced to len(o)
-// (len(x), len(x1) for the dots) first, so one without that capacity panics
-// with o untouched.
+// tails too, in the Go loop's order; ExpShiftSum also hands the Go loop
+// an element of each group of four with a NaN or too large an argument.)
+// Every operand is resliced to len(o) (len(x), len(x1) for the dots) first,
+// so one without that capacity panics with o untouched.
 package vec
 
 import "math"
@@ -114,15 +117,20 @@ func dot(x, y []float32, asm bool) float32 {
 // pairs' lane chains side by side and combines the lanes in registers: a
 // 4×4 transpose of the four pairs' lanes, then (L0+L1) + (L2+L3), which is
 // each pair's (s0+s1) + (s2+s3). Below 8 elements each pair takes dot.
-func Dot4(x1, y1, x2, y2, x3, y3, x4, y4 []float32) [4]float32 {
-	return dot4(x1, y1, x2, y2, x3, y3, x4, y4, sse)
+//
+// Unless next is nil, its four pointers are at rows the caller dots next:
+// the SSE body first prefetches (PREFETCHT0) every 64-byte line of the
+// len(x1) elements at each, so their loads overlap this call's dots. A
+// prefetch never faults and changes no result; the Go loop ignores next.
+func Dot4(x1, y1, x2, y2, x3, y3, x4, y4 []float32, next *[4]*float32) [4]float32 {
+	return dot4(x1, y1, x2, y2, x3, y3, x4, y4, next, sse)
 }
 
-func dot4(x1, y1, x2, y2, x3, y3, x4, y4 []float32, asm bool) (r [4]float32) {
+func dot4(x1, y1, x2, y2, x3, y3, x4, y4 []float32, next *[4]*float32, asm bool) (r [4]float32) {
 	n := len(x1)
 	y1, x2, y2, x3, y3, x4, y4 = y1[:n], x2[:n], y2[:n], x3[:n], y3[:n], x4[:n], y4[:n]
 	if asm && n >= 8 {
-		dot4SSE(&r, &x1[0], &y1[0], &x2[0], &y2[0], &x3[0], &y3[0], &x4[0], &y4[0], n)
+		dot4SSE(&r, &x1[0], &y1[0], &x2[0], &y2[0], &x3[0], &y3[0], &x4[0], &y4[0], next, n)
 		return r
 	}
 	return [4]float32{dot(x1, y1, asm), dot(x2, y2, asm), dot(x3, y3, asm), dot(x4, y4, asm)}

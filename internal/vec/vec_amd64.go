@@ -4,8 +4,11 @@ package vec
 
 // sse selects vec_amd64.s: each body does the first n elements, n a positive
 // multiple of 4 (of 8 for dotSSE, which adds into the lanes s; dot4SSE takes
-// all n ≥ 8 elements of its four pairs and stores their dots in r; the mlp
-// bodies take d1 > 0 rows of w, ws floats apart, and the ReLU floor).
+// all n ≥ 8 elements of its four pairs, prefetches n elements at each next[i]
+// unless next is nil, and
+// stores their dots in r; expShiftSumSSE returns how many of its n elements
+// it did; the mlp bodies take d1 > 0 rows of w, ws floats apart, and the
+// ReLU floor).
 const sse = true
 
 //go:noescape
@@ -24,7 +27,10 @@ func axpy4SSE(o, a, b, c, d *float32, wa, wb, wc, wd float32, n int)
 func dotSSE(s *[4]float32, x, y *float32, n int)
 
 //go:noescape
-func dot4SSE(r *[4]float32, x1, y1, x2, y2, x3, y3, x4, y4 *float32, n int)
+func dot4SSE(r *[4]float32, x1, y1, x2, y2, x3, y3, x4, y4 *float32, next *[4]*float32, n int)
+
+//go:noescape
+func expShiftSumSSE(s *float32, n int, shift, sum float32) (done int, total float32)
 
 //go:noescape
 func mlpSumSSE(o, t, w *float32, d1, ws, n int, floor float32)

@@ -145,11 +145,37 @@ dotloop:
 	MOVUPS X0, (DI)
 	RET
 
-// func dot4SSE(r *[4]float32, x1, y1, x2, y2, x3, y3, x4, y4 *float32, n int):
-// pair i's lanes in X(i-1), four independent chains; the n mod 8 tail into
-// lane 0 of each; then a 4×4 transpose puts lane k of every pair in Lk, and
+// func dot4SSE(r *[4]float32, x1, y1, x2, y2, x3, y3, x4, y4 *float32, next *[4]*float32, n int):
+// unless next is nil, first PREFETCHT0 every 64-byte line of the 4n bytes
+// at each next[i]: offsets 0, 64, … below 4n, then the last byte, whose
+// line the steps miss when the row is not 64-byte aligned. Then pair i's
+// lanes in X(i-1), four independent chains; the n mod 8 tail into lane 0 of
+// each; then a 4×4 transpose puts lane k of every pair in Lk, and
 // (L0+L1)+(L2+L3) is each pair's (s0+s1)+(s2+s3), stored at once.
-TEXT ·dot4SSE(SB), NOSPLIT, $0-80
+TEXT ·dot4SSE(SB), NOSPLIT, $0-88
+	MOVQ  next+72(FP), AX
+	MOVQ  n+80(FP), R13
+	TESTQ AX, AX
+	JZ    dot4dots
+	MOVQ  0(AX), SI
+	MOVQ  8(AX), DI
+	MOVQ  16(AX), BX
+	MOVQ  24(AX), DX
+	LEAQ  (R13*4), CX
+	XORQ  AX, AX
+dot4prefetch:
+	PREFETCHT0 (SI)(AX*1)
+	PREFETCHT0 (DI)(AX*1)
+	PREFETCHT0 (BX)(AX*1)
+	PREFETCHT0 (DX)(AX*1)
+	ADDQ  $64, AX
+	CMPQ  AX, CX
+	JLT   dot4prefetch
+	PREFETCHT0 -1(SI)(CX*1)
+	PREFETCHT0 -1(DI)(CX*1)
+	PREFETCHT0 -1(BX)(CX*1)
+	PREFETCHT0 -1(DX)(CX*1)
+dot4dots:
 	MOVQ  r+0(FP), R12
 	MOVQ  x1+8(FP), SI
 	MOVQ  y1+16(FP), DI
@@ -159,7 +185,6 @@ TEXT ·dot4SSE(SB), NOSPLIT, $0-80
 	MOVQ  y3+48(FP), R9
 	MOVQ  x4+56(FP), R10
 	MOVQ  y4+64(FP), R11
-	MOVQ  n+72(FP), R13
 	MOVQ  R13, CX
 	ANDQ  $-8, CX
 	XORPS X0, X0
@@ -458,3 +483,120 @@ TEXT ·mlp2MinSSE(SB), NOSPLIT, $0-60
 	MOVQ  n+48(FP), BX
 	MOVSS floor+56(FP), X14
 	MLP2_BODY(FOLD_MIN)
+
+// expc holds expShiftSumSSE's constants, each in four lanes, in Expf32's
+// order: log2e, 0.5, ln2 hi and lo, the polynomial's c0…c5, 1, the largest
+// argument the lanes take (expSSEMaxX), the underflow cut, and the exponent
+// bias 127 as integers.
+DATA expc<>+0(SB)/8, $0x3fb8aa3b3fb8aa3b
+DATA expc<>+8(SB)/8, $0x3fb8aa3b3fb8aa3b
+DATA expc<>+16(SB)/8, $0x3f0000003f000000
+DATA expc<>+24(SB)/8, $0x3f0000003f000000
+DATA expc<>+32(SB)/8, $0x3f3180003f318000
+DATA expc<>+40(SB)/8, $0x3f3180003f318000
+DATA expc<>+48(SB)/8, $0xb95e8083b95e8083
+DATA expc<>+56(SB)/8, $0xb95e8083b95e8083
+DATA expc<>+64(SB)/8, $0x3950696739506967
+DATA expc<>+72(SB)/8, $0x3950696739506967
+DATA expc<>+80(SB)/8, $0x3ab743ce3ab743ce
+DATA expc<>+88(SB)/8, $0x3ab743ce3ab743ce
+DATA expc<>+96(SB)/8, $0x3c0889083c088908
+DATA expc<>+104(SB)/8, $0x3c0889083c088908
+DATA expc<>+112(SB)/8, $0x3d2aa9c13d2aa9c1
+DATA expc<>+120(SB)/8, $0x3d2aa9c13d2aa9c1
+DATA expc<>+128(SB)/8, $0x3e2aaaaa3e2aaaaa
+DATA expc<>+136(SB)/8, $0x3e2aaaaa3e2aaaaa
+DATA expc<>+144(SB)/8, $0x3f0000003f000000
+DATA expc<>+152(SB)/8, $0x3f0000003f000000
+DATA expc<>+160(SB)/8, $0x3f8000003f800000
+DATA expc<>+168(SB)/8, $0x3f8000003f800000
+DATA expc<>+176(SB)/8, $0x42b0000042b00000
+DATA expc<>+184(SB)/8, $0x42b0000042b00000
+DATA expc<>+192(SB)/8, $0xc2ae0000c2ae0000
+DATA expc<>+200(SB)/8, $0xc2ae0000c2ae0000
+DATA expc<>+208(SB)/8, $0x0000007f0000007f
+DATA expc<>+216(SB)/8, $0x0000007f0000007f
+GLOBL expc<>(SB), RODATA|NOPTR, $224
+
+// POLY steps p = p·r + c, c the constant at off(expc).
+#define POLY(off) \
+	MULPS  X6, X5; \
+	MOVUPS expc<>+off(SB), X7; \
+	ADDPS  X7, X5
+
+// func expShiftSumSSE(s *float32, n int, shift, sum float32) (done int, total float32):
+// Expf32's steps on four lanes x = s − shift, no fused multiply-add.
+// floor(t) is int32(t), less 1 where float32(int32(t)) > t (CMPPS's all-ones
+// lane is the integer −1 and, ANDed with 1.0, the float 1), and 2^k is k+127
+// shifted into the exponent field. A group with a lane that is NaN or above
+// expSSEMaxX stops the loop before it is stored; lanes below −87 are zeroed.
+// Each group's four results add into the sum in lane 0 in ascending order.
+TEXT ·expShiftSumSSE(SB), NOSPLIT, $0-36
+	MOVQ   s+0(FP), DI
+	MOVQ   n+8(FP), CX
+	MOVSS  shift+16(FP), X8
+	SHUFPS $0, X8, X8
+	MOVSS  sum+20(FP), X0
+	MOVUPS expc<>+0(SB), X9     // log2e
+	MOVUPS expc<>+16(SB), X10   // 0.5
+	MOVUPS expc<>+32(SB), X11   // ln2 hi
+	MOVUPS expc<>+48(SB), X12   // ln2 lo
+	MOVUPS expc<>+160(SB), X13  // 1
+	MOVUPS expc<>+176(SB), X14  // expSSEMaxX
+	MOVUPS expc<>+192(SB), X15  // the underflow cut
+	XORQ   AX, AX
+exploop:
+	MOVUPS   (DI)(AX*4), X1
+	SUBPS    X8, X1             // x = s − shift
+	MOVAPS   X1, X2
+	CMPPS    X14, X2, $6        // !(x <= expSSEMaxX): NaN or too large
+	MOVMSKPS X2, DX
+	TESTL    DX, DX
+	JNZ      expdone
+	MOVAPS   X1, X2
+	MULPS    X9, X2
+	ADDPS    X10, X2            // t = log2e·x + 0.5
+	CVTTPS2PL X2, X3            // int32(t)
+	CVTPL2PS X3, X4             // f = float32(int32(t))
+	CMPPS    X4, X2, $1         // t < f: all ones
+	PADDL    X2, X3             // k = int32(t) − 1 there
+	ANDPS    X13, X2
+	SUBPS    X2, X4             // kf = f − 1 there
+	MOVAPS   X4, X2
+	MULPS    X11, X2            // kf·ln2hi
+	MOVAPS   X1, X6
+	SUBPS    X2, X6             // r = x − kf·ln2hi
+	MULPS    X12, X4            // kf·ln2lo
+	SUBPS    X4, X6             // r −= kf·ln2lo
+	MOVUPS   expc<>+64(SB), X5  // p = c0
+	POLY(80)
+	POLY(96)
+	POLY(112)
+	POLY(128)
+	POLY(144)
+	MOVAPS   X6, X7
+	MULPS    X6, X7             // r·r
+	MULPS    X5, X7             // r·r·p
+	ADDPS    X6, X7             // + r
+	ADDPS    X13, X7            // z = … + 1
+	MOVUPS   expc<>+208(SB), X2
+	PADDL    X2, X3
+	PSLLL    $23, X3            // 2^k
+	MULPS    X3, X7             // e = z·2^k
+	CMPPS    X15, X1, $1        // x < −87: all ones
+	ANDNPS   X7, X1             // e, or +0 there
+	MOVUPS   X1, (DI)(AX*4)
+	ADDSS    X1, X0
+	SHUFPS   $0x39, X1, X1      // rotate lane 1 into lane 0
+	ADDSS    X1, X0
+	SHUFPS   $0x39, X1, X1
+	ADDSS    X1, X0
+	SHUFPS   $0x39, X1, X1
+	ADDSS    X1, X0
+	ADDQ     $4, AX
+	CMPQ     AX, CX
+	JLT      exploop
+expdone:
+	MOVQ     AX, done+24(FP)
+	MOVSS    X0, total+32(FP)
+	RET

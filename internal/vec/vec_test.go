@@ -49,25 +49,37 @@ var kernels = append([]kernel{
 	{"Dot", 2, 0,
 		func(r [][]float32, w []float32) []float32 { return []float32{Dot(r[0], r[1])} },
 		func(r [][]float32, w []float32) []float32 { return []float32{dot(r[0], r[1], false)} }, nil},
-	{"Dot4", 8, 0,
+	{"Dot4", 12, 0,
 		func(r [][]float32, w []float32) []float32 {
-			s := Dot4(r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7])
+			s := Dot4(r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7], next(r[8], r[9], r[10], r[11]))
 			return s[:]
 		},
 		dot4Ref(0, 1, 2, 3, 4, 5, 6, 7), nil},
+	// The prefetched rows are the dotted ones, as in a caller's last group.
 	{"Dot4 shared y", 5, 0,
 		func(r [][]float32, w []float32) []float32 {
-			s := Dot4(r[0], r[4], r[1], r[4], r[2], r[4], r[3], r[4])
+			s := Dot4(r[0], r[4], r[1], r[4], r[2], r[4], r[3], r[4], next(r[0], r[1], r[2], r[3]))
 			return s[:]
 		},
 		dot4Ref(0, 4, 1, 4, 2, 4, 3, 4), nil},
 	{"Dot4 x==y", 4, 0,
 		func(r [][]float32, w []float32) []float32 {
-			s := Dot4(r[0], r[0], r[1], r[1], r[2], r[2], r[3], r[3])
+			s := Dot4(r[0], r[0], r[1], r[1], r[2], r[2], r[3], r[3], nil)
 			return s[:]
 		},
 		dot4Ref(0, 0, 1, 1, 2, 2, 3, 3), nil},
+	{"ExpShiftSum", 1, 1,
+		func(r [][]float32, w []float32) []float32 { return []float32{ExpShiftSum(r[0], w[0])} },
+		func(r [][]float32, w []float32) []float32 { return []float32{expShiftSum(r[0], w[0], false)} }, nil},
 }, mlpKernels()...)
+
+// next points at the rows' first elements, or is nil when they are empty.
+func next(r1, r2, r3, r4 []float32) *[4]*float32 {
+	if len(r1) == 0 {
+		return nil
+	}
+	return &[4]*float32{&r1[0], &r2[0], &r3[0], &r4[0]}
+}
 
 // dot4Ref is four independent Go-loop dots over operands (x1, y1) … (x4,
 // y4): Dot4's running the pairs side by side and combining their lanes in
@@ -255,7 +267,7 @@ func TestShortOperandPanicsBeforeWriting(t *testing.T) {
 	t1, w := []float32{1, 2}, make([]float32, 2*9) // two rows of W at stride 9
 	for name, call := range map[string]func(o []float32){
 		"Add4":            func(o []float32) { Add4(o, full, full, full, short) },
-		"Dot4 short y4":   func(o []float32) { o[0] = Dot4(o, full, o, full, o, full, o, short)[0] },
+		"Dot4 short y4":   func(o []float32) { o[0] = Dot4(o, full, o, full, o, full, o, short, next(o, o, o, o))[0] },
 		"MLP short W":     func(o []float32) { MLP(o, t1, w[:17:17], 9, false, FoldSum) },
 		"MLP2 short t2":   func(o []float32) { MLP2(o, t1, t1[:1:1], w, 9, false, FoldMax) },
 		"MLP2 short W":    func(o []float32) { MLP2(o, t1, t1, w[:17:17], 9, true, FoldMin) },
@@ -275,5 +287,119 @@ func TestShortOperandPanicsBeforeWriting(t *testing.T) {
 				t.Fatalf("%s: o[%d] = %v after the panic, want %v", name, i, v, i+1)
 			}
 		}
+	}
+}
+
+// TestExpShiftSumMatchesGoLoop holds ExpShiftSum to its Go loop on
+// arguments either side of the underflow cut, of expSSEMaxX, of k reaching
+// 128 and of the overflow cut, with NaN, ±Inf and −0 at every position,
+// under shifts that are 0, finite, NaN and ±Inf.
+func TestExpShiftSumMatchesGoLoop(t *testing.T) {
+	if sse {
+		// Arguments in [−87, expSSEMaxX] all take the SSE lanes.
+		s := []float32{-87, -1, 0, expSSEMaxX, 3, -50, 87.9, 1e-3}
+		if done, _ := expShiftSumSSE(&s[0], len(s), 0, 0); done != len(s) {
+			t.Fatalf("the SSE body did %d of %d in-range arguments", done, len(s))
+		}
+	}
+	inf := float32(math.Inf(1))
+	var edges []float32
+	for _, e := range []float32{expf32UnderflowX, expSSEMaxX, 88.38, expf32OverflowX} {
+		edges = append(edges, e-0.01, math.Nextafter32(e, -inf), e, math.Nextafter32(e, inf), e+0.01)
+	}
+	rng := rand.New(rand.NewSource(2))
+	arg := func() float32 {
+		switch rng.Intn(3) {
+		case 0:
+			return edges[rng.Intn(len(edges))]
+		case 1:
+			return float32(rng.Float64()*200 - 110)
+		}
+		return float32(rng.NormFloat64() * 4)
+	}
+	var lens []int
+	for n := 0; n <= 17; n++ {
+		lens = append(lens, n)
+	}
+	lens = append(lens, 31, 32, 33, 129)
+	specials := []float32{float32(math.NaN()), inf, -inf, float32(math.Copysign(0, -1))}
+	run := func(row []float32, shift float32, what string) {
+		t.Helper()
+		got, want := append([]float32(nil), row...), append([]float32(nil), row...)
+		gs, ws := ExpShiftSum(got, shift), expShiftSum(want, shift, false)
+		if !same(gs, ws) {
+			t.Fatalf("%s n=%d shift=%v: sum %v (%#08x), Go loop %v (%#08x)",
+				what, len(row), shift, gs, math.Float32bits(gs), ws, math.Float32bits(ws))
+		}
+		for i := range want {
+			if !same(got[i], want[i]) {
+				t.Fatalf("%s n=%d shift=%v: s[%d] = %v from %v, Go loop %v", what, len(row), shift, i, got[i], row[i], want[i])
+			}
+		}
+	}
+	for _, shift := range []float32{0, 2.5, -40, float32(math.NaN()), inf, -inf} {
+		for _, n := range lens {
+			row := make([]float32, n)
+			for i := range row {
+				row[i] = arg() + shift
+			}
+			run(row, shift, "finite")
+			for _, sp := range specials {
+				for i := range row {
+					at := append([]float32(nil), row...)
+					at[i] = sp
+					run(at, shift, fmt.Sprintf("%v at %d", sp, i))
+				}
+			}
+		}
+	}
+}
+
+func TestExpf32MatchesFloat64Exp(t *testing.T) {
+	// Sweep the finite range up to the overflow cut; Expf32 must stay
+	// within a few ULPs of the correctly-rounded float32 exponential.
+	worst := 0
+	for x := float32(expf32UnderflowX); x <= expf32OverflowX; x += 0.0037 {
+		want := float32(math.Exp(float64(x)))
+		got := Expf32(x)
+		w, g := int64(math.Float32bits(want)), int64(math.Float32bits(got))
+		ulps := int(math.Abs(float64(w - g)))
+		if ulps > worst {
+			worst = ulps
+		}
+	}
+	if worst > 4 {
+		t.Fatalf("Expf32 worst-case error %d ULPs, want <= 4", worst)
+	}
+	// k = 128: 2^128 is not a float32, but e^88.5 is.
+	if got, want := Expf32(88.5), math.Exp(88.5); math.IsInf(float64(got), 0) || math.Abs(float64(got)-want) > want*1e-6 {
+		t.Fatalf("Expf32(88.5) = %v, want %v", got, want)
+	}
+	if Expf32(0) != 1 {
+		t.Fatalf("Expf32(0) = %v", Expf32(0))
+	}
+	if !math.IsInf(float64(Expf32(200)), 1) {
+		t.Fatalf("Expf32(200) = %v, want +Inf", Expf32(200))
+	}
+	if Expf32(-200) != 0 {
+		t.Fatalf("Expf32(-200) = %v, want 0", Expf32(-200))
+	}
+	if negInf := float32(math.Inf(-1)); Expf32(negInf) != 0 {
+		t.Fatalf("Expf32(-Inf) = %v, want 0", Expf32(negInf))
+	}
+	// The softmax's fused shift-exponentiate-sum agrees with the scalar form
+	// element-wise, and sums in ascending order.
+	vals := []float32{-80, -1.5, -1e-4, 0, 0.3, 5, 42, 87}
+	batch := append([]float32(nil), vals...)
+	sum := ExpShiftSum(batch, 0)
+	var want float32
+	for i, v := range vals {
+		if batch[i] != Expf32(v) {
+			t.Fatalf("ExpShiftSum[%d] = %v, Expf32 = %v", i, batch[i], Expf32(v))
+		}
+		want += batch[i]
+	}
+	if sum != want {
+		t.Fatalf("ExpShiftSum sum = %v, want %v", sum, want)
 	}
 }
