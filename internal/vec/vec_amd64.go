@@ -4,11 +4,10 @@ package vec
 
 // sse selects vec_amd64.s: each body does the first n elements, n a positive
 // multiple of 4 (of 8 for dotSSE, which adds into the lanes s; dot4SSE takes
-// all n ≥ 8 elements of its four pairs, prefetches n elements at each next[i]
-// unless next is nil, and
-// stores their dots in r; expShiftSumSSE returns how many of its n elements
-// it did; the mlp bodies take d1 > 0 rows of w, ws floats apart, and the
-// ReLU floor).
+// all n ≥ 8 elements of its four pairs, prefetches n elements at each
+// next[i] unless next is nil, and stores their dots in r; expShiftSumSSE
+// returns how many of its n elements it did; the mlp bodies take d1 > 0
+// rows of w, ws floats apart, and the ReLU floor).
 const sse = true
 
 //go:noescape
