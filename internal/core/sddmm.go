@@ -57,15 +57,18 @@ func BuildSDDMM(adj *sparse.CSR, udf *expr.UDF, inputs []*tensor.Tensor, fds *sc
 // buildSDDMM is BuildSDDMM plus the sharded-execution hook: a non-nil sh
 // builds a partial kernel over one shard of a larger graph (CPU only),
 // validating inputs against the global dimensions and sizing the output
-// for the global edge count.
+// for the global edge count. The shard's CSR is not validated again:
+// ShardSource.Pin returns a valid one.
 func buildSDDMM(adj *sparse.CSR, udf *expr.UDF, inputs []*tensor.Tensor, fds *schedule.FDS, opts Options, sh *shardSpec) (*SDDMMKernel, error) {
 	tracing := telemetry.TraceActive()
 	var buildStart, stepStart time.Time
 	if tracing {
 		buildStart = time.Now()
 	}
-	if err := adj.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid adjacency: %w", err)
+	if sh == nil {
+		if err := adj.Validate(); err != nil {
+			return nil, fmt.Errorf("core: invalid adjacency: %w", err)
+		}
 	}
 	if len(udf.OutAxes) == 0 {
 		return nil, fmt.Errorf("core: UDF must have at least one output axis")

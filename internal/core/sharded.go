@@ -64,7 +64,10 @@ type ShardSource interface {
 	// Degree returns global destination row r's in-degree.
 	Degree(r int) int64
 	// Pin materializes shard i and returns it with a release function the
-	// caller must invoke when done; while pinned the CSR must not change.
+	// caller must invoke when done. The CSR must pass sparse.CSR.Validate:
+	// the partial kernels built over it do not validate it again. While
+	// pinned the CSR must not change; once released, the source may reuse
+	// its arrays, so the caller must not read it after release.
 	Pin(ctx context.Context, i int) (*sparse.CSR, func(), error)
 }
 

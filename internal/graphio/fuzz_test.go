@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"featgraph/internal/durable"
+	"featgraph/internal/partition"
 	"featgraph/internal/sparse"
 )
 
@@ -72,10 +74,15 @@ func FuzzLoadGraph(f *testing.F) {
 // FuzzLoadShard drives the sharded out-of-core loader end to end:
 // arbitrary bytes must open with a typed error or parse into shards that
 // all pin and materialize into a structurally valid graph, which must
-// round-trip through the writer. Seeds cover both degenerate shapes
-// (zero edges) and the adversarial manifests that motivated the format's
-// validation: huge declared counts, shard spans outside the graph, and
-// row pointers disagreeing with shard boundaries.
+// round-trip through the writer. Every shard that pins passes Validate —
+// the contract the sharded kernels build on without validating again —
+// over fresh arrays in the first round and recycled ones in the second
+// (the handle's one-byte budget evicts each shard on release), and equals
+// its extraction from the materialized graph. Seeds cover both degenerate
+// shapes (zero edges) and the adversarial manifests that motivated the
+// format's validation: huge declared counts, shard spans outside the
+// graph, and row pointers disagreeing with shard boundaries (the corpus's
+// misaligned-shard holds misalignedShardBlob).
 func FuzzLoadShard(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	g := sparse.Random(rng, 20, 15, 4)
@@ -98,7 +105,7 @@ func FuzzLoadShard(f *testing.F) {
 	f.Add([]byte("FGDC"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := OpenShardedReader(bytes.NewReader(data), int64(len(data)), ShardedOptions{})
+		s, err := OpenShardedReader(bytes.NewReader(data), int64(len(data)), ShardedOptions{BudgetBytes: 1})
 		requireTypedOrNil(t, err)
 		if err != nil {
 			return
@@ -112,7 +119,26 @@ func FuzzLoadShard(f *testing.F) {
 		if !errors.As(merr, &le) {
 			requireTypedOrNil(t, merr)
 		}
-		perr := pinAll(s)
+		var perr error
+		for round := 0; round < 2 && perr == nil; round++ {
+			edgeLo := 0
+			for i := 0; i < s.NumShards(); i++ {
+				csr, unpin, err := s.Pin(ctx, i)
+				if perr = err; err != nil {
+					break
+				}
+				if verr := csr.Validate(); verr != nil {
+					t.Fatalf("round %d: shard %d pinned but fails Validate: %v", round, i, verr)
+				}
+				rowLo, rowHi := s.ShardRows(i)
+				edgeHi := edgeLo + int(s.ShardNNZ(i))
+				if merr == nil {
+					sameCSR(t, csr, partition.ExtractShard(got, partition.EdgeShard{RowLo: rowLo, RowHi: rowHi, EdgeLo: edgeLo, EdgeHi: edgeHi}), fmt.Sprintf("round %d shard %d", round, i))
+				}
+				edgeLo = edgeHi
+				unpin()
+			}
+		}
 		requireTypedOrNil(t, perr)
 		if merr == nil && perr != nil {
 			t.Fatalf("materialize accepted a file whose shards fail to pin: %v", perr)

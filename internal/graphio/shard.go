@@ -37,6 +37,7 @@ import (
 	"featgraph/internal/durable"
 	"featgraph/internal/partition"
 	"featgraph/internal/sparse"
+	"featgraph/internal/vec"
 	"featgraph/internal/workpool"
 )
 
@@ -67,8 +68,12 @@ func WriteSharded(w io.Writer, g *sparse.CSR, targetShardEdges int) error {
 		targetShardEdges = DefaultShardEdges
 	}
 	targetShardEdges = min(targetShardEdges, maxShardEdges)
-	shards := partition.EdgeShards(g, targetShardEdges)
+	return writeShards(w, g, partition.EdgeShards(g, targetShardEdges))
+}
 
+// writeShards serializes g cut into the given shards, as declared: the
+// manifest records each span verbatim.
+func writeShards(w io.Writer, g *sparse.CSR, shards []partition.EdgeShard) error {
 	bw := bufio.NewWriter(w)
 	dw, err := durable.NewWriter(bw, shardKind, shardVersion, 2+3*len(shards))
 	if err != nil {
@@ -162,10 +167,12 @@ type shardMeta struct {
 	col, eid, val  durable.SectionLoc
 }
 
-// residentShard is one materialized shard in the residency cache.
+// residentShard is one materialized shard in the residency cache, or the
+// cache's spare: the arrays of the shard it last evicted, kept for the next
+// load to reuse.
 type residentShard struct {
 	csr     *sparse.CSR
-	bytes   int64
+	bytes   int64 // the capacity of csr's arrays, which tk charges
 	pins    int
 	lastUse uint64
 	tk      admission.MemTicket
@@ -191,7 +198,8 @@ type ShardedCSR struct {
 
 	mu       sync.Mutex
 	resident map[int]*residentShard
-	used     int64
+	spare    *residentShard // the arrays of the shard last evicted, or nil
+	used     int64          // resident bytes, the spare's not included
 	tick     uint64
 	stats    ShardCacheStats
 }
@@ -314,7 +322,11 @@ func openSharded(src byteSource, path string, opts ShardedOptions) (*ShardedCSR,
 			return nil, shardCorrupt(path, "manifest", fmt.Sprintf("shard %d starts at edge %d, previous ended at %d", i, m.edgeLo, prevEdge), nil)
 		}
 		prevEdge = m.edgeHi
-		if snnz > 0 && (m.rowLo >= m.rowHi || s.rowptr64[m.rowHi] < m.edgeHi || s.rowptr64[m.rowLo+1] <= m.edgeLo) {
+		// A shard's rows hold exactly its edges' rows: its first row holds its
+		// first edge, and its last row ends at or past its last edge. Then
+		// every edge lies in a row of its own shard, and the local row
+		// pointers Pin derives run from 0 to the shard's edge count.
+		if snnz > 0 && (m.rowLo >= m.rowHi || s.rowptr64[m.rowLo] > m.edgeLo || s.rowptr64[m.rowLo+1] <= m.edgeLo || s.rowptr64[m.rowHi] < m.edgeHi) {
 			return nil, shardCorrupt(path, "manifest", fmt.Sprintf("shard %d row span disagrees with rowptr64", i), nil)
 		}
 		for _, sec := range []struct {
@@ -364,8 +376,10 @@ func (s *ShardedCSR) ShardNNZ(i int) int64 { return s.shards[i].edgeHi - s.shard
 // finalizes mean aggregation across shard boundaries.
 func (s *ShardedCSR) Degree(r int) int64 { return s.rowptr64[r+1] - s.rowptr64[r] }
 
-// ResidentBytes returns the decoded bytes currently held by the residency
-// cache.
+// ResidentBytes returns the bytes currently held by the residency cache's
+// resident shards. The spare set of evicted arrays kept for reuse (at most
+// one shard's) is not included; the governor ledger and
+// ShardCacheStats.PeakBytes count it.
 func (s *ShardedCSR) ResidentBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -382,8 +396,12 @@ func (s *ShardedCSR) Stats() ShardCacheStats {
 // Pin returns shard i as a local-row CSR (row 0 is global row rowLo;
 // columns and edge ids are global), materializing it from the byte source
 // if not resident, and a release function the caller must invoke when the
-// shard is no longer in use. A pinned shard is never evicted; release is
-// idempotent. Damage in the shard's sections yields a typed
+// shard is no longer in use. The CSR passes sparse.CSR.Validate: open
+// checked the shard's row span against the global row pointers, and the
+// load range-checks every column and edge id. A pinned shard is never
+// evicted; release is idempotent. Once released, the CSR may be evicted
+// and its arrays reused for another shard, so the caller must not read it
+// after release. Damage in the shard's sections yields a typed
 // *durable.CorruptError.
 func (s *ShardedCSR) Pin(ctx context.Context, i int) (*sparse.CSR, func(), error) {
 	if i < 0 || i >= len(s.shards) {
@@ -396,15 +414,13 @@ func (s *ShardedCSR) Pin(ctx context.Context, i int) (*sparse.CSR, func(), error
 	defer s.mu.Unlock()
 	rs := s.resident[i]
 	if rs == nil {
-		csr, err := s.materialize(ctx, i)
-		if err != nil {
+		// Make room first, so the load reuses the arrays it evicts.
+		m := &s.shards[i]
+		s.evictLocked(4*int64(m.rowHi-m.rowLo+1) + 12*(m.edgeHi-m.edgeLo))
+		var err error
+		if rs, err = s.load(ctx, i); err != nil {
 			return nil, nil, withPath(err, s.path)
 		}
-		rs = &residentShard{
-			csr:   csr,
-			bytes: 4*int64(len(csr.RowPtr)) + 12*int64(csr.NNZ()),
-		}
-		rs.tk = s.gov.ReserveMemory(rs.bytes)
 		s.resident[i] = rs
 		s.used += rs.bytes
 		s.stats.Loads++
@@ -414,8 +430,12 @@ func (s *ShardedCSR) Pin(ctx context.Context, i int) (*sparse.CSR, func(), error
 	s.tick++
 	rs.lastUse = s.tick
 	rs.pins++
-	s.evictLocked()
-	s.stats.PeakBytes = max(s.stats.PeakBytes, s.used)
+	s.evictLocked(0)
+	held := s.used
+	if s.spare != nil {
+		held += s.spare.bytes
+	}
+	s.stats.PeakBytes = max(s.stats.PeakBytes, held)
 
 	released := false
 	unpin := func() {
@@ -423,36 +443,62 @@ func (s *ShardedCSR) Pin(ctx context.Context, i int) (*sparse.CSR, func(), error
 		if !released {
 			released = true
 			rs.pins--
-			s.evictLocked()
+			s.evictLocked(0)
 		}
 		s.mu.Unlock()
 	}
 	return rs.csr, unpin, nil
 }
 
-// materialize decodes shard i into fresh arrays. Local row pointers derive
+// load decodes shard i into the spare's arrays, resliced, and into fresh
+// ones where the spare has none or too small. Local row pointers derive
 // from the resident global rowptr64 clamped to the shard's edge span — the
-// shard file stores no per-shard row pointers at all.
-func (s *ShardedCSR) materialize(ctx context.Context, i int) (*sparse.CSR, error) {
+// shard file stores no per-shard row pointers at all. The spare's
+// admission ticket moves to the loaded shard, re-reserved only when the
+// arrays' capacity changed; a failed load drops the arrays and releases
+// the ticket (a load on a closed handle fails, and must leave nothing
+// charged).
+func (s *ShardedCSR) load(ctx context.Context, i int) (*residentShard, error) {
 	m := &s.shards[i]
 	rows := m.rowHi - m.rowLo
 	snnz := int(m.edgeHi - m.edgeLo)
+	sp := residentShard{csr: &sparse.CSR{}}
+	if s.spare != nil {
+		sp, s.spare = *s.spare, nil
+	}
+	// A new CSR each load, even over reused arrays: a shard planner keyed on
+	// the CSR pointer must never match a kernel built over another shard.
 	csr := &sparse.CSR{
 		NumRows: rows,
 		NumCols: s.numCols,
-		RowPtr:  make([]int32, rows+1),
-		ColIdx:  make([]int32, snnz),
-		EID:     make([]int32, snnz),
-		Val:     make([]float32, snnz),
+		RowPtr:  reuse(sp.csr.RowPtr, rows+1),
+		ColIdx:  reuse(sp.csr.ColIdx, snnz),
+		EID:     reuse(sp.csr.EID, snnz),
+		Val:     reuse(sp.csr.Val, snnz),
 	}
 	for r := 0; r <= rows; r++ {
 		p := s.rowptr64[m.rowLo+r] - m.edgeLo
 		csr.RowPtr[r] = int32(min(max(p, 0), int64(snnz)))
 	}
+	rs := &residentShard{csr: csr, bytes: 4 * int64(cap(csr.RowPtr)+cap(csr.ColIdx)+cap(csr.EID)+cap(csr.Val)), tk: sp.tk}
+	if rs.bytes != sp.bytes {
+		rs.tk = s.gov.ReserveMemory(rs.bytes)
+		sp.tk.Release()
+	}
 	if err := s.decode(ctx, s.sections(nil, i, csr.ColIdx, csr.EID, csr.Val)); err != nil {
+		rs.tk.Release()
 		return nil, err
 	}
-	return csr, nil
+	return rs, nil
+}
+
+// reuse returns a resliced to n elements when its capacity allows, else a
+// fresh array of n.
+func reuse[T int32 | float32](a []T, n int) []T {
+	if cap(a) >= n {
+		return a[:n]
+	}
+	return make([]T, n)
 }
 
 // sectionDst is one shard section and the array it decodes into.
@@ -500,9 +546,9 @@ func (s *ShardedCSR) decode(ctx context.Context, secs []sectionDst) error {
 // decodeSection reads a section's payload straight into its destination
 // (one copy out of a mapping, one positioned read otherwise) and verifies
 // the CRC of exactly the bytes it hands out. Ids are range-checked by one
-// branch-free max-scan against the bound capped at 2^31 — a negative int32
-// read as uint32 is >= 2^31 — and walked one by one only to name the
-// offending edge.
+// max-scan (vec.MaxUint32, SSE2 on amd64) against the bound capped at
+// 2^31 — a negative int32 read as uint32 is >= 2^31 — and walked one by
+// one only to name the offending edge.
 func (s *ShardedCSR) decodeSection(d *sectionDst) error {
 	if n, err := s.src.ReadAt(d.dst, d.loc.Off); n < len(d.dst) {
 		return shardCorrupt(s.path, d.loc.Name, "payload read failed", err)
@@ -515,7 +561,7 @@ func (s *ShardedCSR) decodeSection(d *sectionDst) error {
 			binary.NativeEndian.PutUint32(d.dst[p:], binary.LittleEndian.Uint32(d.dst[p:]))
 		}
 	}
-	if d.ids == nil || int64(maxUint32(d.ids)) < min(d.bound, 1<<31) {
+	if d.ids == nil || int64(vec.MaxUint32(d.ids)) < min(d.bound, 1<<31) {
 		return nil
 	}
 	for p, v := range d.ids {
@@ -535,28 +581,17 @@ func byteView[T int32 | float32](a []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(a))), 4*len(a))
 }
 
-// maxUint32 returns the largest element of a read as uint32, in four
-// independent chains.
-func maxUint32(a []int32) uint32 {
-	var m0, m1, m2, m3 uint32
-	for ; len(a) >= 4; a = a[4:] {
-		m0, m1 = max(m0, uint32(a[0])), max(m1, uint32(a[1]))
-		m2, m3 = max(m2, uint32(a[2])), max(m3, uint32(a[3]))
-	}
-	for _, v := range a {
-		m0 = max(m0, uint32(v))
-	}
-	return max(m0, m1, m2, m3)
-}
-
 // evictLocked drops least-recently-used unpinned shards until residency
-// fits the budget. Linear scan per eviction: shard counts are modest and
-// evictions happen at most once per materialization.
-func (s *ShardedCSR) evictLocked() {
+// plus reserve bytes fits the budget. Each victim's arrays become the
+// spare, replacing (and releasing) the previous one; a pinned shard is
+// never a victim, so it never donates its arrays. Linear scan per
+// eviction: shard counts are modest and evictions happen at most once per
+// materialization.
+func (s *ShardedCSR) evictLocked(reserve int64) {
 	if s.opts.BudgetBytes <= 0 {
 		return
 	}
-	for s.used > s.opts.BudgetBytes {
+	for s.used+reserve > s.opts.BudgetBytes {
 		victim, oldest := -1, uint64(math.MaxUint64)
 		for i, rs := range s.resident {
 			if rs.pins == 0 && rs.lastUse < oldest {
@@ -569,7 +604,10 @@ func (s *ShardedCSR) evictLocked() {
 		rs := s.resident[victim]
 		delete(s.resident, victim)
 		s.used -= rs.bytes
-		rs.tk.Release()
+		if s.spare != nil {
+			s.spare.tk.Release()
+		}
+		s.spare = rs
 		s.stats.Evictions++
 	}
 }
@@ -614,15 +652,19 @@ func (s *ShardedCSR) Materialize(ctx context.Context) (*sparse.CSR, error) {
 	return g, nil
 }
 
-// Close releases the residency cache (returning its admission
-// reservations) and the underlying byte source. Shards still pinned are
-// released too: Close invalidates every CSR Pin has handed out.
+// Close releases the residency cache and its spare arrays (returning their
+// admission reservations) and the underlying byte source. Shards still
+// pinned are released too: Close invalidates every CSR Pin has handed out.
 func (s *ShardedCSR) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, rs := range s.resident {
 		rs.tk.Release()
 		delete(s.resident, i)
+	}
+	if s.spare != nil {
+		s.spare.tk.Release()
+		s.spare = nil
 	}
 	s.used = 0
 	return s.src.Close()

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"featgraph/internal/admission"
@@ -345,5 +348,182 @@ func TestWriteShardedValidates(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteSharded(&buf, bad, 8); err == nil {
 		t.Fatal("invalid graph accepted by WriteSharded")
+	}
+}
+
+// misalignedShardBlob is a CRC-valid file of 4 rows × 2 edges whose
+// manifest declares shard 1 as rows [3,4) but edges [4,8): the shard
+// starts after its first edge's row (row 2), so row 2's edges belong to no
+// shard and Pin(1) would derive RowPtr [2 4].
+func misalignedShardBlob(t testing.TB) []byte {
+	t.Helper()
+	g := &sparse.CSR{NumRows: 4, NumCols: 4, RowPtr: []int32{0, 2, 4, 6, 8},
+		ColIdx: []int32{0, 1, 1, 2, 2, 3, 3, 0}, EID: []int32{0, 1, 2, 3, 4, 5, 6, 7}, Val: make([]float32, 8)}
+	var buf bytes.Buffer
+	if err := writeShards(&buf, g, []partition.EdgeShard{
+		{RowLo: 0, RowHi: 3, EdgeLo: 0, EdgeHi: 4},
+		{RowLo: 3, RowHi: 4, EdgeLo: 4, EdgeHi: 8},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// A shard whose first row starts past its first edge must fail at open,
+// as damage to the manifest, whichever byte source reads it.
+func TestOpenShardedRejectsShardStartingPastItsFirstEdgesRow(t *testing.T) {
+	blob := misalignedShardBlob(t)
+	path := filepath.Join(t.TempDir(), "g.fgs")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ferr := OpenSharded(path, ShardedOptions{})
+	_, rerr := OpenShardedReader(bytes.NewReader(blob), int64(len(blob)), ShardedOptions{})
+	for src, err := range map[string]error{"file": ferr, "reader": rerr} {
+		var ce *durable.CorruptError
+		if !errors.As(err, &ce) || ce.Section != "manifest" {
+			t.Fatalf("%s: open returned %T %v, want *durable.CorruptError on manifest", src, err, err)
+		}
+	}
+}
+
+// pinAllRecycled pins and releases every shard of s in order, checking each
+// against the in-memory extraction, and returns the pinned CSRs.
+func pinAllRecycled(t *testing.T, s *ShardedCSR, g *sparse.CSR, shards []partition.EdgeShard, label string) []*sparse.CSR {
+	t.Helper()
+	var got []*sparse.CSR
+	for i, spec := range shards {
+		csr, unpin, err := s.Pin(context.Background(), i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCSR(t, csr, partition.ExtractShard(g, spec), fmt.Sprintf("%s shard %d", label, i))
+		if err := csr.Validate(); err != nil {
+			t.Fatalf("%s shard %d: %v", label, i, err)
+		}
+		unpin()
+		got = append(got, csr)
+	}
+	return got
+}
+
+// Under a budget below one shard every load reuses the arrays of the shard
+// evicted before it: each reused set holds exactly ExtractShard's data,
+// a shard held pinned never lends its arrays, and the spare stays charged
+// to the governor until Close; a failed load leaves no charge behind.
+func TestShardedLoadsReuseEvictedArrays(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	g := sparse.Random(rng, 200, 150, 8)
+	for i := range g.Val {
+		g.Val[i] = rng.Float32()
+	}
+	shards := partition.EdgeShards(g, 100)
+	blob := writeShardedBytes(t, g, 100)
+	gov := admission.NewGovernor(admission.Config{})
+	s := shardedFromBytes(t, blob, ShardedOptions{BudgetBytes: 1, Governor: gov})
+	if s.NumShards() < 4 {
+		t.Fatalf("%d shards; the test wants 4+", s.NumShards())
+	}
+
+	first := pinAllRecycled(t, s, g, shards, "round 1")
+	second := pinAllRecycled(t, s, g, shards, "round 2")
+	last := first[len(first)-1]
+	if &second[0].ColIdx[0] != &last.ColIdx[0] {
+		t.Fatal("round 2's first load did not reuse the arrays round 1 evicted last")
+	}
+	for i := 1; i < len(second); i++ {
+		if &second[i].ColIdx[0] != &second[i-1].ColIdx[0] || &second[i].RowPtr[0] != &second[i-1].RowPtr[0] {
+			t.Fatalf("round 2 shard %d did not reuse shard %d's arrays", i, i-1)
+		}
+		if second[i] == second[i-1] {
+			t.Fatalf("round 2 shard %d reuses shard %d's *sparse.CSR: a shard planner could hit on it", i, i-1)
+		}
+	}
+	st := s.Stats()
+	if st.Loads != 2*uint64(s.NumShards()) || st.Hits != 0 {
+		t.Fatalf("%d loads, %d hits over two cold rounds of %d shards", st.Loads, st.Hits, s.NumShards())
+	}
+	spare := 4 * int64(cap(second[len(second)-1].RowPtr)+3*cap(second[len(second)-1].ColIdx))
+	if s.ResidentBytes() != 0 || gov.MemReserved() != spare {
+		t.Fatalf("after the rounds: %d bytes resident, ledger %d; want 0 and the spare's %d", s.ResidentBytes(), gov.MemReserved(), spare)
+	}
+	if st.PeakBytes != spare {
+		t.Fatalf("peak %d bytes, want one shard's arrays, %d", st.PeakBytes, spare)
+	}
+
+	// Shard 0 held pinned: every other load goes by, twice, and its bits
+	// and arrays stay its own.
+	csr0, unpin0, err := s.Pin(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want0 := partition.ExtractShard(g, shards[0])
+	for round := 0; round < 2; round++ {
+		for i := 1; i < s.NumShards(); i++ {
+			csr, unpin, err := s.Pin(context.Background(), i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &csr.ColIdx[0] == &csr0.ColIdx[0] || &csr.RowPtr[0] == &csr0.RowPtr[0] {
+				t.Fatalf("shard %d was loaded into pinned shard 0's arrays", i)
+			}
+			unpin()
+			sameCSR(t, csr0, want0, fmt.Sprintf("pinned shard 0 after loading shard %d", i))
+		}
+	}
+	unpin0()
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if gov.MemReserved() != 0 {
+		t.Fatalf("ledger holds %d bytes after Close", gov.MemReserved())
+	}
+
+	// A load that fails its checks takes the spare down with it, charge
+	// and all; the next load starts afresh.
+	damaged := append([]byte{}, blob...)
+	col1 := shardSections(t, damaged)[3]
+	damaged[col1.Off] ^= 1
+	gov = admission.NewGovernor(admission.Config{})
+	s = shardedFromBytes(t, damaged, ShardedOptions{BudgetBytes: 1, Governor: gov})
+	if _, unpin, err := s.Pin(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	} else {
+		unpin()
+	}
+	if _, _, err := s.Pin(context.Background(), 1); err == nil {
+		t.Fatal("shard 1 pinned despite a flipped byte")
+	}
+	if gov.MemReserved() != 0 {
+		t.Fatalf("ledger holds %d bytes after a failed load", gov.MemReserved())
+	}
+	pinAllRecycled(t, s, g, shards[:1], "after a failed load")
+}
+
+// Once a cold round has sized the spare, a second round of pin/unpin over
+// every shard allocates less than one decoded shard in all: the loads
+// reuse arrays instead of allocating (and clearing) fresh ones.
+func TestShardedColdRoundAllocatesNoShardArrays(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	g := sparse.Random(rng, 2000, 2000, 20)
+	blob := writeShardedBytes(t, g, 4096)
+	s := shardedFromBytes(t, blob, ShardedOptions{BudgetBytes: 1})
+	if s.NumShards() < 8 {
+		t.Fatalf("%d shards; the test wants 8+", s.NumShards())
+	}
+	lo, hi := s.ShardRows(0)
+	shard := 4*int64(hi-lo+1) + 12*s.ShardNNZ(0)
+	if err := pinAll(s); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := pinAll(s); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := int64(after.TotalAlloc - before.TotalAlloc); alloc >= shard {
+		t.Fatalf("a cold round over %d shards allocated %d bytes; one decoded shard is %d", s.NumShards(), alloc, shard)
 	}
 }

@@ -4,7 +4,8 @@
 // lanes, for one pair of rows or for four pairs at once (prefetching the
 // four rows dotted next), the softmax step s ← e^(s−shift) with the sum of
 // the results (Expf32, the float32 exponential, per element), and the MLP
-// message o ⊕= act(t × W) folded by sum, max or min.
+// message o ⊕= act(t × W) folded by sum, max or min; and one integer scan,
+// the largest of a slice of ids read as uint32.
 //
 // On amd64 each kernel runs an SSE2 loop (vec_amd64.s; SSE2 is the amd64
 // baseline, so nothing is probed). Every lane evaluates the Go loop's
@@ -270,4 +271,30 @@ func mlpCol(t, w []float32, ws, f int, relu bool) float32 {
 		m = max(m, 0)
 	}
 	return m
+}
+
+// MaxUint32 returns the largest element of a read as uint32, 0 when a is
+// empty: a shard load's id range check, where a negative int32 reads as
+// 2^31 or more. The SSE body keeps four registers of four running maxima
+// over each 16-element block; SSE2 compares only signed lanes, so every
+// lane is biased by 2^31 (its sign bit flipped) first, which orders them as
+// unsigned. The len(a) mod 16 elements past the last block take the Go
+// loop, four independent chains. A maximum has one value, so the result
+// is the Go loop's whatever the order.
+func MaxUint32(a []int32) uint32 { return maxUint32(a, sse) }
+
+func maxUint32(a []int32, asm bool) uint32 {
+	var m0, m1, m2, m3 uint32
+	if n := len(a) &^ 15; asm && n > 0 {
+		m0 = maxUint32SSE(&a[0], n)
+		a = a[n:]
+	}
+	for ; len(a) >= 4; a = a[4:] {
+		m0, m1 = max(m0, uint32(a[0])), max(m1, uint32(a[1]))
+		m2, m3 = max(m2, uint32(a[2])), max(m3, uint32(a[3]))
+	}
+	for _, v := range a {
+		m0 = max(m0, uint32(v))
+	}
+	return max(m0, m1, m2, m3)
 }

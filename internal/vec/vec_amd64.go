@@ -7,7 +7,8 @@ package vec
 // all n ≥ 8 elements of its four pairs, prefetches n elements at each
 // next[i] unless next is nil, and stores their dots in r; expShiftSumSSE
 // returns how many of its n elements it did; the mlp bodies take d1 > 0
-// rows of w, ws floats apart, and the ReLU floor).
+// rows of w, ws floats apart, and the ReLU floor; maxUint32SSE takes n a
+// positive multiple of 16).
 const sse = true
 
 //go:noescape
@@ -48,3 +49,6 @@ func mlp2MaxSSE(o, t1, t2, w *float32, d1, ws, n int, floor float32)
 
 //go:noescape
 func mlp2MinSSE(o, t1, t2, w *float32, d1, ws, n int, floor float32)
+
+//go:noescape
+func maxUint32SSE(a *int32, n int) uint32

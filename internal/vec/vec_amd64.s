@@ -600,3 +600,55 @@ expdone:
 	MOVQ     AX, done+24(FP)
 	MOVSS    X0, total+32(FP)
 	RET
+
+// BMAX(x, m, t) sets each lane of m to the larger of it and x's, as signed
+// integers (over lanes biased by 2^31, that is the unsigned order): t = the
+// all-ones lanes where x > m, then m ^= (x ^ m) & t. x and t are clobbered.
+#define BMAX(x, m, t) \
+	MOVO    x, t; \
+	PCMPGTL m, t; \
+	PXOR    m, x; \
+	PAND    t, x; \
+	PXOR    x, m
+
+// func maxUint32SSE(a *int32, n int) uint32: X15 holds the bias 2^31 in
+// every lane, which is also the biased 0 the maxima X0–X3 start at. The
+// four registers combine, then the four lanes of X0, then the bias comes
+// off.
+TEXT ·maxUint32SSE(SB), NOSPLIT, $0-20
+	MOVQ    a+0(FP), SI
+	MOVQ    n+8(FP), CX
+	PCMPEQL X15, X15
+	PSLLL   $31, X15
+	MOVO    X15, X0
+	MOVO    X15, X1
+	MOVO    X15, X2
+	MOVO    X15, X3
+	XORQ    AX, AX
+maxloop:
+	MOVOU   (SI)(AX*4), X4
+	MOVOU   16(SI)(AX*4), X5
+	MOVOU   32(SI)(AX*4), X6
+	MOVOU   48(SI)(AX*4), X7
+	PXOR    X15, X4
+	PXOR    X15, X5
+	PXOR    X15, X6
+	PXOR    X15, X7
+	BMAX(X4, X0, X8)
+	BMAX(X5, X1, X9)
+	BMAX(X6, X2, X10)
+	BMAX(X7, X3, X11)
+	ADDQ    $16, AX
+	CMPQ    AX, CX
+	JLT     maxloop
+	BMAX(X1, X0, X8)
+	BMAX(X3, X2, X9)
+	BMAX(X2, X0, X8)
+	PSHUFD  $0x4e, X0, X1       // lanes 2, 3, 0, 1
+	BMAX(X1, X0, X8)
+	PSHUFD  $0xb1, X0, X1       // lanes 1, 0, 3, 2
+	BMAX(X1, X0, X8)
+	PXOR    X15, X0
+	MOVQ    X0, AX
+	MOVL    AX, ret+16(FP)
+	RET

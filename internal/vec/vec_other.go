@@ -23,3 +23,4 @@ func mlpMinSSE(o, t, w *float32, d1, ws, n int, floor float32)       { panic("ve
 func mlp2SumSSE(o, t1, t2, w *float32, d1, ws, n int, floor float32) { panic("vec: no SSE body") }
 func mlp2MaxSSE(o, t1, t2, w *float32, d1, ws, n int, floor float32) { panic("vec: no SSE body") }
 func mlp2MinSSE(o, t1, t2, w *float32, d1, ws, n int, floor float32) { panic("vec: no SSE body") }
+func maxUint32SSE(a *int32, n int) uint32 { panic("vec: no SSE body") }

@@ -403,3 +403,44 @@ func TestExpf32MatchesFloat64Exp(t *testing.T) {
 		t.Fatalf("ExpShiftSum sum = %v, want %v", sum, want)
 	}
 }
+
+// MaxUint32 must return the largest element read as uint32, from the SSE
+// body and the Go loop alike: on every length around the 16-element
+// blocks, with the maximum planted at every position, and on the values
+// the 2^31 bias turns into lane extremes (0, 2^31 − 1, −2^31, −1).
+func TestMaxUint32MatchesScan(t *testing.T) {
+	scan := func(a []int32) (m uint32) {
+		for _, v := range a {
+			m = max(m, uint32(v))
+		}
+		return m
+	}
+	rng := rand.New(rand.NewSource(7))
+	edges := []int32{0, 1, math.MaxInt32, math.MinInt32, -1}
+	for n := 0; n <= 70; n++ {
+		for _, base := range [][2]int32{{0, 1 << 20}, {0, math.MaxInt32}, {math.MinInt32, math.MaxInt32}} {
+			a := make([]int32, n)
+			for i := range a {
+				a[i] = base[0] + int32(rng.Int63n(int64(base[1])-int64(base[0])))
+			}
+			for pos := -1; pos < n; pos++ {
+				for _, v := range edges {
+					b := append([]int32(nil), a...)
+					if pos >= 0 {
+						b[pos] = v
+					}
+					want := scan(b)
+					if got, goLoop := MaxUint32(b), maxUint32(b, false); got != want || goLoop != want {
+						t.Fatalf("n=%d max planted at %d = %d: got %#x, Go loop %#x, want %#x", n, pos, v, got, goLoop, want)
+					}
+					if pos < 0 {
+						break
+					}
+				}
+			}
+		}
+	}
+	if got := MaxUint32(make([]int32, 1<<16)); got != 0 {
+		t.Fatalf("all zeros: got %#x", got)
+	}
+}
