@@ -18,12 +18,6 @@ import (
 	"featgraph/internal/tensor"
 )
 
-// shardedKernel is either sharded executor.
-type shardedKernel interface {
-	OutShape() (rows, cols int)
-	RunCtx(context.Context, *tensor.Tensor) (core.RunStats, error)
-}
-
 // The sharded executors over a real shard file, mapped and read, under a
 // budget below one shard (every pass loads every shard, into recycled
 // arrays after the first) and an unlimited one (the second pass hits):
@@ -100,7 +94,7 @@ func TestShardedKernelsOverShardFile(t *testing.T) {
 	type kcase struct {
 		name    string
 		inmem   func() (core.Kernel, error)
-		sharded func(src core.ShardSource) (shardedKernel, error)
+		sharded func(src core.ShardSource) (core.Kernel, error)
 	}
 	var cases []kcase
 	for _, u := range []struct {
@@ -114,7 +108,7 @@ func TestShardedKernelsOverShardFile(t *testing.T) {
 		for _, agg := range []core.AggOp{core.AggSum, core.AggMax, core.AggMin, core.AggMean} {
 			cases = append(cases, kcase{"spmm/" + u.name + "/" + agg.String(),
 				func() (core.Kernel, error) { return core.BuildSpMM(g, u.udf, u.inputs, agg, nil, opts) },
-				func(src core.ShardSource) (shardedKernel, error) {
+				func(src core.ShardSource) (core.Kernel, error) {
 					return core.BuildShardedSpMM(src, u.udf, u.inputs, agg, nil, opts, nil)
 				}})
 		}
@@ -125,7 +119,7 @@ func TestShardedKernelsOverShardFile(t *testing.T) {
 	}{{"dot-attention", expr.DotAttention(n, d)}, {"add-src-dst", expr.AddSrcDst(n, d)}} {
 		cases = append(cases, kcase{"sddmm/" + u.name,
 			func() (core.Kernel, error) { return core.BuildSDDMM(g, u.udf, []*tensor.Tensor{x}, nil, opts) },
-			func(src core.ShardSource) (shardedKernel, error) {
+			func(src core.ShardSource) (core.Kernel, error) {
 				return core.BuildShardedSDDMM(src, u.udf, []*tensor.Tensor{x}, nil, opts, nil)
 			}})
 	}
