@@ -38,10 +38,10 @@ stage() {
 		GOAMD64=v3 go test -count=1 ./internal/vec ./internal/core
 		;;
 	golden)
-		# Golden tables (simulated-GPU cycle counts, MLP and dot output bits,
+		# Golden tables (simulated-GPU cycle counts, MLP, dot and sum output bits,
 		# at GOMAXPROCS 1 and 2; a count or bit that depends on the host's
 		# workers fails).
-		go test -count=1 -cpu 1,2 -run '^Test(SimCycles|MLPBits|DotBits)Golden$' ./internal/core
+		go test -count=1 -cpu 1,2 -run '^Test(SimCycles|MLPBits|DotBits|SumBits)Golden$' ./internal/core
 		;;
 	benchmark)
 		# Benchmark module: fgbench's own vet + tests, then all five
