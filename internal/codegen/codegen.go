@@ -29,6 +29,7 @@ import (
 
 	"featgraph/internal/expr"
 	"featgraph/internal/tensor"
+	"featgraph/internal/vec"
 )
 
 // CompiledUDF is an executable form of a UDF with inputs bound to concrete
@@ -47,7 +48,9 @@ type CompiledUDF struct {
 }
 
 // Env holds per-goroutine evaluation state: one slot per axis plus three
-// trailing slots for the special variables src, dst, eid.
+// trailing slots for the special variables src, dst, eid, written for every
+// element Eval computes, so they sit on cache lines of their own: two
+// workers' Envs never false-share.
 type Env struct {
 	slots []int32
 }
@@ -87,7 +90,7 @@ func Compile(udf *expr.UDF, inputs []*tensor.Tensor) (*CompiledUDF, error) {
 
 // NewEnv allocates evaluation state for one goroutine.
 func (c *CompiledUDF) NewEnv() *Env {
-	return &Env{slots: make([]int32, c.numSlots+3)}
+	return &Env{slots: vec.CacheLines[int32](c.numSlots + 3)}
 }
 
 // OutLen returns the flattened output length of the UDF.

@@ -187,6 +187,12 @@ type fusedAttnScratch struct {
 	scores []float32
 }
 
+// newFusedAttnScratch makes a slot's buffer of n scores on cache lines of
+// its own (vec.CacheLines).
+func newFusedAttnScratch(n int) *fusedAttnScratch {
+	return &fusedAttnScratch{scores: vec.CacheLines[float32](n)}
+}
+
 // fusedAttnRunState is one execution's worth of reusable engine state.
 type fusedAttnRunState struct {
 	engineState
@@ -198,7 +204,7 @@ func (k *FusedAttnKernel) newRunState() *fusedAttnRunState {
 	st := &fusedAttnRunState{k: k}
 	st.scratch = make([]*fusedAttnScratch, scratchSlots(k.opts.NumThreads))
 	for w := range st.scratch {
-		st.scratch[w] = &fusedAttnScratch{scores: make([]float32, k.maxInDeg)}
+		st.scratch[w] = newFusedAttnScratch(k.maxInDeg)
 	}
 	st.arm(workerSite{kernel: "fusedattn", target: CPU, tile: -1, part: -1}, st.runChunk)
 	return st
@@ -252,8 +258,8 @@ func (k *FusedAttnKernel) runCPU(ctx context.Context, out *tensor.Tensor) (RunSt
 // for every feature width: raw scores four in-edges at a time (dotRows,
 // which prefetches the in-edge rows two passes ahead), the score transform
 // with the row maximum, vec.ExpShiftSum's one exponential per edge, α into
-// the alpha buffer, and scaledSumRows reading α back by edge id to fold four
-// neighbours per pass into the output row. out rows must be pre-zeroed.
+// the alpha buffer, and vec.ScaledSumRows reading α back by edge id to fold
+// four neighbours per group into the output row. out rows must be pre-zeroed.
 func (k *FusedAttnKernel) fwdRows(out *tensor.Tensor, sc *fusedAttnScratch, rlo, rhi int) {
 	adj := k.adj
 	d := k.d
@@ -295,6 +301,6 @@ func (k *FusedAttnKernel) fwdRows(out *tensor.Tensor, sc *fusedAttnScratch, rlo,
 		for j, e := range eids {
 			ad[e] = scores[j] * inv
 		}
-		scaledSumRows(odata[v*ostride:][:d], xd, xs, 0, cols, eids, ad)
+		vec.ScaledSumRows(odata[v*ostride:][:d], xd, xs, cols, eids, ad)
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"featgraph/internal/sparse"
 	"featgraph/internal/telemetry"
 	"featgraph/internal/tensor"
+	"featgraph/internal/vec"
 	"featgraph/internal/workpool"
 )
 
@@ -160,7 +161,7 @@ func (k *FusedAttnBwdKernel) newRunState() *fusedAttnBwdRunState {
 	st.dEdge = make([]float32, k.adj.NNZ())
 	st.scratch = make([]*fusedAttnScratch, scratchSlots(k.opts.NumThreads))
 	for w := range st.scratch {
-		st.scratch[w] = &fusedAttnScratch{scores: make([]float32, k.maxInDeg)}
+		st.scratch[w] = newFusedAttnScratch(k.maxInDeg)
 	}
 	st.arm(workerSite{kernel: "fusedattn.bwd", target: CPU, tile: -1, part: -1}, st.runChunk)
 	return st
@@ -243,7 +244,7 @@ func (k *FusedAttnBwdKernel) runCPU(ctx context.Context, out *tensor.Tensor) (Ru
 // the softmax Jacobian's row reduction, dE, and the dY accumulation. Writes
 // dE into dEdge[eid] and dY into out rows NumCols+v. One body for every
 // width: dα four in-edges at a time (dotRows, against the dOut row each),
-// then scaledSumRows folds dE·x four neighbours per pass.
+// then vec.ScaledSumRows folds dE·x four neighbours per group.
 func (k *FusedAttnBwdKernel) bwdDstRows(out *tensor.Tensor, dEdge []float32, sc *fusedAttnScratch, rlo, rhi int) {
 	adj := k.adj
 	d := k.d
@@ -273,7 +274,7 @@ func (k *FusedAttnBwdKernel) bwdDstRows(out *tensor.Tensor, dEdge []float32, sc 
 		for j, e := range eids {
 			dEdge[e] = ad[e] * (dA[j] - rd) * dd[e]
 		}
-		scaledSumRows(odata[(base+v)*ostride:][:d], xd, xs, 0, cols, eids, dEdge)
+		vec.ScaledSumRows(odata[(base+v)*ostride:][:d], xd, xs, cols, eids, dEdge)
 	}
 }
 

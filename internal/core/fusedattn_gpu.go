@@ -49,7 +49,7 @@ func (st *fusedAttnGPULaunch) block(b *cudasim.Block) {
 	slot := b.Slot()
 	sc := st.scratch[slot]
 	if sc == nil {
-		sc = &fusedAttnScratch{scores: make([]float32, st.maxInDeg)}
+		sc = newFusedAttnScratch(st.maxInDeg)
 		st.scratch[slot] = sc
 	}
 	if st.fwd != nil {

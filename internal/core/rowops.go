@@ -3,16 +3,19 @@ package core
 import "featgraph/internal/vec"
 
 // Row primitives behind the CPU fast paths. The row arithmetic is
-// internal/vec's — SSE2 on amd64, the Go loop elsewhere and under -race, the
-// same bits either way. What lives here is the walk over a row's
-// neighbours: how many operand rows fold into the output row per pass (four,
-// or two pairs), so it is loaded and stored once per pass instead of once
-// per neighbour, and the leftover rows a pass does not cover; plus
-// maxMinRows, whose fold compares instead of adding. (The MLP message is not
-// a row of any operand: spmm.go hands two edges' at a time to vec.MLP2.)
-// Summation order is a function of the operand order alone: results are
-// deterministic per row and neighbour order, and differ from the serial
-// left-to-right sum only in rounding (DESIGN.md §11.1).
+// internal/vec's — SSE2 (AVX2 for the neighbour sums) on amd64, the Go loop
+// elsewhere and under -race, the same bits either way. The plain and
+// edge-scaled neighbour sums are vec.SumRows and vec.ScaledSumRows, whole
+// row walks that keep the output row in registers. What lives here is the
+// walk over a row's neighbours for the rest: how many operand rows fold into
+// the output row per pass (four dots, or two pairs), so it is loaded and
+// stored once per pass instead of once per neighbour, and the leftover rows
+// a pass does not cover; plus maxMinRows, whose fold compares instead of
+// adding. (The MLP message is not a row of any operand: spmm.go hands two
+// edges' at a time to vec.MLP2.) Summation order is a function of the
+// operand order alone: results are deterministic per row and neighbour
+// order, and differ from the serial left-to-right sum only in rounding
+// (DESIGN.md §11.1).
 
 // dotRows sets dots[p] to row idx[p] of data (row stride stride) dotted with
 // y, for every p: vec.Dot4 over four rows per pass, each against y (whose
@@ -40,33 +43,6 @@ func dotRows(dots, data []float32, stride int, idx []int32, y []float32) {
 // prefetches: two passes. At kernels_inmem's shape, whose feature matrix
 // outgrows the per-core L2, distances from 4 to 24 measured the same.
 const prefetchAhead = 8
-
-// sumRows adds rows data[i*stride+lo:][:len(orow)], i ∈ idx, into orow, four
-// rows per pass, o += (a+b)+(c+d).
-func sumRows(orow, data []float32, stride, lo int, idx []int32) {
-	p := 0
-	for ; p+4 <= len(idx); p += 4 {
-		vec.Add4(orow, data[int(idx[p])*stride+lo:], data[int(idx[p+1])*stride+lo:],
-			data[int(idx[p+2])*stride+lo:], data[int(idx[p+3])*stride+lo:])
-	}
-	for ; p < len(idx); p++ {
-		vec.Add(orow, data[int(idx[p])*stride+lo:])
-	}
-}
-
-// scaledSumRows is sumRows with row idx[p] scaled by w[eid[p]].
-func scaledSumRows(orow, data []float32, stride, lo int, idx, eid []int32, w []float32) {
-	eid = eid[:len(idx)]
-	p := 0
-	for ; p+4 <= len(idx); p += 4 {
-		vec.Axpy4(orow, data[int(idx[p])*stride+lo:], data[int(idx[p+1])*stride+lo:],
-			data[int(idx[p+2])*stride+lo:], data[int(idx[p+3])*stride+lo:],
-			w[eid[p]], w[eid[p+1]], w[eid[p+2]], w[eid[p+3]])
-	}
-	for ; p < len(idx); p++ {
-		vec.Axpy(orow, data[int(idx[p])*stride+lo:], w[eid[p]])
-	}
-}
 
 // scaledSumRows2 adds wa[eid[p]]·a[idx[p]] + wb[eid[p]]·b[idx[p]] into orow
 // for every p, a and b having row strides as and bs: one pass over the index

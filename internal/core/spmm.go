@@ -208,7 +208,7 @@ func (k *SpMMKernel) RunCtx(ctx context.Context, out *tensor.Tensor) (RunStats, 
 }
 
 // spmmScratch is per-runner evaluation state: one per CPU worker slot and
-// one per simulated-GPU runner slot.
+// one per simulated-GPU runner slot, each buffer on cache lines of its own.
 type spmmScratch struct {
 	env *codegen.Env
 	msg []float32 // message buffer (one feature tile)
@@ -216,7 +216,7 @@ type spmmScratch struct {
 }
 
 func (k *SpMMKernel) newScratch() *spmmScratch {
-	return &spmmScratch{env: k.compiled.NewEnv(), msg: make([]float32, k.maxTile), tmp: make([]float32, 2*k.tmpLen)}
+	return &spmmScratch{env: k.compiled.NewEnv(), msg: vec.CacheLines[float32](k.maxTile), tmp: vec.CacheLines[float32](2 * k.tmpLen)}
 }
 
 // cpuRows processes rows [rlo, rhi) of one partition for one feature tile.
@@ -233,7 +233,7 @@ func (k *SpMMKernel) cpuRows(out *tensor.Tensor, part *sparse.CSR, tile partitio
 		x := k.match.X
 		xd, xs := x.Data(), x.RowStride()
 		for r := rlo; r < rhi; r++ {
-			sumRows(odata[r*ostride+lo:r*ostride+hi], xd, xs, lo, part.ColIdx[part.RowPtr[r]:part.RowPtr[r+1]])
+			vec.SumRows(odata[r*ostride+lo:r*ostride+hi], xd[lo:], xs, part.ColIdx[part.RowPtr[r]:part.RowPtr[r+1]])
 		}
 
 	case k.match.Pattern == codegen.CopySrc && (k.agg == AggMax || k.agg == AggMin):
@@ -249,14 +249,14 @@ func (k *SpMMKernel) cpuRows(out *tensor.Tensor, part *sparse.CSR, tile partitio
 		ed := e.Data()
 		for r := rlo; r < rhi; r++ {
 			plo, phi := part.RowPtr[r], part.RowPtr[r+1]
-			scaledSumRows(odata[r*ostride+lo:r*ostride+hi], xd, xs, lo, part.ColIdx[plo:phi], part.EID[plo:phi], ed)
+			vec.ScaledSumRows(odata[r*ostride+lo:r*ostride+hi], xd[lo:], xs, part.ColIdx[plo:phi], part.EID[plo:phi], ed)
 		}
 
 	case k.match.Pattern == codegen.CopyEdge && (k.agg == AggSum || k.agg == AggMean):
 		e := k.match.E
 		ed, es := e.Data(), e.RowStride()
 		for r := rlo; r < rhi; r++ {
-			sumRows(odata[r*ostride+lo:r*ostride+hi], ed, es, lo, part.EID[part.RowPtr[r]:part.RowPtr[r+1]])
+			vec.SumRows(odata[r*ostride+lo:r*ostride+hi], ed[lo:], es, part.EID[part.RowPtr[r]:part.RowPtr[r+1]])
 		}
 
 	case k.match.Pattern == codegen.MLPSrcDst:

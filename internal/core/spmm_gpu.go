@@ -12,6 +12,7 @@ import (
 	"featgraph/internal/schedule"
 	"featgraph/internal/sparse"
 	"featgraph/internal/tensor"
+	"featgraph/internal/vec"
 	"featgraph/internal/workpool"
 )
 
@@ -251,7 +252,7 @@ func (k *SpMMKernel) gpuBlock(b *cudasim.Block, out *tensor.Tensor, gp *gpuPart,
 }
 
 // stagedRow is cpuRows for row r of a staged part, for the aggregations
-// whose fast path reads X tile-aligned: the same rowops.go primitive over
+// whose fast path reads X tile-aligned: the same row walk over
 // the shared-memory chunk (row stride tileLen) through the part's
 // chunk-local column indices. It reports false for the rest, which read
 // global memory through cpuRows.
@@ -262,11 +263,11 @@ func (k *SpMMKernel) stagedRow(out *tensor.Tensor, shared []float32, gp *gpuPart
 	sum := k.agg == AggSum || k.agg == AggMean
 	switch {
 	case k.match.Pattern == codegen.CopySrc && sum:
-		sumRows(orow, shared, tile.Len(), 0, local)
+		vec.SumRows(orow, shared, tile.Len(), local)
 	case k.match.Pattern == codegen.CopySrc:
 		maxMinRows(k.agg, orow, shared, tile.Len(), 0, local)
 	case k.match.Pattern == codegen.SrcMulEdgeScalar && sum:
-		scaledSumRows(orow, shared, tile.Len(), 0, local, gp.csr.EID[s:e], k.match.E.Data())
+		vec.ScaledSumRows(orow, shared, tile.Len(), local, gp.csr.EID[s:e], k.match.E.Data())
 	default:
 		return false
 	}

@@ -1,6 +1,8 @@
 // Package vec holds the float32 row kernels the CPU hot loops are made of:
 // o += a, o += (a+b)+(c+d), o += wa·a, o += wa·a+wb·b,
-// o += (wa·a+wb·b)+(wc·c+wd·d), the 8-block dot product summed in four
+// o += (wa·a+wb·b)+(wc·c+wd·d), the whole neighbour walk of an output row
+// (o += the rows at a list of indices, four per group, plain or each
+// scaled by its edge's weight), the 8-block dot product summed in four
 // lanes, for one pair of rows or for four pairs at once (prefetching the
 // four rows dotted next), the softmax step s ← e^(s−shift) with the sum of
 // the results (Expf32, the float32 exponential, per element), and the MLP
@@ -8,18 +10,22 @@
 // the largest of a slice of ids read as uint32.
 //
 // On amd64 each kernel runs an SSE2 loop (vec_amd64.s; SSE2 is the amd64
-// baseline, so nothing is probed). Every lane evaluates the Go loop's
-// per-element expression in the same order, with no fused multiply-add,
-// under Go's default MXCSR (round to nearest, no flush-to-zero), so the
-// result is the Go loop's to the bit; only a NaN's payload may differ.
-// Elements past the last block (len mod 4, mod 8 for Dot) take the Go
-// loop, which is also the whole body on other platforms and under the race
-// detector, and what the tests compare against: each kernel's lower-case
-// twin runs it alone when asm is false. (Dot4's SSE body runs its pairs'
-// tails too, in the Go loop's order; ExpShiftSum also hands the Go loop
-// an element of each group of four with a NaN or too large an argument.)
+// baseline, so nothing is probed), and the neighbour walks an AVX2 body
+// where CPUID and XCR0 say the CPU and the OS support it. Every lane
+// evaluates the Go loop's per-element expression in the same order, with
+// no fused multiply-add, under Go's default MXCSR (round to nearest, no
+// flush-to-zero), so the result is the Go loop's to the bit; only a NaN's
+// payload may differ.
+// Elements past the last block (len mod 4, mod 8 for Dot and the AVX2
+// walks) take the Go loop, which is also the whole body on other platforms
+// and under the race detector, and what the tests compare against: each
+// kernel's lower-case twin runs it alone when asm is false. (Dot4's SSE
+// body runs its pairs' tails too, in the Go loop's order; ExpShiftSum also
+// hands the Go loop an element of each group of four with a NaN or too
+// large an argument.)
 // Every operand is resliced to len(o) (len(x), len(x1) for the dots) first,
-// so one without that capacity panics with o untouched.
+// and a neighbour walk checks every index first, so one without that
+// capacity, or an index out of range, panics with o untouched.
 package vec
 
 import "math"
@@ -90,6 +96,82 @@ func axpy4(o, a, b, c, d []float32, wa, wb, wc, wd float32, asm bool) {
 	}
 	for ; f < n; f++ {
 		o[f] += (wa*a[f] + wb*b[f]) + (wc*c[f] + wd*d[f])
+	}
+}
+
+// SumRows adds the rows data[i*stride:][:len(o)], i ∈ idx, into o: the
+// whole neighbour walk of an output row. Rows fold four at a time in idx
+// order, o += (a+b)+(c+d) as Add4, and the up to three leftover rows one at
+// a time, o += a as Add, so the result is theirs to the bit. The AVX2 body
+// keeps a strip of up to 64 columns of o in eight registers across every
+// row, loads and stores it once, and does the index loads and row address
+// arithmetic itself; strips of 32, 16 and 8 columns follow, and the
+// len(o) mod 8 columns past them take the per-group loop. Every index is
+// checked against len(data) first, by one scan of idx.
+func SumRows(o, data []float32, stride int, idx []int32) {
+	sumRows(o, data, stride, idx, sse, avx2)
+}
+
+func sumRows(o, data []float32, stride int, idx []int32, asm, wide bool) {
+	rowsIn(len(o), len(data), stride, idx)
+	f := 0
+	if wide && len(o) >= 8 && len(idx) > 0 {
+		f = len(o) &^ 7
+		sumRowsAVX2(&o[0], &data[0], stride, &idx[0], len(idx), f)
+	}
+	if f == len(o) || len(idx) == 0 {
+		return
+	}
+	o, data = o[f:], data[f:]
+	p := 0
+	for ; p+4 <= len(idx); p += 4 {
+		add4(o, data[int(idx[p])*stride:], data[int(idx[p+1])*stride:],
+			data[int(idx[p+2])*stride:], data[int(idx[p+3])*stride:], asm)
+	}
+	for ; p < len(idx); p++ {
+		axpy(o, data[int(idx[p])*stride:], 1, asm)
+	}
+}
+
+// ScaledSumRows is SumRows with row idx[p] scaled by w[eid[p]]: four rows
+// per group as Axpy4, (wa·a + wb·b) + (wc·c + wd·d), a leftover row as
+// Axpy, the weights broadcast in the AVX2 body itself. Every edge id is
+// checked against len(w) first, as every index is against len(data).
+func ScaledSumRows(o, data []float32, stride int, idx, eid []int32, w []float32) {
+	scaledSumRows(o, data, stride, idx, eid, w, sse, avx2)
+}
+
+func scaledSumRows(o, data []float32, stride int, idx, eid []int32, w []float32, asm, wide bool) {
+	eid = eid[:len(idx)]
+	rowsIn(len(o), len(data), stride, idx)
+	rowsIn(1, len(w), 1, eid)
+	f := 0
+	if wide && len(o) >= 8 && len(idx) > 0 {
+		f = len(o) &^ 7
+		scaledSumRowsAVX2(&o[0], &data[0], stride, &idx[0], len(idx), f, &eid[0], &w[0])
+	}
+	if f == len(o) || len(idx) == 0 {
+		return
+	}
+	o, data = o[f:], data[f:]
+	p := 0
+	for ; p+4 <= len(idx); p += 4 {
+		axpy4(o, data[int(idx[p])*stride:], data[int(idx[p+1])*stride:],
+			data[int(idx[p+2])*stride:], data[int(idx[p+3])*stride:],
+			w[eid[p]], w[eid[p+1]], w[eid[p+2]], w[eid[p+3]], asm)
+	}
+	for ; p < len(idx); p++ {
+		axpy(o, data[int(idx[p])*stride:], w[eid[p]], asm)
+	}
+}
+
+// rowsIn panics unless the row data[i*stride:][:n] lies within size
+// elements for every i ∈ idx, an index read as uint32 (so a negative one is
+// out of range): the bound the AVX2 walks rely on for every address they
+// form, proven before anything is written.
+func rowsIn(n, size, stride int, idx []int32) {
+	if len(idx) > 0 && (stride < 0 || n > size || stride > 0 && int(MaxUint32(idx)) > (size-n)/stride) {
+		panic("vec: row index out of range")
 	}
 }
 

@@ -8,8 +8,32 @@ package vec
 // next[i] unless next is nil, and stores their dots in r; expShiftSumSSE
 // returns how many of its n elements it did; the mlp bodies take d1 > 0
 // rows of w, ws floats apart, and the ReLU floor; maxUint32SSE takes n a
-// positive multiple of 16).
+// positive multiple of 16; the row walks *AVX2 take m > 0 indices and n a
+// positive multiple of 8 columns, every row already proven in range).
 const sse = true
+
+// avx2 selects the row walks' AVX2 bodies, set once from CPUID and XCR0:
+// the CPU has AVX and AVX2 (leaf 1 ECX bit 28, leaf 7 EBX bit 5) and the OS
+// saves the XMM and YMM state (OSXSAVE, leaf 1 ECX bit 27; XCR0 bits 1 and
+// 2). Tests switch it off to run the SSE per-group loops on an AVX2 host.
+var avx2 = hasAVX2()
+
+func hasAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, c, _ := cpuid(1, 0); c&(osxsave|avx) != osxsave|avx || xgetbv0()&6 != 6 {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&(1<<5) != 0
+}
+
+func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv0 returns the low word of XCR0; call it only where OSXSAVE is set.
+func xgetbv0() uint32
 
 //go:noescape
 func add4SSE(o, a, b, c, d *float32, n int)
@@ -52,3 +76,9 @@ func mlp2MinSSE(o, t1, t2, w *float32, d1, ws, n int, floor float32)
 
 //go:noescape
 func maxUint32SSE(a *int32, n int) uint32
+
+//go:noescape
+func sumRowsAVX2(o, data *float32, stride int, idx *int32, m, n int)
+
+//go:noescape
+func scaledSumRowsAVX2(o, data *float32, stride int, idx *int32, m, n int, eid *int32, w *float32)

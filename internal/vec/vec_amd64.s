@@ -111,6 +111,157 @@ axpy4loop:
 	JLT    axpy4loop
 	RET
 
+// The neighbour walks, o += Σ rows data[idx[p]·stride:] (each scaled by
+// w[eid[p]] in the scaled walk), in AVX2: a strip of o's columns stays in
+// Y0–Y7 across every row of idx, loaded and stored once. Strips of 64
+// columns, then one each of 32, 16 and 8 (n is a multiple of 8). Per group
+// of four rows a, b, c, d the strip adds (a+b)+(c+d), or
+// (wa·a+wb·b)+(wc·c+wd·d), VMULPS then VADDPS (never a fused multiply-add),
+// as Add4 and Axpy4 do; a leftover row adds alone, as Add and Axpy do. So
+// each element's sum is the per-group loop's, bit for bit. The Go wrapper
+// has proven every row and weight in range, so the index loads zero-extend.
+// Registers: DI o's strip, SI data's (data + 4·columns done), DX the row
+// stride in bytes, BX columns left, R14 idx, R15 m, R13 the next index, CX
+// indices left, AX/R10/R11/R12 the group's rows, R8 eid − idx in bytes, R9
+// w (no global is read, so R15 is free); Y8–Y10
+// temporaries, Y12–Y15 the group's weights. Each TEXT has one exit, through
+// VZEROUPPER.
+
+// ROW sets r to the row at index off(R13).
+#define ROW(off, r) \
+	MOVL  off(R13), r; \
+	IMULQ DX, r; \
+	ADDQ  SI, r
+
+// COLSw(M) applies M(off, acc) to each 8-column block of a w-column strip.
+#define COLS8(M) M(0, Y0)
+#define COLS16(M) COLS8(M); M(32, Y1)
+#define COLS32(M) COLS16(M); M(64, Y2); M(96, Y3)
+#define COLS64(M) COLS32(M); M(128, Y4); M(160, Y5); M(192, Y6); M(224, Y7)
+
+#define LOADO(off, acc) VMOVUPS off(DI), acc
+#define STOREO(off, acc) VMOVUPS acc, off(DI)
+
+#define ADD4(off, acc) \
+	VMOVUPS off(AX), Y8; \
+	VADDPS  off(R10), Y8, Y8; \
+	VMOVUPS off(R11), Y9; \
+	VADDPS  off(R12), Y9, Y9; \
+	VADDPS  Y9, Y8, Y8; \
+	VADDPS  Y8, acc, acc
+#define ADD1(off, acc) VADDPS off(AX), acc, acc
+#define SUM4(COLS) ROW(0, AX); ROW(4, R10); ROW(8, R11); ROW(12, R12); COLS(ADD4)
+#define SUM1(COLS) ROW(0, AX); COLS(ADD1)
+
+// WEIGHT broadcasts w[eid[p]] into y, p the index at off(R13).
+#define WEIGHT(off, y) \
+	MOVL         off(R13)(R8*1), AX; \
+	VBROADCASTSS (R9)(AX*4), y
+#define AXPY4(off, acc) \
+	VMULPS off(AX), Y12, Y8; \
+	VMULPS off(R10), Y13, Y9; \
+	VADDPS Y9, Y8, Y8; \
+	VMULPS off(R11), Y14, Y9; \
+	VMULPS off(R12), Y15, Y10; \
+	VADDPS Y10, Y9, Y9; \
+	VADDPS Y9, Y8, Y8; \
+	VADDPS Y8, acc, acc
+#define AXPY1(off, acc) \
+	VMULPS off(AX), Y12, Y8; \
+	VADDPS Y8, acc, acc
+#define SCALED4(COLS) \
+	WEIGHT(0, Y12); WEIGHT(4, Y13); WEIGHT(8, Y14); WEIGHT(12, Y15); \
+	ROW(0, AX); ROW(4, R10); ROW(8, R11); ROW(12, R12); \
+	COLS(AXPY4)
+#define SCALED1(COLS) WEIGHT(0, Y12); ROW(0, AX); COLS(AXPY1)
+
+// STRIP walks every row of idx over one w-column strip, unless fewer than
+// w columns are left (then on to next): groups of four while four indices
+// are left, then one at a time.
+#define STRIP(COLS, w, G4, G1, next, grp, one, end) \
+	CMPQ  BX, $w; \
+	JLT   next; \
+	COLS(LOADO); \
+	MOVQ  R14, R13; \
+	MOVQ  R15, CX; \
+	CMPQ  CX, $4; \
+	JLT   one; \
+grp: \
+	G4(COLS); \
+	ADDQ  $16, R13; \
+	SUBQ  $4, CX; \
+	CMPQ  CX, $4; \
+	JGE   grp; \
+one: \
+	TESTQ CX, CX; \
+	JZ    end; \
+	G1(COLS); \
+	ADDQ  $4, R13; \
+	DECQ  CX; \
+	JMP   one; \
+end: \
+	COLS(STOREO); \
+	ADDQ  $(4*w), DI; \
+	ADDQ  $(4*w), SI; \
+	SUBQ  $w, BX
+
+#define WALK(G4, G1) \
+s64: \
+	STRIP(COLS64, 64, G4, G1, s32, g64, o64, e64); \
+	JMP   s64; \
+s32: \
+	STRIP(COLS32, 32, G4, G1, s16, g32, o32, e32); \
+s16: \
+	STRIP(COLS16, 16, G4, G1, s8, g16, o16, e16); \
+s8: \
+	STRIP(COLS8, 8, G4, G1, done, g8, o8, e8); \
+done: \
+	VZEROUPPER; \
+	RET
+
+// func sumRowsAVX2(o, data *float32, stride int, idx *int32, m, n int)
+TEXT ·sumRowsAVX2(SB), NOSPLIT, $0-48
+	MOVQ o+0(FP), DI
+	MOVQ data+8(FP), SI
+	MOVQ stride+16(FP), DX
+	SHLQ $2, DX
+	MOVQ idx+24(FP), R14
+	MOVQ m+32(FP), R15
+	MOVQ n+40(FP), BX
+	WALK(SUM4, SUM1)
+
+// func scaledSumRowsAVX2(o, data *float32, stride int, idx *int32, m, n int, eid *int32, w *float32)
+TEXT ·scaledSumRowsAVX2(SB), NOSPLIT, $0-64
+	MOVQ o+0(FP), DI
+	MOVQ data+8(FP), SI
+	MOVQ stride+16(FP), DX
+	SHLQ $2, DX
+	MOVQ idx+24(FP), R14
+	MOVQ m+32(FP), R15
+	MOVQ n+40(FP), BX
+	MOVQ eid+48(FP), R8
+	SUBQ R14, R8
+	MOVQ w+56(FP), R9
+	WALK(SCALED4, SCALED1)
+
+// func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL subleaf+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv0() uint32
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	MOVL   $0, CX
+	XGETBV
+	MOVL   AX, ret+0(FP)
+	RET
+
 // DOT8 adds lane k of block AX of x·y, x[f+k]·y[f+k] + x[f+k+4]·y[f+k+4],
 // into lane k of acc.
 #define DOT8(x, y, acc, t0, t1, t2, t3) \

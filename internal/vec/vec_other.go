@@ -6,6 +6,9 @@ package vec
 // touches), run each Go loop whole; sse false makes these stubs unreachable.
 const sse = false
 
+// avx2 false makes the row walks' AVX2 stubs unreachable too.
+var avx2 = false
+
 func add4SSE(o, a, b, c, d *float32, n int)                          { panic("vec: no SSE body") }
 func axpySSE(o, a *float32, wa float32, n int)                       { panic("vec: no SSE body") }
 func axpy2SSE(o, a, b *float32, wa, wb float32, n int)               { panic("vec: no SSE body") }
@@ -23,4 +26,8 @@ func mlpMinSSE(o, t, w *float32, d1, ws, n int, floor float32)       { panic("ve
 func mlp2SumSSE(o, t1, t2, w *float32, d1, ws, n int, floor float32) { panic("vec: no SSE body") }
 func mlp2MaxSSE(o, t1, t2, w *float32, d1, ws, n int, floor float32) { panic("vec: no SSE body") }
 func mlp2MinSSE(o, t1, t2, w *float32, d1, ws, n int, floor float32) { panic("vec: no SSE body") }
-func maxUint32SSE(a *int32, n int) uint32 { panic("vec: no SSE body") }
+func maxUint32SSE(a *int32, n int) uint32                            { panic("vec: no SSE body") }
+func sumRowsAVX2(o, data *float32, stride int, idx *int32, m, n int) { panic("vec: no AVX2 body") }
+func scaledSumRowsAVX2(o, data *float32, stride int, idx *int32, m, n int, eid *int32, w *float32) {
+	panic("vec: no AVX2 body")
+}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // kernel pairs an exported kernel with the Go loop it must match bit for
@@ -71,7 +72,7 @@ var kernels = append([]kernel{
 	{"ExpShiftSum", 1, 1,
 		func(r [][]float32, w []float32) []float32 { return []float32{ExpShiftSum(r[0], w[0])} },
 		func(r [][]float32, w []float32) []float32 { return []float32{expShiftSum(r[0], w[0], false)} }, nil},
-}, mlpKernels()...)
+}, append(rowKernels(), mlpKernels()...)...)
 
 // next points at the rows' first elements, or is nil when they are empty.
 func next(r1, r2, r3, r4 []float32) *[4]*float32 {
@@ -89,6 +90,50 @@ func dot4Ref(x1, y1, x2, y2, x3, y3, x4, y4 int) func(r [][]float32, w []float32
 		return []float32{dot(r[x1], r[y1], false), dot(r[x2], r[y2], false),
 			dot(r[x3], r[y3], false), dot(r[x4], r[y4], false)}
 	}
+}
+
+// rowKernels is SumRows and ScaledSumRows walking deg ∈ {0, 1, 3, 4, 5, 9,
+// 13} indices (every leftover count after the groups of four) into six rows
+// of data at row stride n (whole rows) and n+5 (a tile of wider ones), rows
+// repeated and the last row among them; the scaled walk's edge ids run
+// backwards over deg+1 weights. The operands are o (n), data's rows and the
+// weights.
+func rowKernels() []kernel {
+	const rows = 6
+	var ks []kernel
+	for _, deg := range []int{0, 1, 3, 4, 5, 9, 13} {
+		idx, eid := make([]int32, deg), make([]int32, deg)
+		for p := range idx {
+			idx[p], eid[p] = int32((5*p+2)%rows), int32(deg-p)
+		}
+		for _, pad := range []int{0, 5} {
+			size := func(i, n int) int {
+				return [3]int{n, (rows-1)*(n+pad) + n, deg + 1}[i]
+			}
+			name := fmt.Sprintf("deg=%d stride=n+%d", deg, pad)
+			ks = append(ks, kernel{"SumRows " + name, 2, 0,
+				func(r [][]float32, w []float32) []float32 {
+					SumRows(r[0], r[1], len(r[0])+pad, idx)
+					return r[0]
+				},
+				func(r [][]float32, w []float32) []float32 {
+					sumRows(r[0], r[1], len(r[0])+pad, idx, false, false)
+					return r[0]
+				},
+				size})
+			ks = append(ks, kernel{"ScaledSumRows " + name, 3, 0,
+				func(r [][]float32, w []float32) []float32 {
+					ScaledSumRows(r[0], r[1], len(r[0])+pad, idx, eid, r[2])
+					return r[0]
+				},
+				func(r [][]float32, w []float32) []float32 {
+					scaledSumRows(r[0], r[1], len(r[0])+pad, idx, eid, r[2], false, false)
+					return r[0]
+				},
+				size})
+		}
+	}
+	return ks
 }
 
 // mlpKernels is MLP and MLP2 at every fold, with ReLU on and off, for d1 ∈
@@ -200,13 +245,27 @@ var specials = []float32{
 // TestKernelsMatchGoLoops holds every kernel to its Go loop over block
 // tails, unaligned rows, and values whose sums round differently when
 // regrouped (a wide exponent spread) or that are IEEE special cases, often
-// (most MLP messages are then NaN) or rarely.
+// (most MLP messages are then NaN) or rarely; with the AVX2 row walks on
+// where the host has them, then off, so the SSE per-group loops they
+// replace are held to the Go loop too.
 func TestKernelsMatchGoLoops(t *testing.T) {
+	passes := []bool{false}
+	if avx2 {
+		passes = []bool{true, false}
+	}
+	defer func(on bool) { avx2 = on }(avx2)
+	for _, on := range passes {
+		avx2 = on
+		t.Run(fmt.Sprintf("avx2=%v", on), testKernelsMatchGoLoops)
+	}
+}
+
+func testKernelsMatchGoLoops(t *testing.T) {
 	var lens []int
 	for n := 0; n <= 17; n++ {
 		lens = append(lens, n)
 	}
-	lens = append(lens, 31, 32, 33, 63, 64, 65, 129)
+	lens = append(lens, 31, 32, 33, 63, 64, 65, 127, 128, 129, 200)
 	rng := rand.New(rand.NewSource(1))
 	wide := func() float32 { return float32(rng.NormFloat64() * math.Ldexp(1, rng.Intn(40)-20)) }
 	mixed := func() float32 {
@@ -265,6 +324,7 @@ func FuzzVec(f *testing.F) {
 func TestShortOperandPanicsBeforeWriting(t *testing.T) {
 	full, short := make([]float32, 9), make([]float32, 8)
 	t1, w := []float32{1, 2}, make([]float32, 2*9) // two rows of W at stride 9
+	ids := []int32{0, 1, 2, 3, 4}
 	for name, call := range map[string]func(o []float32){
 		"Add4":            func(o []float32) { Add4(o, full, full, full, short) },
 		"Dot4 short y4":   func(o []float32) { o[0] = Dot4(o, full, o, full, o, full, o, short, next(o, o, o, o))[0] },
@@ -272,6 +332,15 @@ func TestShortOperandPanicsBeforeWriting(t *testing.T) {
 		"MLP2 short t2":   func(o []float32) { MLP2(o, t1, t1[:1:1], w, 9, false, FoldMax) },
 		"MLP2 short W":    func(o []float32) { MLP2(o, t1, t1, w[:17:17], 9, true, FoldMin) },
 		"MLP wide stride": func(o []float32) { MLP(o, t1, w, 10, false, FoldSum) },
+		// A bad index or edge id after a whole group of four.
+		"SumRows idx past data":       func(o []float32) { SumRows(o, w, 9, []int32{0, 1, 0, 1, 2}) },
+		"SumRows negative idx":        func(o []float32) { SumRows(o, w, 9, []int32{0, 1, 0, 1, -1}) },
+		"SumRows short data":          func(o []float32) { SumRows(o, w[:17:17], 9, []int32{0, 0, 0, 0, 1}) },
+		"ScaledSumRows idx past data": func(o []float32) { ScaledSumRows(o, w, 9, []int32{0, 1, 0, 1, 2}, ids, full) },
+		"ScaledSumRows eid past w":    func(o []float32) { ScaledSumRows(o, w, 9, []int32{0, 1, 0, 1, 0}, []int32{0, 1, 2, 3, 9}, full) },
+		"ScaledSumRows negative eid":  func(o []float32) { ScaledSumRows(o, w, 9, []int32{0, 1, 0, 1, 0}, []int32{0, 1, 2, 3, -1}, full) },
+		"ScaledSumRows short w":       func(o []float32) { ScaledSumRows(o, w, 9, []int32{0, 1, 0, 1, 0}, ids, full[:4]) },
+		"ScaledSumRows short eid":     func(o []float32) { ScaledSumRows(o, w, 9, []int32{0, 1, 0, 1, 0}, ids[:4:4], full) },
 	} {
 		o := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9}
 		func() {
@@ -442,5 +511,21 @@ func TestMaxUint32MatchesScan(t *testing.T) {
 	}
 	if got := MaxUint32(make([]int32, 1<<16)); got != 0 {
 		t.Fatalf("all zeros: got %#x", got)
+	}
+}
+
+// CacheLines' slices start on a 64-byte boundary with capacity n, so what
+// follows them on their last line is their own allocation's padding.
+func TestCacheLinesStartOnALine(t *testing.T) {
+	for n := 0; n <= 40; n++ {
+		f, i := CacheLines[float32](n), CacheLines[int32](n)
+		for _, s := range [][2]uintptr{
+			{uintptr(unsafe.Pointer(unsafe.SliceData(f))), uintptr(cap(f))},
+			{uintptr(unsafe.Pointer(unsafe.SliceData(i))), uintptr(cap(i))},
+		} {
+			if s[0]%64 != 0 || s[1] != uintptr(n) {
+				t.Fatalf("n=%d: slice at %#x with capacity %d, want a 64-byte boundary and %d", n, s[0], s[1], n)
+			}
+		}
 	}
 }

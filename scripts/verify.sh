@@ -23,9 +23,11 @@ stage() {
 		go build ./...
 		;;
 	cross-arch)
-		# The Go-only bodies of internal/vec, built where its assembly is not.
-		# go vet on amd64 (stage vet) already runs asmdecl over vec_amd64.s's
-		# frame layout; these keep the non-amd64 build vetted and compiling.
+		# The Go-only bodies of internal/vec (vec_other.go's stubs, the SSE
+		# and AVX2 ones included, and every Go twin), built where its assembly
+		# is not. go vet on amd64 (stage vet) already runs asmdecl over
+		# vec_amd64.s's frame layouts; these keep the non-amd64 build vetted
+		# and compiling.
 		GOARCH=arm64 go vet ./...
 		GOARCH=386 go build ./...
 		;;
@@ -33,8 +35,9 @@ stage() {
 		go test ./...
 		;;
 	no-fma)
-		# No fused multiply-add at GOAMD64=v3: every internal/vec Go twin
-		# assumes float32 x*y+z rounds twice.
+		# No fused multiply-add at GOAMD64=v3: every internal/vec Go twin (the
+		# row walks' per-group loops included, run with the AVX2 body on and
+		# off) assumes float32 x*y+z rounds twice.
 		GOAMD64=v3 go test -count=1 ./internal/vec ./internal/core
 		;;
 	golden)
