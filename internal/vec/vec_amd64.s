@@ -118,13 +118,14 @@ axpy4loop:
 // of four rows a, b, c, d the strip adds (a+b)+(c+d), or
 // (wa·a+wb·b)+(wc·c+wd·d), VMULPS then VADDPS (never a fused multiply-add),
 // as Add4 and Axpy4 do; a leftover row adds alone, as Add and Axpy do. So
-// each element's sum is the per-group loop's, bit for bit. The Go wrapper
-// has proven every row and weight in range, so the index loads zero-extend.
+// each element's sum is the per-group loop's, bit for bit. MOVL
+// zero-extends each index and edge id, which the Go wrapper has proven in
+// range read as a uint32.
 // Registers: DI o's strip, SI data's (data + 4·columns done), DX the row
 // stride in bytes, BX columns left, R14 idx, R15 m, R13 the next index, CX
 // indices left, AX/R10/R11/R12 the group's rows, R8 eid − idx in bytes, R9
-// w (no global is read, so R15 is free); Y8–Y10
-// temporaries, Y12–Y15 the group's weights. Each TEXT has one exit, through
+// w; Y8–Y10 temporaries, Y12–Y15 the group's weights. (ABI0 code may use
+// R14, and R15 as it reads no global.) Each TEXT has one exit, through
 // VZEROUPPER.
 
 // ROW sets r to the row at index off(R13).
