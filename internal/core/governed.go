@@ -1,7 +1,7 @@
 // The governed run: the one serving policy every built kernel executes
-// under. SpMMKernel, SDDMMKernel, FusedAttnKernel, FusedAttnBwdKernel,
-// ShardedSpMM and ShardedSDDMM all embed a governed value and their RunCtx
-// is governed.run, so this header is the one description of what a run
+// under. SpMMKernel, SDDMMKernel, FusedAttnKernel, FusedAttnBwdKernel and
+// ShardedSpMM all embed a governed value and their RunCtx is
+// governed.run, so this header is the one description of what a run
 // goes through; the kernels differ only in the two bodies it calls back
 // into (the backend interface).
 //

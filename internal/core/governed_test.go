@@ -65,7 +65,7 @@ func governedKernels() []governedKernel {
 	fusedSites := governedKernel{metrics: "fusedattn", gpu: true,
 		worker: faultinject.SiteFusedAttnCPUWorker, output: faultinject.SiteFusedAttnCPUOutput}
 
-	spmm, sddmm, shSpMM, shSDDMM, fwd, bwd := spmmSites, sddmmSites, spmmSites, sddmmSites, fusedSites, fusedSites
+	spmm, sddmm, shSpMM, fwd, bwd := spmmSites, sddmmSites, spmmSites, fusedSites, fusedSites
 	spmm.name, spmm.gpu = "spmm", true
 	spmm.build = func(t *testing.T, opts Options) (Kernel, *tensor.Tensor, *tensor.Tensor) {
 		k, err := BuildSpMM(adj, copySrc, in, AggSum, nil, opts)
@@ -84,12 +84,6 @@ func governedKernels() []governedKernel {
 		k, err := BuildShardedSpMM(newMemShardSource(adj, 16), copySrc, in, AggSum, nil, opts, nil)
 		must(t, err)
 		return k, tensor.New(n, d), spmmWant(t)
-	}
-	shSDDMM.name = "sharded-sddmm"
-	shSDDMM.build = func(t *testing.T, opts Options) (Kernel, *tensor.Tensor, *tensor.Tensor) {
-		k, err := BuildShardedSDDMM(newMemShardSource(adj, 16), dot, in, nil, opts, nil)
-		must(t, err)
-		return k, tensor.New(adj.NNZ(), 1), sddmmWant(t)
 	}
 	fwd.name, fwd.kernel, fwd.stallSite = "fusedattn", "fusedattn", "fusedattn/cpu-engine"
 	fwd.build = func(t *testing.T, opts Options) (Kernel, *tensor.Tensor, *tensor.Tensor) {
@@ -110,7 +104,7 @@ func governedKernels() []governedKernel {
 		copy(want.Data()[n*d:], dy.Data())
 		return k, tensor.New(2*n, d), want
 	}
-	return []governedKernel{spmm, sddmm, fwd, bwd, shSpMM, shSDDMM}
+	return []governedKernel{spmm, sddmm, fwd, bwd, shSpMM}
 }
 
 // ledgerIsZero fails the test when gov still holds capacity.

@@ -16,7 +16,7 @@ import (
 // on: chunking and work stealing decide which runner computes a row or an
 // edge, never the arithmetic order within it, so the thread count cannot
 // change a single bit of the output. Graph partitioning regroups a row's
-// neighbours (sumRows folds them four at a time within a partition), so
+// neighbours (vec.SumRows folds them four at a time within a partition), so
 // across partition counts the outputs agree with each other only as far as
 // each agrees with the serial reference.
 func TestScheduleIndependentBits(t *testing.T) {

@@ -24,15 +24,6 @@ type SDDMMKernel struct {
 	governed
 	adj *sparse.CSR
 
-	// Sharded execution (see sharded.go): a partial kernel computes one
-	// shard's edges of a larger graph directly into the full global output
-	// (SDDMM output is indexed by global edge id, which shard CSRs carry),
-	// so outRows is the global edge count and the executor owns the
-	// one-time output zeroing. dstBase maps local destination rows onto
-	// global rows for Dst-indexed inputs.
-	dstBase int
-	partial bool
-
 	compiled *codegen.CompiledUDF
 	match    codegen.Match
 
@@ -51,24 +42,13 @@ type SDDMMKernel struct {
 
 // BuildSDDMM builds a generalized SDDMM kernel. fds may be nil.
 func BuildSDDMM(adj *sparse.CSR, udf *expr.UDF, inputs []*tensor.Tensor, fds *schedule.FDS, opts Options) (*SDDMMKernel, error) {
-	return buildSDDMM(adj, udf, inputs, fds, opts, nil)
-}
-
-// buildSDDMM is BuildSDDMM plus the sharded-execution hook: a non-nil sh
-// builds a partial kernel over one shard of a larger graph (CPU only),
-// validating inputs against the global dimensions and sizing the output
-// for the global edge count. The shard's CSR is not validated again:
-// ShardSource.Pin returns a valid one.
-func buildSDDMM(adj *sparse.CSR, udf *expr.UDF, inputs []*tensor.Tensor, fds *schedule.FDS, opts Options, sh *shardSpec) (*SDDMMKernel, error) {
 	tracing := telemetry.TraceActive()
 	var buildStart, stepStart time.Time
 	if tracing {
 		buildStart = time.Now()
 	}
-	if sh == nil {
-		if err := adj.Validate(); err != nil {
-			return nil, fmt.Errorf("core: invalid adjacency: %w", err)
-		}
+	if err := adj.Validate(); err != nil {
+		return nil, fmt.Errorf("core: invalid adjacency: %w", err)
 	}
 	if len(udf.OutAxes) == 0 {
 		return nil, fmt.Errorf("core: UDF must have at least one output axis")
@@ -76,14 +56,7 @@ func buildSDDMM(adj *sparse.CSR, udf *expr.UDF, inputs []*tensor.Tensor, fds *sc
 	if err := fds.Validate(udf); err != nil {
 		return nil, err
 	}
-	bindRows, bindCols, bindNNZ := adj.NumRows, adj.NumCols, int64(adj.NNZ())
-	if sh != nil {
-		if opts.Target != CPU {
-			return nil, fmt.Errorf("core: sharded kernels run on CPU only")
-		}
-		bindRows, bindCols, bindNNZ = sh.globalRows, sh.globalCols, sh.globalNNZ
-	}
-	if err := validateBindings(bindRows, bindCols, bindNNZ, udf, inputs); err != nil {
+	if err := validateBindings(adj.NumRows, adj.NumCols, int64(adj.NNZ()), udf, inputs); err != nil {
 		return nil, err
 	}
 	if tracing {
@@ -102,10 +75,6 @@ func buildSDDMM(adj *sparse.CSR, udf *expr.UDF, inputs []*tensor.Tensor, fds *sc
 		match:    codegen.Recognize(udf, inputs),
 	}
 	k.init("sddmm", "SDDMM", sddmmMetrics, opts, adj.NNZ(), compiled.OutLen())
-	if sh != nil {
-		k.outRows = int(sh.globalNNZ)
-		k.dstBase, k.partial = sh.dstBase, true
-	}
 	k.tiles = partition.FeatureTiles(k.outLen, fds.SplitFactor(udf.OutAxes[0]))
 
 	// Reduce-axis tiling applies to the dot fast path: processing k in
@@ -181,8 +150,7 @@ func findReduceAxis(e expr.Expr) *expr.Axis {
 	return nil
 }
 
-// OutShape returns the required output tensor shape (the global edge
-// count for a sharded partial kernel).
+// OutShape returns the required output tensor shape.
 func (k *SDDMMKernel) OutShape() (rows, cols int) { return k.outRows, k.outLen }
 
 // Pattern returns the recognized UDF pattern.
@@ -218,7 +186,7 @@ func (k *SDDMMKernel) cpuEdges(rc *runControl, env *codegen.Env, out *tensor.Ten
 		}
 		for i := clo; i < chi; i++ {
 			eid := int(ed.EID[i])
-			k.compiled.Eval(env, ed.Col[i], ed.Row[i]+int32(k.dstBase), ed.EID[i], odata[eid*ostride+t.Lo:eid*ostride+t.Hi], t.Lo, t.Hi)
+			k.compiled.Eval(env, ed.Col[i], ed.Row[i], ed.EID[i], odata[eid*ostride+t.Lo:eid*ostride+t.Hi], t.Lo, t.Hi)
 		}
 	}
 	faultinject.CorruptFloats(faultinject.SiteSDDMMCPUOutput, odata[elo*ostride:ehi*ostride])
@@ -236,7 +204,7 @@ func (k *SDDMMKernel) dotEdges(odata []float32, elo, ehi int, t partition.Range,
 	n := t.Hi - t.Lo
 	xd, xs := k.match.X.Data()[t.Lo:], k.match.X.RowStride()
 	ys := k.match.Y.RowStride()
-	yd := k.match.Y.Data()[k.dstBase*ys+t.Lo:]
+	yd := k.match.Y.Data()[t.Lo:]
 	cols, rows, eids := k.edges.Col[elo:ehi], k.edges.Row[elo:ehi], k.edges.EID[elo:ehi]
 	rows, eids = rows[:len(cols)], eids[:len(cols)]
 	i := 0

@@ -15,7 +15,7 @@ import (
 )
 
 // memShardSource serves an in-memory CSR through the ShardSource interface
-// so the sharded executors can be tested against the whole-graph kernels
+// so the sharded executor can be tested against the whole-graph kernels
 // without touching disk. With fresh=true every Pin extracts a new CSR
 // (simulating a residency cache that evicted in between), which is how the
 // planner-invalidation tests force rebuilds.
@@ -149,52 +149,9 @@ func TestShardedSpMMMatchesReference(t *testing.T) {
 	}
 }
 
-func TestShardedSDDMMMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	const n, d = 35, 10
-	a := heavyRowGraph(t, rng, n, 24)
-	src := newMemShardSource(a, 7)
-	x := randTensor(rng, n, d)
-	ev := randTensor(rng, a.NNZ(), d)
-
-	for _, tc := range []struct {
-		name   string
-		udf    *expr.UDF
-		inputs []*tensor.Tensor
-	}{
-		// DotAttention and AddSrcDst read Dst-bound features, exercising
-		// the dstBase offset on the SDDMM side.
-		{"dot-attention", expr.DotAttention(n, d), []*tensor.Tensor{x}},
-		{"add-src-dst", expr.AddSrcDst(n, d), []*tensor.Tensor{x}},
-		{"copy-edge", expr.CopyEdge(a.NNZ(), d), []*tensor.Tensor{ev}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			want, err := ReferenceSDDMM(a, tc.udf, tc.inputs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			k, err := BuildShardedSDDMM(src, tc.udf, tc.inputs, nil, Options{Target: CPU}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, cols := k.OutShape()
-			if rows != a.NNZ() {
-				t.Fatalf("OutShape rows = %d, want global NNZ %d", rows, a.NNZ())
-			}
-			out := tensor.New(rows, cols)
-			if _, err := k.Run(out); err != nil {
-				t.Fatal(err)
-			}
-			if !out.AllClose(want, 1e-4) {
-				t.Fatalf("sharded SDDMM diverges from reference, max diff %v", out.MaxAbsDiff(want))
-			}
-		})
-	}
-}
-
 // explicitShardSource serves hand-cut shards, including zero-edge ones in
 // the middle of the graph — a shape EdgeShards never emits but the on-disk
-// format permits, and the executors must skip cleanly.
+// format permits, and the executor must skip cleanly.
 type explicitShardSource struct {
 	memShardSource
 }
@@ -251,22 +208,6 @@ func TestShardedExecutorsSkipZeroEdgeShards(t *testing.T) {
 	if !out.AllClose(want, 1e-4) {
 		t.Fatalf("zero-edge shard broke SpMM, max diff %v", out.MaxAbsDiff(want))
 	}
-
-	wantE, err := ReferenceSDDMM(a, expr.AddSrcDst(n, d), []*tensor.Tensor{x})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ks, err := BuildShardedSDDMM(src, expr.AddSrcDst(n, d), []*tensor.Tensor{x}, nil, Options{Target: CPU}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outE := tensor.New(a.NNZ(), d)
-	if _, err := ks.Run(outE); err != nil {
-		t.Fatal(err)
-	}
-	if !outE.AllClose(wantE, 1e-4) {
-		t.Fatalf("zero-edge shard broke SDDMM, max diff %v", outE.MaxAbsDiff(wantE))
-	}
 }
 
 func TestShardedEmptyGraph(t *testing.T) {
@@ -298,9 +239,6 @@ func TestShardedRejectsGPU(t *testing.T) {
 	x := randTensor(rng, 10, 3)
 	if _, err := BuildShardedSpMM(src, expr.CopySrc(10, 3), []*tensor.Tensor{x}, AggSum, nil, Options{Target: GPU}, nil); err == nil {
 		t.Fatal("sharded SpMM must reject GPU target")
-	}
-	if _, err := BuildShardedSDDMM(src, expr.DotAttention(10, 3), []*tensor.Tensor{x}, nil, Options{Target: GPU}, nil); err == nil {
-		t.Fatal("sharded SDDMM must reject GPU target")
 	}
 }
 

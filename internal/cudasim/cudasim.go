@@ -114,11 +114,6 @@ func (d *Device) Describe() string {
 	return fmt.Sprintf("cudasim{SMs:%d sharedMem:%dB launches:%d}", d.numSMs, d.sharedCap, d.launches.Load())
 }
 
-// Launches returns how many kernel launches (successful or failed) have been
-// issued on this device. Oracle harnesses read it to distinguish "GPU config
-// actually exercised the simulator" from "build fell back before launching".
-func (d *Device) Launches() uint64 { return d.launches.Load() }
-
 // LaunchConfig describes one kernel launch.
 type LaunchConfig struct {
 	Blocks          int

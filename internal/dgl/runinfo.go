@@ -52,19 +52,3 @@ func (ri *RunInfo) observe(stats core.RunStats) {
 		ri.BreakerState = stats.BreakerState
 	}
 }
-
-// Merge folds another RunInfo into this one (for callers aggregating
-// per-stage infos into a per-request total).
-func (ri *RunInfo) Merge(o RunInfo) {
-	ri.Runs += o.Runs
-	ri.SimCycles += o.SimCycles
-	ri.Fallbacks += o.Fallbacks
-	if o.FallbackReason != "" {
-		ri.FallbackReason = o.FallbackReason
-	}
-	ri.Queued += o.Queued
-	ri.Retries += o.Retries
-	if o.BreakerState != "" {
-		ri.BreakerState = o.BreakerState
-	}
-}

@@ -143,7 +143,7 @@ type ShardedOptions struct {
 	// past the budget are evicted least-recently-used. <= 0 means
 	// unlimited. Pinned shards are never evicted, so the instantaneous
 	// residency can exceed the budget by the pinned working set (one shard
-	// under the sequential executors).
+	// under the sequential executor).
 	BudgetBytes int64
 	// Governor, when non-nil, has resident shard bytes charged against its
 	// memory ledger (admission.Governor.ReserveMemory), so kernel
@@ -183,7 +183,7 @@ type residentShard struct {
 // resident. It implements core.ShardSource structurally, so sharded
 // kernels stream it directly. Methods are safe for concurrent use; shard
 // materialization performs IO under the handle's lock, serializing
-// concurrent cold pins (the executors are shard-sequential, so this is
+// concurrent cold pins (the executor is shard-sequential, so this is
 // the deliberate simple choice, not a bottleneck).
 type ShardedCSR struct {
 	src  byteSource

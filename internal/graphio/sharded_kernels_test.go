@@ -18,7 +18,7 @@ import (
 	"featgraph/internal/tensor"
 )
 
-// The sharded executors over a real shard file, mapped and read, under a
+// The sharded SpMM executor over a real shard file, mapped and read, under a
 // budget below one shard (every pass loads every shard, into recycled
 // arrays after the first) and an unlimited one (the second pass hits):
 // two passes on each handle give the same bits, on every handle, and
@@ -112,16 +112,6 @@ func TestShardedKernelsOverShardFile(t *testing.T) {
 					return core.BuildShardedSpMM(src, u.udf, u.inputs, agg, nil, opts, nil)
 				}})
 		}
-	}
-	for _, u := range []struct {
-		name string
-		udf  *expr.UDF
-	}{{"dot-attention", expr.DotAttention(n, d)}, {"add-src-dst", expr.AddSrcDst(n, d)}} {
-		cases = append(cases, kcase{"sddmm/" + u.name,
-			func() (core.Kernel, error) { return core.BuildSDDMM(g, u.udf, []*tensor.Tensor{x}, nil, opts) },
-			func(src core.ShardSource) (core.Kernel, error) {
-				return core.BuildShardedSDDMM(src, u.udf, []*tensor.Tensor{x}, nil, opts, nil)
-			}})
 	}
 
 	ctx := context.Background()

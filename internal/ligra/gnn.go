@@ -18,14 +18,13 @@ func GCNAggregation(g *Graph, x, out *tensor.Tensor, threads int) {
 	d := x.Dim(1)
 	xd, od := x.Data(), out.Data()
 	out.Zero()
-	EdgeMap(g, FullFrontier(g.N), func(src, dst, eid int32) bool {
+	EdgeMap(g, FullFrontier(g.N), func(src, dst, eid int32) {
 		xrow := xd[int(src)*d : int(src)*d+d]
 		orow := od[int(dst)*d : int(dst)*d+d]
 		for f := 0; f < d; f++ {
 			orow[f] += xrow[f]
 		}
-		return false
-	}, nil, threads)
+	}, threads)
 }
 
 // MLPAggregation computes out[v] = max_{u→v} ReLU((x[u]+x[v]) × W), the
@@ -36,7 +35,7 @@ func MLPAggregation(g *Graph, x, w, out *tensor.Tensor, threads int) {
 	d1, d2 := w.Dim(0), w.Dim(1)
 	xd, wd, od := x.Data(), w.Data(), out.Data()
 	out.Fill(float32(math.Inf(-1)))
-	EdgeMap(g, FullFrontier(g.N), func(src, dst, eid int32) bool {
+	EdgeMap(g, FullFrontier(g.N), func(src, dst, eid int32) {
 		xu := xd[int(src)*d1 : int(src)*d1+d1]
 		xv := xd[int(dst)*d1 : int(dst)*d1+d1]
 		orow := od[int(dst)*d2 : int(dst)*d2+d2]
@@ -52,8 +51,7 @@ func MLPAggregation(g *Graph, x, w, out *tensor.Tensor, threads int) {
 				orow[i] = s
 			}
 		}
-		return false
-	}, nil, threads)
+	}, threads)
 	// Isolated vertices aggregate to zero.
 	for v := 0; v < g.N; v++ {
 		if g.In.RowPtr[v+1] == g.In.RowPtr[v] {
@@ -66,7 +64,7 @@ func MLPAggregation(g *Graph, x, w, out *tensor.Tensor, threads int) {
 func DotAttention(g *Graph, x, att *tensor.Tensor, threads int) {
 	d := x.Dim(1)
 	xd, ad := x.Data(), att.Data()
-	EdgeMap(g, FullFrontier(g.N), func(src, dst, eid int32) bool {
+	EdgeMap(g, FullFrontier(g.N), func(src, dst, eid int32) {
 		xu := xd[int(src)*d : int(src)*d+d]
 		xv := xd[int(dst)*d : int(dst)*d+d]
 		var s float32
@@ -74,6 +72,5 @@ func DotAttention(g *Graph, x, att *tensor.Tensor, threads int) {
 			s += xu[f] * xv[f]
 		}
 		ad[eid] = s
-		return false
-	}, nil, threads)
+	}, threads)
 }

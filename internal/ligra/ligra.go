@@ -1,7 +1,7 @@
 // Package ligra is a Ligra-like shared-memory graph processing framework,
-// the CPU baseline of the paper's comparisons (see DESIGN.md). It follows
-// Ligra's design: a frontier datatype plus EdgeMap/VertexMap operators with
-// automatic push/pull direction switching based on frontier density.
+// the CPU baseline of the paper's comparisons (see DESIGN.md). It keeps the
+// part of Ligra's design that GNN workloads run: a dense frontier and a
+// pull-mode EdgeMap that walks every destination's in-edges.
 //
 // Crucially — and this is the property the paper's comparison hinges on —
 // the computation on each edge is a blackbox closure: the framework
@@ -11,184 +11,60 @@ package ligra
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"featgraph/internal/sparse"
 )
 
-// Graph stores both edge directions: in-edges (CSR by destination) for
-// pull-mode traversal and out-edges (CSC by source) for push mode.
+// Graph stores the in-edges (CSR by destination) that pull-mode traversal
+// walks.
 type Graph struct {
-	In  *sparse.CSR
-	Out *sparse.CSC
-	N   int
+	In *sparse.CSR
+	N  int
 }
 
 // NewGraph builds a ligra graph from a destination-major adjacency matrix.
 func NewGraph(csr *sparse.CSR) *Graph {
-	return &Graph{In: csr, Out: csr.ToCSC(), N: csr.NumRows}
+	return &Graph{In: csr, N: csr.NumRows}
 }
 
-// Frontier is a set of active vertices.
-type Frontier struct {
-	dense []bool
-	count int
-}
-
-// NewFrontier returns an empty frontier for n vertices.
-func NewFrontier(n int) *Frontier { return &Frontier{dense: make([]bool, n)} }
+// Frontier is a dense set of active vertices: f[v] is true when v is
+// active.
+type Frontier []bool
 
 // FullFrontier returns a frontier with every vertex active, the steady
 // state of GNN workloads (§VI: "typically all vertices are active at each
 // layer").
-func FullFrontier(n int) *Frontier {
-	f := NewFrontier(n)
-	for i := range f.dense {
-		f.dense[i] = true
+func FullFrontier(n int) Frontier {
+	f := make(Frontier, n)
+	for i := range f {
+		f[i] = true
 	}
-	f.count = n
 	return f
 }
 
-// Add activates vertex v.
-func (f *Frontier) Add(v int32) {
-	if !f.dense[v] {
-		f.dense[v] = true
-		f.count++
-	}
-}
-
 // Has reports whether v is active.
-func (f *Frontier) Has(v int32) bool { return f.dense[v] }
+func (f Frontier) Has(v int32) bool { return f[v] }
 
-// Count returns the number of active vertices.
-func (f *Frontier) Count() int { return f.count }
+// EdgeFunc is the blackbox per-edge computation. The framework makes all
+// calls with the same dst on one goroutine, so unsynchronized updates to
+// per-dst state are safe.
+type EdgeFunc func(src, dst, eid int32)
 
-// Vertices returns the active vertex ids in ascending order.
-func (f *Frontier) Vertices() []int32 {
-	out := make([]int32, 0, f.count)
-	for v, on := range f.dense {
-		if on {
-			out = append(out, int32(v))
-		}
-	}
-	return out
-}
-
-// EdgeFunc is the blackbox per-edge computation. Returning true adds dst
-// to the output frontier. In pull mode the framework guarantees that all
-// calls with the same dst happen on one goroutine, so unsynchronized
-// updates to per-dst state are safe; push mode offers no such guarantee
-// and users must synchronize (Ligra's CAS idiom).
-type EdgeFunc func(src, dst, eid int32) bool
-
-// Cond filters destination vertices; edges to vertices where Cond is false
-// are skipped (Ligra's C function, e.g. "not yet visited" in BFS).
-type Cond func(v int32) bool
-
-// pushPullThreshold is Ligra's density heuristic: dense (pull) traversal
-// when the frontier exceeds |E|/20 outgoing edges, sparse (push) otherwise.
-const pushPullDenominator = 20
-
-// EdgeMap applies fn to every edge whose source is active, with automatic
-// direction selection, and returns the frontier of vertices for which fn
-// returned true. cond may be nil (always true). threads <= 1 is serial.
-func EdgeMap(g *Graph, f *Frontier, fn EdgeFunc, cond Cond, threads int) *Frontier {
-	outEdges := 0
-	for _, v := range f.Vertices() {
-		outEdges += int(g.Out.ColPtr[v+1] - g.Out.ColPtr[v])
-	}
-	if outEdges > g.In.NNZ()/pushPullDenominator {
-		return edgeMapPull(g, f, fn, cond, threads)
-	}
-	return edgeMapPush(g, f, fn, cond, threads)
-}
-
-// edgeMapPull iterates destinations, scanning each vertex's in-edges for
-// active sources. Rows are split across threads, so per-dst accumulation
-// needs no synchronization.
-func edgeMapPull(g *Graph, f *Frontier, fn EdgeFunc, cond Cond, threads int) *Frontier {
-	next := NewFrontier(g.N)
-	var mu sync.Mutex
-	process := func(rlo, rhi int) {
-		var local []int32
+// EdgeMap applies fn to every edge whose source is active, in pull mode:
+// it iterates destinations and scans each one's in-edges for active
+// sources. Rows are split across threads; threads <= 1 is serial.
+func EdgeMap(g *Graph, f Frontier, fn EdgeFunc, threads int) {
+	runChunks(g.N, threads, func(rlo, rhi int) {
 		for r := rlo; r < rhi; r++ {
-			if cond != nil && !cond(int32(r)) {
-				continue
-			}
-			added := false
 			for p := g.In.RowPtr[r]; p < g.In.RowPtr[r+1]; p++ {
 				src := g.In.ColIdx[p]
 				if !f.Has(src) {
 					continue
 				}
-				if fn(src, int32(r), g.In.EID[p]) {
-					added = true
-				}
-			}
-			if added {
-				local = append(local, int32(r))
+				fn(src, int32(r), g.In.EID[p])
 			}
 		}
-		mu.Lock()
-		for _, v := range local {
-			next.Add(v)
-		}
-		mu.Unlock()
-	}
-	runChunks(g.N, threads, process)
-	return next
-}
-
-// edgeMapPush iterates the active sources' out-edges. fn may be called
-// concurrently for the same dst from different goroutines.
-func edgeMapPush(g *Graph, f *Frontier, fn EdgeFunc, cond Cond, threads int) *Frontier {
-	next := NewFrontier(g.N)
-	active := f.Vertices()
-	added := make([]int32, g.N) // 0/1 flags set with atomics
-	process := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			src := active[i]
-			for q := g.Out.ColPtr[src]; q < g.Out.ColPtr[src+1]; q++ {
-				dst := g.Out.RowIdx[q]
-				if cond != nil && !cond(dst) {
-					continue
-				}
-				if fn(src, dst, g.Out.EID[q]) {
-					atomic.StoreInt32(&added[dst], 1)
-				}
-			}
-		}
-	}
-	runChunks(len(active), threads, process)
-	for v := range added {
-		if added[v] == 1 {
-			next.Add(int32(v))
-		}
-	}
-	return next
-}
-
-// VertexMap applies fn to every active vertex and returns the frontier of
-// vertices for which fn returned true.
-func VertexMap(f *Frontier, fn func(v int32) bool, threads int) *Frontier {
-	next := NewFrontier(len(f.dense))
-	active := f.Vertices()
-	var mu sync.Mutex
-	runChunks(len(active), threads, func(lo, hi int) {
-		var local []int32
-		for i := lo; i < hi; i++ {
-			if fn(active[i]) {
-				local = append(local, active[i])
-			}
-		}
-		mu.Lock()
-		for _, v := range local {
-			next.Add(v)
-		}
-		mu.Unlock()
 	})
-	return next
 }
 
 // runChunks splits [0,n) into contiguous chunks across threads.
@@ -214,9 +90,4 @@ func runChunks(n, threads int, body func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// CompareAndSwapInt32 is Ligra's CAS primitive for push-mode updates.
-func CompareAndSwapInt32(addr *int32, old, new int32) bool {
-	return atomic.CompareAndSwapInt32(addr, old, new)
 }

@@ -88,9 +88,6 @@ func NewTrusted(adj *sparse.CSR, cfg Config) (*Sampler, error) {
 	return &Sampler{adj: adj, cfg: cfg}, nil
 }
 
-// NumLayers returns the number of blocks Sample produces.
-func (s *Sampler) NumLayers() int { return len(s.cfg.Fanouts) }
-
 // NumVertices returns the vertex count of the underlying graph.
 func (s *Sampler) NumVertices() int { return s.adj.NumRows }
 

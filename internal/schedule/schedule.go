@@ -11,7 +11,6 @@
 //     blocks or threads, as in Figures 3a and 9.
 //   - TreeReduce(axis, ThreadX): tree-based parallel reduction over a
 //     reduction axis, the GPU dot-product optimization of Figure 4a.
-//   - Parallel(axis): multi-thread an axis on CPU.
 //
 // An FDS is validated against a concrete UDF when the kernel is built; the
 // same UDF can be paired with different FDSes per target, exactly as in the
@@ -49,7 +48,6 @@ type FDS struct {
 	splits     map[*expr.Axis]int
 	bindings   map[*expr.Axis]Resource
 	treeReduce map[*expr.Axis]Resource
-	parallel   map[*expr.Axis]bool
 	order      []string // human-readable directive log, in application order
 }
 
@@ -59,7 +57,6 @@ func New() *FDS {
 		splits:     make(map[*expr.Axis]int),
 		bindings:   make(map[*expr.Axis]Resource),
 		treeReduce: make(map[*expr.Axis]Resource),
-		parallel:   make(map[*expr.Axis]bool),
 	}
 }
 
@@ -93,13 +90,6 @@ func (s *FDS) TreeReduce(axis *expr.Axis, r Resource) *FDS {
 	return s
 }
 
-// Parallel marks axis for CPU multi-threading.
-func (s *FDS) Parallel(axis *expr.Axis) *FDS {
-	s.parallel[axis] = true
-	s.order = append(s.order, fmt.Sprintf("parallel(%s)", axis.Name))
-	return s
-}
-
 // SplitFactor returns the tiling factor for axis, or 0 if the axis is not
 // split.
 func (s *FDS) SplitFactor(axis *expr.Axis) int {
@@ -128,22 +118,6 @@ func (s *FDS) HasTreeReduce(axis *expr.Axis) bool {
 	return ok
 }
 
-// IsParallel reports whether axis is marked for CPU multi-threading.
-func (s *FDS) IsParallel(axis *expr.Axis) bool {
-	if s == nil || s.parallel == nil {
-		return false
-	}
-	return s.parallel[axis]
-}
-
-// Directives returns the human-readable directive log in application order.
-func (s *FDS) Directives() []string {
-	if s == nil {
-		return nil
-	}
-	return s.order
-}
-
 // String renders the schedule compactly, e.g.
 // "fds{split(i, 8); bind(i, thread.x)}".
 func (s *FDS) String() string {
@@ -160,8 +134,8 @@ func (s *FDS) String() string {
 	return out + "}"
 }
 
-// Validate checks that every scheduled axis belongs to the UDF: split,
-// bind and parallel directives must name output axes; tree-reduce must name
+// Validate checks that every scheduled axis belongs to the UDF: split and
+// bind directives must name output axes; tree-reduce must name
 // a reduce axis (an axis that is not an output axis). Returns a descriptive
 // error for the first violation.
 func (s *FDS) Validate(u *expr.UDF) error {
@@ -194,23 +168,5 @@ func (s *FDS) Validate(u *expr.UDF) error {
 			return fmt.Errorf("schedule: tree_reduce(%s) targets an output axis; use Bind", a.Name)
 		}
 	}
-	for a := range s.parallel {
-		if !inUDF(a) {
-			return fmt.Errorf("schedule: parallel axis %s not in UDF", a.Name)
-		}
-		if !isOut[a] {
-			return fmt.Errorf("schedule: parallel(%s) targets a reduce axis", a.Name)
-		}
-	}
 	return nil
-}
-
-// CandidateSplits enumerates power-of-two split factors up to extent, used
-// by the grid-search tuner to build the FDS side of the design space.
-func CandidateSplits(extent int) []int {
-	var out []int
-	for f := 1; f <= extent; f *= 2 {
-		out = append(out, f)
-	}
-	return out
 }

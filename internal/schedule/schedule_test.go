@@ -67,17 +67,6 @@ func TestBindAndTreeReduce(t *testing.T) {
 	}
 }
 
-func TestParallel(t *testing.T) {
-	u, i, _ := mlp(t)
-	s := New().Parallel(i)
-	if err := s.Validate(u); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if !s.IsParallel(i) {
-		t.Fatal("IsParallel(i) should be true")
-	}
-}
-
 func TestValidateRejectsMisuse(t *testing.T) {
 	u, i, k := mlp(t)
 	if err := New().Bind(k, ThreadX).Validate(u); err == nil {
@@ -85,9 +74,6 @@ func TestValidateRejectsMisuse(t *testing.T) {
 	}
 	if err := New().TreeReduce(i, ThreadX).Validate(u); err == nil {
 		t.Error("tree_reduce of output axis should fail validation")
-	}
-	if err := New().Parallel(k).Validate(u); err == nil {
-		t.Error("parallel of reduce axis should fail validation")
 	}
 
 	// Axis from a different, larger builder is not in this UDF.
@@ -123,25 +109,8 @@ func TestTreeReduceRequiresThreadX(t *testing.T) {
 func TestDirectivesLogOrder(t *testing.T) {
 	_, i, k := mlp(t)
 	s := New().Split(i, 8).Bind(i, ThreadX).TreeReduce(k, ThreadX)
-	d := s.Directives()
-	if len(d) != 3 || d[0] != "split(i, 8)" || d[1] != "bind(i, thread.x)" || d[2] != "tree_reduce(k, thread.x)" {
-		t.Fatalf("Directives = %v", d)
-	}
-}
-
-func TestCandidateSplits(t *testing.T) {
-	got := CandidateSplits(8)
-	want := []int{1, 2, 4, 8}
-	if len(got) != len(want) {
-		t.Fatalf("CandidateSplits(8) = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CandidateSplits(8) = %v", got)
-		}
-	}
-	if got := CandidateSplits(5); len(got) != 3 || got[2] != 4 {
-		t.Fatalf("CandidateSplits(5) = %v", got)
+	if got, want := s.String(), "fds{split(i, 8); bind(i, thread.x); tree_reduce(k, thread.x)}"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
 	}
 }
 

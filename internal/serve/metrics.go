@@ -21,8 +21,7 @@ var (
 		"Requests summed over executed batches (divide by batches for the mean coalescing factor).")
 
 	// hLatency is submit→result per request; hBatchExec is per merged
-	// batch (sample + kernels + dense). The soak benchmark quotes p50/p99
-	// from hLatency via Histogram.Quantile.
+	// batch (sample + kernels + dense).
 	hLatency = telemetry.NewDurationHistogram("featgraph_serve_request_seconds", "",
 		"End-to-end inference request latency (submit to result).")
 	hBatchExec = telemetry.NewDurationHistogram("featgraph_serve_batch_seconds", "",

@@ -4,9 +4,10 @@
 // A graph G(V,E) is stored as the adjacency matrix A with A[dst,src] != 0
 // when an edge src→dst exists, following the SpMM convention of the paper:
 // H = A × X aggregates source-vertex features into destination vertices.
-// CSR is therefore indexed by destination row (in-edges), and CSC by source
-// column (out-edges). Every edge carries a stable edge id (eid) so that
-// edge feature tensors can be addressed from any representation.
+// CSR is therefore indexed by destination row (in-edges), and its
+// Transpose by source (out-edges). Every edge carries a stable edge id
+// (eid) so that edge feature tensors can be addressed from any
+// representation.
 package sparse
 
 import (
@@ -69,7 +70,7 @@ func ReserveIdentity() uint64 {
 // Identity returns the matrix's topology identity, assigning a fresh
 // process-unique one on first call. Two distinct CSR objects never share
 // an identity unless BindVersion deliberately bound them to one mutable
-// graph; clones and conversions (Clone, Transpose, ToCSC) start unbound
+// graph; clones and transposes (Clone, Transpose) start unbound
 // and receive their own identity lazily.
 func (c *CSR) Identity() uint64 {
 	identMu.Lock()
@@ -100,24 +101,11 @@ func (c *CSR) BindVersion(ident, ver uint64) {
 	c.ver = ver
 }
 
-// CSC is compressed sparse column: out-edges grouped by source vertex.
-type CSC struct {
-	NumRows int
-	NumCols int
-	ColPtr  []int32
-	RowIdx  []int32
-	EID     []int32
-	Val     []float32
-}
-
 // NNZ returns the number of stored edges.
 func (c *COO) NNZ() int { return len(c.Row) }
 
 // NNZ returns the number of stored edges.
 func (c *CSR) NNZ() int { return len(c.ColIdx) }
-
-// NNZ returns the number of stored edges.
-func (c *CSC) NNZ() int { return len(c.RowIdx) }
 
 // Validate checks structural invariants and returns a descriptive error for
 // the first violation found. It is used at construction boundaries; kernels
@@ -236,86 +224,44 @@ func (s rowSorter) Swap(i, j int) {
 	s.val[i], s.val[j] = s.val[j], s.val[i]
 }
 
-// ToCOO converts back to an edge list in row-major order.
-func (c *CSR) ToCOO() *COO {
+// Transpose returns Aᵀ as CSR (rows and columns exchanged), preserving edge
+// ids and values. Row indices within each transposed row are sorted
+// ascending. The gradient of SpMM with respect to X is Aᵀ × dH, so training
+// needs this frequently; it is O(nnz).
+func (c *CSR) Transpose() *CSR {
 	nnz := c.NNZ()
-	coo := &COO{
-		NumRows: c.NumRows,
-		NumCols: c.NumCols,
-		Row:     make([]int32, nnz),
-		Col:     make([]int32, nnz),
-		Val:     make([]float32, nnz),
-	}
-	for r := 0; r < c.NumRows; r++ {
-		for p := c.RowPtr[r]; p < c.RowPtr[r+1]; p++ {
-			coo.Row[p] = int32(r)
-			coo.Col[p] = c.ColIdx[p]
-			coo.Val[p] = c.Val[p]
-		}
-	}
-	return coo
-}
-
-// ToCSC converts to compressed sparse column, preserving edge ids and
-// values. Row indices within each column are sorted ascending.
-func (c *CSR) ToCSC() *CSC {
-	nnz := c.NNZ()
-	csc := &CSC{
-		NumRows: c.NumRows,
-		NumCols: c.NumCols,
-		ColPtr:  make([]int32, c.NumCols+1),
-		RowIdx:  make([]int32, nnz),
+	t := &CSR{
+		NumRows: c.NumCols,
+		NumCols: c.NumRows,
+		RowPtr:  make([]int32, c.NumCols+1),
+		ColIdx:  make([]int32, nnz),
 		EID:     make([]int32, nnz),
 		Val:     make([]float32, nnz),
 	}
 	for _, col := range c.ColIdx {
-		csc.ColPtr[col+1]++
+		t.RowPtr[col+1]++
 	}
 	for j := 0; j < c.NumCols; j++ {
-		csc.ColPtr[j+1] += csc.ColPtr[j]
+		t.RowPtr[j+1] += t.RowPtr[j]
 	}
 	cursor := make([]int32, c.NumCols)
-	copy(cursor, csc.ColPtr[:c.NumCols])
+	copy(cursor, t.RowPtr[:c.NumCols])
 	for r := 0; r < c.NumRows; r++ {
 		for p := c.RowPtr[r]; p < c.RowPtr[r+1]; p++ {
 			j := c.ColIdx[p]
 			q := cursor[j]
 			cursor[j]++
-			csc.RowIdx[q] = int32(r)
-			csc.EID[q] = c.EID[p]
-			csc.Val[q] = c.Val[p]
+			t.ColIdx[q] = int32(r)
+			t.EID[q] = c.EID[p]
+			t.Val[q] = c.Val[p]
 		}
 	}
-	return csc
-}
-
-// Transpose returns Aᵀ as CSR (rows and columns exchanged), preserving edge
-// ids. The gradient of SpMM with respect to X is Aᵀ × dH, so training needs
-// this frequently; it is O(nnz).
-func (c *CSR) Transpose() *CSR {
-	csc := c.ToCSC()
-	return &CSR{
-		NumRows: c.NumCols,
-		NumCols: c.NumRows,
-		RowPtr:  csc.ColPtr,
-		ColIdx:  csc.RowIdx,
-		EID:     csc.EID,
-		Val:     csc.Val,
-	}
+	return t
 }
 
 // RowDegree returns the number of stored entries in row r (in-degree of
 // destination vertex r).
 func (c *CSR) RowDegree(r int) int { return int(c.RowPtr[r+1] - c.RowPtr[r]) }
-
-// Degrees returns the in-degree of every row.
-func (c *CSR) Degrees() []int32 {
-	d := make([]int32, c.NumRows)
-	for r := 0; r < c.NumRows; r++ {
-		d[r] = c.RowPtr[r+1] - c.RowPtr[r]
-	}
-	return d
-}
 
 // AvgDegree returns the mean number of entries per row.
 func (c *CSR) AvgDegree() float64 {

@@ -351,38 +351,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns how many observations the histogram has recorded.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Quantile estimates the q-quantile (0 < q <= 1) from the bucket counts:
-// linear interpolation inside the bucket holding the rank, the same
-// estimate Prometheus's histogram_quantile computes. Returns 0 with no
-// observations; observations above the top bucket clamp to its bound.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 || q <= 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, ub := range durationBuckets {
-		n := float64(h.buckets[i].Load())
-		if cum+n >= rank {
-			lb := 0.0
-			if i > 0 {
-				lb = durationBuckets[i-1]
-			}
-			if n == 0 {
-				return time.Duration(ub * float64(time.Second))
-			}
-			frac := (rank - cum) / n
-			return time.Duration((lb + (ub-lb)*frac) * float64(time.Second))
-		}
-		cum += n
-	}
-	return time.Duration(durationBuckets[len(durationBuckets)-1] * float64(time.Second))
-}
-
 func (h *Histogram) family() (string, string, string) { return h.name, h.help, "histogram" }
 
 // collect emits the cumulative _bucket series plus _sum and _count, per the

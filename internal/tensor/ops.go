@@ -20,16 +20,6 @@ func Add(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// Sub stores a-b into dst elementwise and returns dst.
-func Sub(dst, a, b *Tensor) *Tensor {
-	checkSame3(dst, a, b, "Sub")
-	da, db, dd := a.data, b.data, dst.data
-	for i := range dd {
-		dd[i] = da[i] - db[i]
-	}
-	return dst
-}
-
 // Mul stores a*b into dst elementwise and returns dst.
 func Mul(dst, a, b *Tensor) *Tensor {
 	checkSame3(dst, a, b, "Mul")

@@ -119,19 +119,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Reshape returns a view with a new shape covering the same storage. The
-// element count must be unchanged.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), shape, n))
-	}
-	return &Tensor{shape: append([]int(nil), shape...), data: t.data}
-}
-
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
 	clear(t.data)

@@ -93,17 +93,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestReshapeSharesStorage(t *testing.T) {
-	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	y := x.Reshape(3, 2)
-	y.Set(42, 2, 1)
-	if x.At(1, 2) != 42 {
-		t.Fatal("Reshape must alias storage")
-	}
-	defer expectPanic(t, "Reshape to wrong count")
-	x.Reshape(4, 2)
-}
-
 func TestZeroAndFill(t *testing.T) {
 	x := New(5)
 	x.Fill(3)
@@ -143,9 +132,6 @@ func TestElementwiseOps(t *testing.T) {
 	b := FromSlice([]float32{4, 5, -6}, 3)
 	if got := Add(New(3), a, b).Data(); got[0] != 5 || got[1] != 3 || got[2] != -3 {
 		t.Fatalf("Add = %v", got)
-	}
-	if got := Sub(New(3), a, b).Data(); got[0] != -3 || got[1] != -7 || got[2] != 9 {
-		t.Fatalf("Sub = %v", got)
 	}
 	if got := Mul(New(3), a, b).Data(); got[0] != 4 || got[1] != -10 || got[2] != -18 {
 		t.Fatalf("Mul = %v", got)

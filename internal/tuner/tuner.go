@@ -103,12 +103,3 @@ func GridGPUBlocks(dev *cudasim.Device, adj *sparse.CSR, x *tensor.Tensor, block
 	}
 	return cells, best, nil
 }
-
-// PowersOfTwo returns {1, 2, 4, ..., <= limit}, a convenient candidate set.
-func PowersOfTwo(limit int) []int {
-	var out []int
-	for v := 1; v <= limit; v *= 2 {
-		out = append(out, v)
-	}
-	return out
-}

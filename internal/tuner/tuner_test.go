@@ -64,19 +64,6 @@ func TestGridGPUBlocksPrefersMoreBlocks(t *testing.T) {
 	}
 }
 
-func TestPowersOfTwo(t *testing.T) {
-	got := PowersOfTwo(10)
-	want := []int{1, 2, 4, 8}
-	if len(got) != len(want) {
-		t.Fatalf("PowersOfTwo(10) = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("PowersOfTwo(10) = %v", got)
-		}
-	}
-}
-
 func TestSuccessiveHalvingFindsReasonableConfig(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	adj := sparse.Random(rng, 400, 400, 10)

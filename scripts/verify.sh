@@ -18,6 +18,10 @@ stage() {
 	case "$1" in
 	vet)
 		go vet ./...
+		# The exported-surface guard (surface_test.go): every exported name
+		# in internal/ has a non-test caller or an allowlist entry with its
+		# reason. -count=1, so a cached pass cannot hide a new name.
+		go test -count=1 -run '^TestExportedSurface' .
 		;;
 	build)
 		go build ./...
