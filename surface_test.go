@@ -55,7 +55,8 @@ func TestExportedSurfaceReportsFileLine(t *testing.T) {
 }
 
 // surfaceDecl is one exported declaration: its key ("internal/pkg.Name" or
-// "internal/pkg.Type.Method"), its kind and where it is declared.
+// "internal/pkg.Type.Method"), its kind, its method name (empty for a
+// top-level name) and where it is declared.
 type surfaceDecl struct {
 	key, kind, method string
 	pos               token.Position
