@@ -3,9 +3,11 @@ package core_test
 // The simulated GPU's cycle model is the GPU tier's measurement: the paper's
 // GPU tables and figures report it. This test pins RunStats.SimCycles for
 // every device block body on one fixed-seed graph, so a change to a body
-// that moves a count, by one cycle, fails here. The counts are a function
-// of the grid alone (blocks dispatched in index order to the least-loaded
-// simulated SM), so they hold at any GOMAXPROCS and under -race.
+// that moves a count, by one cycle, fails here. It pins the baselines' loops
+// the same way (the edge/ and cusparse/ rows), on that graph and on one whose
+// edges fill several edge-parallel blocks across the SMs. The counts are a
+// function of the grid alone (blocks dispatched in index order to the
+// least-loaded simulated SM), so they hold at any GOMAXPROCS and under -race.
 
 import (
 	"fmt"
@@ -14,9 +16,13 @@ import (
 
 	"featgraph/internal/core"
 	"featgraph/internal/cudasim"
+	"featgraph/internal/cusparse"
 	"featgraph/internal/expr"
 	"featgraph/internal/graphgen"
+	"featgraph/internal/gunrock"
+	"featgraph/internal/minigun"
 	"featgraph/internal/schedule"
+	"featgraph/internal/sparse"
 	"featgraph/internal/tensor"
 )
 
@@ -68,6 +74,35 @@ var goldenSimCycles = map[string]uint64{
 	"sddmm/multi-head featPar=true":  3360,
 	"fusedattn/fwd":                  3084,
 	"fusedattn/bwd":                  5202,
+
+	// The baselines on the fixture: 240 edges, one edge-parallel block.
+	"edge/gcn-agg":               105600,
+	"edge/mlp-agg":               480000,
+	"edge/dot":                   63840,
+	"edge/gather-src scale=nil":  57600,
+	"edge/gather-src scale=edge": 57600,
+	"edge/gather-dst scale=nil":  57600,
+	"edge/gather-dst scale=edge": 57600,
+	"edge/gather-dst scale=dst":  57600,
+	"edge/scatter-add":           105600,
+	"edge/edge-dot":              63840,
+	"cusparse/csrmm":             492,
+	"cusparse/constrained-gemm":  1740,
+
+	// The baselines on Skewed(400, 5, 1.3): 2 000 edges, eight edge-parallel
+	// blocks over the four SMs.
+	"edge/gcn-agg n=400":               225280,
+	"edge/mlp-agg n=400":               1024000,
+	"edge/dot n=400":                   136192,
+	"edge/gather-src scale=nil n=400":  122880,
+	"edge/gather-src scale=edge n=400": 122880,
+	"edge/gather-dst scale=nil n=400":  122880,
+	"edge/gather-dst scale=edge n=400": 122880,
+	"edge/gather-dst scale=dst n=400":  122880,
+	"edge/scatter-add n=400":           225280,
+	"edge/edge-dot n=400":              136192,
+	"cusparse/csrmm n=400":             4100,
+	"cusparse/constrained-gemm n=400":  14500,
 }
 
 func TestSimCyclesGolden(t *testing.T) {
@@ -159,6 +194,17 @@ func TestSimCyclesGolden(t *testing.T) {
 	bwd, err := core.BuildFusedAttentionBwd(a, a.Transpose(), x, y, alpha, deriv, dout, gpu)
 	record("fusedattn/bwd", bwd, "fusedattn.bwd", err)
 
+	big := graphgen.Skewed(rand.New(rand.NewSource(29)), 400, 5, 1.3)
+	for _, g := range []struct {
+		suffix string
+		a      *sparse.CSR
+	}{{"", a}, {" n=400", big}} {
+		baselineCycles(t, dev, g.a, d, d1, func(name string, cycles uint64) {
+			got[name+g.suffix] = cycles
+			names = append(names, name+g.suffix)
+		})
+	}
+
 	for _, name := range names {
 		if want, ok := goldenSimCycles[name]; !ok || got[name] != want {
 			t.Errorf("%q: %d, // SimCycles; golden %d", name, got[name], want)
@@ -167,4 +213,46 @@ func TestSimCyclesGolden(t *testing.T) {
 	if len(goldenSimCycles) != len(names) {
 		t.Errorf("golden table has %d cases, the test runs %d", len(goldenSimCycles), len(names))
 	}
+}
+
+// baselineCycles runs each baseline body once on a and reports its count.
+func baselineCycles(t *testing.T, dev *cudasim.Device, a *sparse.CSR, d, d1 int, report func(string, uint64)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(30))
+	n, m := a.NumRows, a.NNZ()
+	x, y, x6, w := randT(rng, n, d), randT(rng, n, d), randT(rng, n, d1), randT(rng, d1, d)
+	perEdge, perDst := randT(rng, m, 1).Data(), randT(rng, n, 1).Data()
+	out, msg, att := tensor.New(n, d), tensor.New(m, d), tensor.New(m, 1)
+	run := func(name string, cycles uint64, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		report(name, cycles)
+	}
+	gg, mg := gunrock.NewGraph(a), minigun.NewGraph(a)
+	c, err := gunrock.GCNAggregation(dev, gg, x, out)
+	run("edge/gcn-agg", c, err)
+	c, err = gunrock.MLPAggregation(dev, gg, x6, w, out)
+	run("edge/mlp-agg", c, err)
+	c, err = gunrock.DotAttention(dev, gg, x, att)
+	run("edge/dot", c, err)
+	c, err = mg.GatherSrc(dev, x, msg, nil)
+	run("edge/gather-src scale=nil", c, err)
+	c, err = mg.GatherSrc(dev, x, msg, perEdge)
+	run("edge/gather-src scale=edge", c, err)
+	c, err = mg.GatherDst(dev, x, msg, nil, false)
+	run("edge/gather-dst scale=nil", c, err)
+	c, err = mg.GatherDst(dev, x, msg, perEdge, true)
+	run("edge/gather-dst scale=edge", c, err)
+	c, err = mg.GatherDst(dev, x, msg, perDst, false)
+	run("edge/gather-dst scale=dst", c, err)
+	c, err = mg.ScatterAddByDst(dev, msg, out)
+	run("edge/scatter-add", c, err)
+	c, err = mg.EdgeDot(dev, x, y, att)
+	run("edge/edge-dot", c, err)
+	c, err = cusparse.CSRMM(dev, a, x, out)
+	run("cusparse/csrmm", c, err)
+	c, err = cusparse.ConstrainedGeMM(dev, a, x, y, att)
+	run("cusparse/constrained-gemm", c, err)
 }
