@@ -314,7 +314,7 @@ func BenchmarkTable4cGPUDot(b *testing.B) {
 	b.Run("Gunrock", func(b *testing.B) {
 		var total uint64
 		for i := 0; i < b.N; i++ {
-			c, err := gunrock.DotAttention(benchSetup.dev, benchSetup.gg, benchSetup.x, att)
+			c, err := gunrock.EdgeDot(benchSetup.dev, benchSetup.gg, benchSetup.x, benchSetup.x, att)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -111,7 +111,7 @@ func table4c(cfg *Config) error {
 			x := randX(cfg.Seed, ds.Adj.NumRows, d)
 			att := tensor.New(ds.Adj.NNZ(), 1)
 
-			gunCycles, err := gunrock.DotAttention(dev, gg, x, att)
+			gunCycles, err := gunrock.EdgeDot(dev, gg, x, x, att)
 			if err != nil {
 				return err
 			}
@@ -150,7 +150,7 @@ func fig12(cfg *Config) error {
 	for _, d := range cfg.FeatLens {
 		x := randX(cfg.Seed, ds.Adj.NumRows, d)
 		att := tensor.New(ds.Adj.NNZ(), 1)
-		gunCycles, err := gunrock.DotAttention(dev, gg, x, att)
+		gunCycles, err := gunrock.EdgeDot(dev, gg, x, x, att)
 		if err != nil {
 			return err
 		}

@@ -20,7 +20,6 @@ import (
 	"featgraph/internal/expr"
 	"featgraph/internal/graphgen"
 	"featgraph/internal/gunrock"
-	"featgraph/internal/minigun"
 	"featgraph/internal/schedule"
 	"featgraph/internal/sparse"
 	"featgraph/internal/tensor"
@@ -230,26 +229,26 @@ func baselineCycles(t *testing.T, dev *cudasim.Device, a *sparse.CSR, d, d1 int,
 		}
 		report(name, cycles)
 	}
-	gg, mg := gunrock.NewGraph(a), minigun.NewGraph(a)
-	c, err := gunrock.GCNAggregation(dev, gg, x, out)
+	g := gunrock.NewGraph(a)
+	c, err := gunrock.GCNAggregation(dev, g, x, out)
 	run("edge/gcn-agg", c, err)
-	c, err = gunrock.MLPAggregation(dev, gg, x6, w, out)
+	c, err = gunrock.MLPAggregation(dev, g, x6, w, out)
 	run("edge/mlp-agg", c, err)
-	c, err = gunrock.DotAttention(dev, gg, x, att)
+	c, err = gunrock.EdgeDot(dev, g, x, x, att) // dot-product attention
 	run("edge/dot", c, err)
-	c, err = mg.GatherSrc(dev, x, msg, nil)
+	c, err = gunrock.GatherSrc(dev, g, x, msg, nil)
 	run("edge/gather-src scale=nil", c, err)
-	c, err = mg.GatherSrc(dev, x, msg, perEdge)
+	c, err = gunrock.GatherSrc(dev, g, x, msg, perEdge)
 	run("edge/gather-src scale=edge", c, err)
-	c, err = mg.GatherDst(dev, x, msg, nil, false)
+	c, err = gunrock.GatherDst(dev, g, x, msg, nil, false)
 	run("edge/gather-dst scale=nil", c, err)
-	c, err = mg.GatherDst(dev, x, msg, perEdge, true)
+	c, err = gunrock.GatherDst(dev, g, x, msg, perEdge, true)
 	run("edge/gather-dst scale=edge", c, err)
-	c, err = mg.GatherDst(dev, x, msg, perDst, false)
+	c, err = gunrock.GatherDst(dev, g, x, msg, perDst, false)
 	run("edge/gather-dst scale=dst", c, err)
-	c, err = mg.ScatterAddByDst(dev, msg, out)
+	c, err = gunrock.ScatterAddByDst(dev, g, msg, out)
 	run("edge/scatter-add", c, err)
-	c, err = mg.EdgeDot(dev, x, y, att)
+	c, err = gunrock.EdgeDot(dev, g, x, y, att)
 	run("edge/edge-dot", c, err)
 	c, err = cusparse.CSRMM(dev, a, x, out)
 	run("cusparse/csrmm", c, err)

@@ -24,7 +24,7 @@ import (
 	"featgraph/internal/admission"
 	"featgraph/internal/core"
 	"featgraph/internal/cudasim"
-	"featgraph/internal/minigun"
+	"featgraph/internal/gunrock"
 	"featgraph/internal/partition"
 	"featgraph/internal/sparse"
 )
@@ -85,9 +85,9 @@ type Graph struct {
 	segOnce   sync.Once
 	segChunks []partition.Range
 
-	// Minigun views for the naive GPU backend, built lazily.
-	mgAdj  *minigun.Graph
-	mgAdjT *minigun.Graph
+	// Edge-list views for the naive GPU backend, built lazily.
+	edgesAdj *gunrock.Graph
+	edgesT   *gunrock.Graph
 
 	// Stats for work outside kernel runs, accumulated until ResetStats:
 	// naive message materialization, EdgeSoftmax and DenseMatMul. Kernel

@@ -5,7 +5,7 @@ import (
 	"sync"
 
 	"featgraph/internal/core"
-	"featgraph/internal/minigun"
+	"featgraph/internal/gunrock"
 	"featgraph/internal/sparse"
 	"featgraph/internal/tensor"
 )
@@ -14,25 +14,25 @@ import (
 // without FeatGraph. Every gather allocates an |E|×d message tensor
 // (tracked in MsgBytes — the memory cost that makes GAT training run out
 // of GPU memory in the paper's Table VI). On the GPU target the primitives
-// run through the minigun package — DGL's original Gunrock-like kernel
-// interface — with blackbox serial per-edge feature loops and atomic
-// aggregation.
+// run through the gunrock package's Minigun builtins — DGL's original
+// Gunrock-like kernel interface — with blackbox serial per-edge feature
+// loops and atomic aggregation.
 
 func exp64(x float64) float64 { return math.Exp(x) }
 
-// mg returns the lazily built minigun view of adj (the adjacency or its
-// transpose).
-func (g *Graph) mg(adj *sparse.CSR) *minigun.Graph {
+// edges returns the lazily built edge-list view of adj (the adjacency or
+// its transpose).
+func (g *Graph) edges(adj *sparse.CSR) *gunrock.Graph {
 	if adj == g.adjT {
-		if g.mgAdjT == nil {
-			g.mgAdjT = minigun.NewGraph(g.adjT)
+		if g.edgesT == nil {
+			g.edgesT = gunrock.NewGraph(g.adjT)
 		}
-		return g.mgAdjT
+		return g.edgesT
 	}
-	if g.mgAdj == nil {
-		g.mgAdj = minigun.NewGraph(g.adj)
+	if g.edgesAdj == nil {
+		g.edgesAdj = gunrock.NewGraph(g.adj)
 	}
-	return g.mgAdj
+	return g.edgesAdj
 }
 
 // naiveGather materializes msg[e] = scale[e] * x[src(e)] (scale nil = 1).
@@ -41,9 +41,9 @@ func (g *Graph) naiveGather(adj *sparse.CSR, x *tensor.Tensor, scale []float32, 
 	msg := tensor.New(m, d)
 	g.MsgBytes += uint64(4 * m * d)
 	if g.cfg.Target == core.GPU {
-		cycles, err := g.mg(adj).GatherSrc(g.cfg.Device, x, msg, scale)
+		cycles, err := gunrock.GatherSrc(g.cfg.Device, g.edges(adj), x, msg, scale)
 		if err != nil {
-			panic("dgl: minigun gather: " + err.Error())
+			panic("dgl: gunrock gather: " + err.Error())
 		}
 		g.SimCycles += cycles
 		return msg
@@ -76,9 +76,9 @@ func (g *Graph) naiveGatherByDst(adj *sparse.CSR, x *tensor.Tensor, scale []floa
 	msg := tensor.New(m, d)
 	g.MsgBytes += uint64(4 * m * d)
 	if g.cfg.Target == core.GPU {
-		cycles, err := g.mg(adj).GatherDst(g.cfg.Device, x, msg, scale, perEdge)
+		cycles, err := gunrock.GatherDst(g.cfg.Device, g.edges(adj), x, msg, scale, perEdge)
 		if err != nil {
-			panic("dgl: minigun gather-dst: " + err.Error())
+			panic("dgl: gunrock gather-dst: " + err.Error())
 		}
 		g.SimCycles += cycles
 		return msg
@@ -109,14 +109,14 @@ func (g *Graph) naiveGatherByDst(adj *sparse.CSR, x *tensor.Tensor, scale []floa
 
 // naiveScatterAdd reduces messages into destinations: out[v] += msg[e] for
 // every edge e into v, optionally dividing by the in-degree (mean). On GPU
-// this is minigun's atomic edge-parallel reduction.
+// this is gunrock's atomic edge-parallel reduction.
 func (g *Graph) naiveScatterAdd(adj *sparse.CSR, msg, out *tensor.Tensor, mean bool) {
 	d := out.Dim(1)
 	md, od := msg.Data(), out.Data()
 	if g.cfg.Target == core.GPU {
-		cycles, err := g.mg(adj).ScatterAddByDst(g.cfg.Device, msg, out)
+		cycles, err := gunrock.ScatterAddByDst(g.cfg.Device, g.edges(adj), msg, out)
 		if err != nil {
-			panic("dgl: minigun scatter: " + err.Error())
+			panic("dgl: gunrock scatter: " + err.Error())
 		}
 		g.SimCycles += cycles
 	} else {
@@ -150,9 +150,9 @@ func (g *Graph) naiveScatterAdd(adj *sparse.CSR, msg, out *tensor.Tensor, mean b
 func (g *Graph) naiveEdgeDot(x, y *tensor.Tensor, out *tensor.Tensor) {
 	d := x.Dim(1)
 	if g.cfg.Target == core.GPU {
-		cycles, err := g.mg(g.adj).EdgeDot(g.cfg.Device, x, y, out)
+		cycles, err := gunrock.EdgeDot(g.cfg.Device, g.edges(g.adj), x, y, out)
 		if err != nil {
-			panic("dgl: minigun edge dot: " + err.Error())
+			panic("dgl: gunrock edge dot: " + err.Error())
 		}
 		g.SimCycles += cycles
 		return

@@ -19,44 +19,54 @@ func setup(t *testing.T, seed int64, n, deg int) (*Graph, *cudasim.Device, *spar
 	return NewGraph(csr), cudasim.NewDevice(cudasim.Config{NumSMs: 4}), csr
 }
 
+func randT(seed int64, shape ...int) *tensor.Tensor {
+	rng := rand.New(rand.NewSource(seed))
+	x := tensor.New(shape...)
+	x.FillUniform(rng, -1, 1)
+	return x
+}
+
 func TestAdvanceVisitsEveryEdgeOnce(t *testing.T) {
-	g, dev, csr := setup(t, 1, 40, 5)
-	visits := make([]int32, csr.NNZ())
-	cycles, err := Advance(dev, g, func(b *cudasim.Block, src, dst, eid int32) {
-		atomic.AddInt32(&visits[eid], 1)
-		b.Charge(1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cycles == 0 {
-		t.Fatal("Advance should charge cycles")
-	}
-	for e, v := range visits {
-		if v != 1 {
-			t.Fatalf("edge %d visited %d times", e, v)
+	// 400 vertices of degree 5 fill eight 256-thread blocks, so every block
+	// but the last is full and the grid spans all four SMs.
+	for _, n := range []int{40, 400} {
+		g, dev, csr := setup(t, 1, n, 5)
+		visits := make([]int32, csr.NNZ())
+		cycles, err := Advance(dev, g, func(b *cudasim.Block, src, dst, eid int32) {
+			atomic.AddInt32(&visits[eid], 1)
+			b.Charge(1)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cycles == 0 {
+			t.Fatal("Advance should charge cycles")
+		}
+		for e, v := range visits {
+			if v != 1 {
+				t.Fatalf("n=%d: edge %d visited %d times", n, e, v)
+			}
 		}
 	}
 }
 
-func TestAdvanceEmptyGraphErrors(t *testing.T) {
+func TestAdvanceEmptyGraph(t *testing.T) {
 	csr, err := sparse.FromCOO(&sparse.COO{NumRows: 3, NumCols: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGraph(csr)
-	dev := cudasim.NewDevice(cudasim.Config{})
-	if _, err := Advance(dev, g, func(*cudasim.Block, int32, int32, int32) {}); err == nil {
-		t.Fatal("empty graph should error")
+	cycles, err := Advance(cudasim.NewDevice(cudasim.Config{}), NewGraph(csr), func(*cudasim.Block, int32, int32, int32) {
+		t.Fatal("kernel should not run")
+	})
+	if err != nil || cycles != 0 {
+		t.Fatalf("empty advance: cycles=%d err=%v", cycles, err)
 	}
 }
 
 func TestGCNAggregationMatchesReference(t *testing.T) {
 	g, dev, csr := setup(t, 2, 40, 5)
 	const d = 16
-	rng := rand.New(rand.NewSource(3))
-	x := tensor.New(g.N, d)
-	x.FillUniform(rng, -1, 1)
+	x := randT(3, g.N, d)
 	want, err := core.ReferenceSpMM(csr, expr.CopySrc(g.N, d), []*tensor.Tensor{x}, core.AggSum)
 	if err != nil {
 		t.Fatal(err)
@@ -96,22 +106,131 @@ func TestMLPAggregationMatchesReference(t *testing.T) {
 	}
 }
 
+// TestDotAttentionMatchesReference checks EdgeDot against the SDDMM
+// reference for x[src]·y[dst], and with y = x, which is dot-product
+// attention.
 func TestDotAttentionMatchesReference(t *testing.T) {
 	g, dev, csr := setup(t, 6, 30, 4)
 	const d = 32
-	rng := rand.New(rand.NewSource(7))
-	x := tensor.New(g.N, d)
-	x.FillUniform(rng, -1, 1)
-	want, err := core.ReferenceSDDMM(csr, expr.DotAttention(g.N, d), []*tensor.Tensor{x})
+	b := expr.NewBuilder()
+	xp, yp := b.Placeholder("X", g.N, d), b.Placeholder("Y", g.N, d)
+	i, k := b.OutAxis("i", 1), b.ReduceAxis("k", d)
+	srcDst := b.UDF(expr.Sum(k, expr.Mul(xp.At(expr.Src, k), yp.At(expr.Dst, k))), i)
+	x, y := randT(7, g.N, d), randT(8, g.N, d)
+	for _, c := range []struct {
+		name string
+		udf  *expr.UDF
+		ref  []*tensor.Tensor
+		y    *tensor.Tensor
+	}{
+		{"y", srcDst, []*tensor.Tensor{x, y}, y},
+		{"y=x", expr.DotAttention(g.N, d), []*tensor.Tensor{x}, x},
+	} {
+		want, err := core.ReferenceSDDMM(csr, c.udf, c.ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		att := tensor.New(csr.NNZ(), 1)
+		if _, err := EdgeDot(dev, g, x, c.y, att); err != nil {
+			t.Fatal(err)
+		}
+		if !att.AllClose(want, 1e-3) {
+			t.Fatalf("%s: max diff %v", c.name, att.MaxAbsDiff(want))
+		}
+	}
+}
+
+func TestGatherScatterComposeToSpMM(t *testing.T) {
+	// gather-src followed by scatter-add is exactly copy-src + sum.
+	g, dev, csr := setup(t, 2, 25, 4)
+	const d = 8
+	x := randT(3, 25, d)
+	want, err := core.ReferenceSpMM(csr, expr.CopySrc(25, d), []*tensor.Tensor{x}, core.AggSum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	att := tensor.New(csr.NNZ(), 1)
-	if _, err := DotAttention(dev, g, x, att); err != nil {
+	msg := tensor.New(csr.NNZ(), d)
+	if _, err := GatherSrc(dev, g, x, msg, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !att.AllClose(want, 1e-3) {
-		t.Fatalf("max diff %v", att.MaxAbsDiff(want))
+	out := tensor.New(25, d)
+	if _, err := ScatterAddByDst(dev, g, msg, out); err != nil {
+		t.Fatal(err)
+	}
+	if !out.AllClose(want, 1e-3) {
+		t.Fatalf("max diff %v", out.MaxAbsDiff(want))
+	}
+}
+
+func TestGatherSrcScaled(t *testing.T) {
+	g, dev, csr := setup(t, 4, 10, 2)
+	const d = 4
+	x := randT(5, 10, d)
+	scale := make([]float32, csr.NNZ())
+	for i := range scale {
+		scale[i] = float32(i)
+	}
+	msg := tensor.New(csr.NNZ(), d)
+	if _, err := GatherSrc(dev, g, x, msg, scale); err != nil {
+		t.Fatal(err)
+	}
+	// Check one edge directly.
+	e := csr.NNZ() / 2
+	src := g.Edges.Col[e]
+	eid := g.Edges.EID[e]
+	for f := 0; f < d; f++ {
+		want := scale[eid] * x.At(int(src), f)
+		if msg.At(int(eid), f) != want {
+			t.Fatalf("scaled gather wrong at edge %d", e)
+		}
+	}
+}
+
+func TestGatherDstVariants(t *testing.T) {
+	g, dev, csr := setup(t, 6, 10, 2)
+	const d = 4
+	x := randT(7, 10, d)
+	msg := tensor.New(csr.NNZ(), d)
+
+	perVertex := make([]float32, 10)
+	for i := range perVertex {
+		perVertex[i] = float32(i + 1)
+	}
+	if _, err := GatherDst(dev, g, x, msg, perVertex, false); err != nil {
+		t.Fatal(err)
+	}
+	e := csr.NNZ() - 1
+	dst, eid := g.Edges.Row[e], g.Edges.EID[e]
+	if msg.At(int(eid), 0) != perVertex[dst]*x.At(int(dst), 0) {
+		t.Fatal("per-vertex scaled gather-dst wrong")
+	}
+
+	perEdge := make([]float32, csr.NNZ())
+	for i := range perEdge {
+		perEdge[i] = 0.5
+	}
+	if _, err := GatherDst(dev, g, x, msg, perEdge, true); err != nil {
+		t.Fatal(err)
+	}
+	if msg.At(int(eid), 1) != 0.5*x.At(int(dst), 1) {
+		t.Fatal("per-edge scaled gather-dst wrong")
+	}
+}
+
+func TestShapeValidation(t *testing.T) {
+	g, dev, csr := setup(t, 10, 8, 2)
+	x := tensor.New(8, 4)
+	if _, err := GatherSrc(dev, g, x, tensor.New(csr.NNZ(), 5), nil); err == nil {
+		t.Error("gather msg width mismatch should error")
+	}
+	if _, err := GatherDst(dev, g, x, tensor.New(csr.NNZ()+1, 4), nil, false); err == nil {
+		t.Error("gather-dst msg rows mismatch should error")
+	}
+	if _, err := ScatterAddByDst(dev, g, tensor.New(csr.NNZ(), 5), tensor.New(8, 4)); err == nil {
+		t.Error("scatter width mismatch should error")
+	}
+	if _, err := EdgeDot(dev, g, x, tensor.New(8, 5), tensor.New(csr.NNZ(), 1)); err == nil {
+		t.Error("dot width mismatch should error")
 	}
 }
 
@@ -121,9 +240,7 @@ func TestGunrockPaysAtomicPenaltyVsFeatGraph(t *testing.T) {
 	// lower on vertex-wise reductions.
 	g, dev, csr := setup(t, 8, 60, 8)
 	const d = 32
-	rng := rand.New(rand.NewSource(9))
-	x := tensor.New(g.N, d)
-	x.FillUniform(rng, -1, 1)
+	x := randT(9, g.N, d)
 
 	out := tensor.New(g.N, d)
 	gunCycles, err := GCNAggregation(dev, g, x, out)
