@@ -111,7 +111,7 @@ func MLPAggregation(dev *cudasim.Device, g *Graph, x, w, out *tensor.Tensor) (ui
 	})
 }
 
-// checkMsg reports whether msg is the [|E|, d] message tensor of g.
+// checkMsg returns an error unless msg is an [|E|, d] message tensor of g.
 func checkMsg(g *Graph, msg *tensor.Tensor, d int) error {
 	if msg.Dim(0) != g.NNZ() || msg.Dim(1) != d {
 		return fmt.Errorf("gunrock: msg shape %v, want [%d %d]", msg.Shape(), g.NNZ(), d)

@@ -235,7 +235,9 @@ func TestBatcherWindowCoalescing(t *testing.T) {
 
 func TestServeTenantQuotaShed(t *testing.T) {
 	adj, feats, model := testFixture(t, 100, 4, 8, 6)
-	q := admission.NewTenantQuotas(admission.QuotaConfig{RatePerSec: 500, Burst: 3})
+	// At 20/s a token refills in 50 ms, far longer than the four requests
+	// below take on a loaded host, so the fourth is shed.
+	q := admission.NewTenantQuotas(admission.QuotaConfig{RatePerSec: 20, Burst: 3})
 	b, err := New(adj, feats, model, Config{
 		Fanouts: []int{3}, NumThreads: 1, Quota: q,
 	})
