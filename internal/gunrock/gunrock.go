@@ -42,9 +42,18 @@ func (g *Graph) NNZ() int { return len(g.Edges.Row) }
 type EdgeFunc func(b *cudasim.Block, src, dst, eid int32)
 
 // Advance applies fn to every edge, one edge per thread (256-thread
-// blocks, grid-strided), and returns the simulated cycle count. Zero-edge
-// graphs advance trivially.
+// blocks, grid-strided), and returns the simulated cycle count. A
+// zero-edge graph is an error.
 func Advance(dev *cudasim.Device, g *Graph, fn EdgeFunc) (uint64, error) {
+	if g.NNZ() == 0 {
+		return 0, fmt.Errorf("gunrock: empty graph")
+	}
+	return advance(dev, g, fn)
+}
+
+// advance is Advance for the Minigun builtins, which advance a zero-edge
+// graph trivially: DGL's naive GPU path runs them on edgeless graphs.
+func advance(dev *cudasim.Device, g *Graph, fn EdgeFunc) (uint64, error) {
 	nnz := g.NNZ()
 	if nnz == 0 {
 		return 0, nil
@@ -138,7 +147,7 @@ func gather(dev *cudasim.Device, g *Graph, x, msg *tensor.Tensor, scale []float3
 		return 0, err
 	}
 	xd, md := x.Data(), msg.Data()
-	return Advance(dev, g, func(b *cudasim.Block, src, dst, eid int32) {
+	return advance(dev, g, func(b *cudasim.Block, src, dst, eid int32) {
 		v, s := src, float32(1)
 		if byDst {
 			v = dst
@@ -167,7 +176,7 @@ func ScatterAddByDst(dev *cudasim.Device, g *Graph, msg, out *tensor.Tensor) (ui
 		return 0, err
 	}
 	md, od := msg.Data(), out.Data()
-	return Advance(dev, g, func(b *cudasim.Block, src, dst, eid int32) {
+	return advance(dev, g, func(b *cudasim.Block, src, dst, eid int32) {
 		row := md[int(eid)*d : int(eid)*d+d]
 		base := int(dst) * d
 		for f := 0; f < d; f++ {
@@ -186,7 +195,7 @@ func EdgeDot(dev *cudasim.Device, g *Graph, x, y, out *tensor.Tensor) (uint64, e
 		return 0, fmt.Errorf("gunrock: operand widths differ: %d vs %d", d, y.Dim(1))
 	}
 	xd, yd, od := x.Data(), y.Data(), out.Data()
-	return Advance(dev, g, func(b *cudasim.Block, src, dst, eid int32) {
+	return advance(dev, g, func(b *cudasim.Block, src, dst, eid int32) {
 		xrow := xd[int(src)*d : int(src)*d+d]
 		yrow := yd[int(dst)*d : int(dst)*d+d]
 		var s float32

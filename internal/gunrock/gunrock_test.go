@@ -26,36 +26,63 @@ func randT(seed int64, shape ...int) *tensor.Tensor {
 	return x
 }
 
-func TestAdvanceVisitsEveryEdgeOnce(t *testing.T) {
-	// 400 vertices of degree 5 fill eight 256-thread blocks, so every block
-	// but the last is full and the grid spans all four SMs.
-	for _, n := range []int{40, 400} {
-		g, dev, csr := setup(t, 1, n, 5)
-		visits := make([]int32, csr.NNZ())
-		cycles, err := Advance(dev, g, func(b *cudasim.Block, src, dst, eid int32) {
-			atomic.AddInt32(&visits[eid], 1)
-			b.Charge(1)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cycles == 0 {
-			t.Fatal("Advance should charge cycles")
-		}
-		for e, v := range visits {
-			if v != 1 {
-				t.Fatalf("n=%d: edge %d visited %d times", n, e, v)
-			}
+// checkEveryEdgeOnce runs adv over a random graph of n vertices and
+// degree deg and fails unless every edge is visited exactly once.
+func checkEveryEdgeOnce(t *testing.T, adv func(*cudasim.Device, *Graph, EdgeFunc) (uint64, error), seed int64, n, deg int) {
+	t.Helper()
+	g, dev, csr := setup(t, seed, n, deg)
+	visits := make([]int32, csr.NNZ())
+	cycles, err := adv(dev, g, func(b *cudasim.Block, src, dst, eid int32) {
+		atomic.AddInt32(&visits[eid], 1)
+		b.Charge(1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cycles == 0 {
+		t.Fatal("advance should charge cycles")
+	}
+	for e, v := range visits {
+		if v != 1 {
+			t.Fatalf("n=%d: edge %d visited %d times", n, e, v)
 		}
 	}
 }
 
+func TestAdvanceVisitsEveryEdgeOnce(t *testing.T) {
+	// 400 vertices of degree 5 fill eight 256-thread blocks, so every block
+	// but the last is full and the grid spans all four SMs.
+	for _, n := range []int{40, 400} {
+		checkEveryEdgeOnce(t, Advance, 1, n, 5)
+	}
+}
+
+// TestAdvanceCoversEdges checks the builtins' advance, which differs from
+// Advance only on empty graphs.
+func TestAdvanceCoversEdges(t *testing.T) {
+	checkEveryEdgeOnce(t, advance, 1, 30, 4)
+}
+
+func TestAdvanceEmptyGraphErrors(t *testing.T) {
+	csr, err := sparse.FromCOO(&sparse.COO{NumRows: 3, NumCols: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGraph(csr)
+	dev := cudasim.NewDevice(cudasim.Config{})
+	if _, err := Advance(dev, g, func(*cudasim.Block, int32, int32, int32) {}); err == nil {
+		t.Fatal("empty graph should error")
+	}
+}
+
+// TestAdvanceEmptyGraph checks that the builtins advance a zero-edge graph
+// trivially, without launching a kernel.
 func TestAdvanceEmptyGraph(t *testing.T) {
 	csr, err := sparse.FromCOO(&sparse.COO{NumRows: 3, NumCols: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cycles, err := Advance(cudasim.NewDevice(cudasim.Config{}), NewGraph(csr), func(*cudasim.Block, int32, int32, int32) {
+	cycles, err := advance(cudasim.NewDevice(cudasim.Config{}), NewGraph(csr), func(*cudasim.Block, int32, int32, int32) {
 		t.Fatal("kernel should not run")
 	})
 	if err != nil || cycles != 0 {
@@ -106,37 +133,45 @@ func TestMLPAggregationMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDotAttentionMatchesReference checks EdgeDot against the SDDMM
-// reference for x[src]·y[dst], and with y = x, which is dot-product
-// attention.
+// TestDotAttentionMatchesReference checks EdgeDot(x, x), dot-product
+// attention, against the SDDMM reference.
 func TestDotAttentionMatchesReference(t *testing.T) {
 	g, dev, csr := setup(t, 6, 30, 4)
 	const d = 32
+	x := randT(7, g.N, d)
+	want, err := core.ReferenceSDDMM(csr, expr.DotAttention(g.N, d), []*tensor.Tensor{x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	att := tensor.New(csr.NNZ(), 1)
+	if _, err := EdgeDot(dev, g, x, x, att); err != nil {
+		t.Fatal(err)
+	}
+	if !att.AllClose(want, 1e-3) {
+		t.Fatalf("max diff %v", att.MaxAbsDiff(want))
+	}
+}
+
+// TestEdgeDotMatchesReference checks EdgeDot against the SDDMM reference
+// for x[src]·y[dst] with distinct operands.
+func TestEdgeDotMatchesReference(t *testing.T) {
+	g, dev, csr := setup(t, 8, 20, 3)
+	const d = 16
 	b := expr.NewBuilder()
 	xp, yp := b.Placeholder("X", g.N, d), b.Placeholder("Y", g.N, d)
 	i, k := b.OutAxis("i", 1), b.ReduceAxis("k", d)
-	srcDst := b.UDF(expr.Sum(k, expr.Mul(xp.At(expr.Src, k), yp.At(expr.Dst, k))), i)
-	x, y := randT(7, g.N, d), randT(8, g.N, d)
-	for _, c := range []struct {
-		name string
-		udf  *expr.UDF
-		ref  []*tensor.Tensor
-		y    *tensor.Tensor
-	}{
-		{"y", srcDst, []*tensor.Tensor{x, y}, y},
-		{"y=x", expr.DotAttention(g.N, d), []*tensor.Tensor{x}, x},
-	} {
-		want, err := core.ReferenceSDDMM(csr, c.udf, c.ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		att := tensor.New(csr.NNZ(), 1)
-		if _, err := EdgeDot(dev, g, x, c.y, att); err != nil {
-			t.Fatal(err)
-		}
-		if !att.AllClose(want, 1e-3) {
-			t.Fatalf("%s: max diff %v", c.name, att.MaxAbsDiff(want))
-		}
+	udf := b.UDF(expr.Sum(k, expr.Mul(xp.At(expr.Src, k), yp.At(expr.Dst, k))), i)
+	x, y := randT(9, g.N, d), randT(10, g.N, d)
+	want, err := core.ReferenceSDDMM(csr, udf, []*tensor.Tensor{x, y})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := tensor.New(csr.NNZ(), 1)
+	if _, err := EdgeDot(dev, g, x, y, out); err != nil {
+		t.Fatal(err)
+	}
+	if !out.AllClose(want, 1e-3) {
+		t.Fatalf("max diff %v", out.MaxAbsDiff(want))
 	}
 }
 
