@@ -169,9 +169,10 @@ func secs(s float64) string {
 	}
 }
 
-// cyc formats simulated cycles as milliseconds at a nominal 1 GHz.
+// cyc formats simulated cycles exactly, so a diff of two runs' GPU tables
+// shows any change in a cycle charge.
 func cyc(c uint64) string {
-	return fmt.Sprintf("%.2fms", float64(c)/1e6)
+	return fmt.Sprintf("%dcyc", c)
 }
 
 // ratio formats a/b as "N.Nx".

@@ -25,7 +25,7 @@ func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 func table4a(cfg *Config) error {
 	dev := cfg.Device()
 	tbl := &Table{
-		Title:   "GPU GCN aggregation (simulated cycles as ms @ 1 GHz)",
+		Title:   "GPU GCN aggregation (simulated cycles)",
 		Columns: []string{"dataset", "d", "Gunrock", "cuSPARSE", "FeatGraph", "FG vs Gunrock", "FG vs cuSPARSE"},
 	}
 	for _, ds := range cfg.Datasets() {
@@ -66,7 +66,7 @@ func table4b(cfg *Config) error {
 	const d1 = 8
 	dev := cfg.Device()
 	tbl := &Table{
-		Title:   "GPU MLP aggregation, d1=8 (simulated cycles as ms @ 1 GHz; cuSPARSE cannot express this)",
+		Title:   "GPU MLP aggregation, d1=8 (simulated cycles; cuSPARSE cannot express this)",
 		Columns: []string{"dataset", "d2", "Gunrock", "FeatGraph", "FG vs Gunrock"},
 	}
 	for _, ds := range cfg.Datasets() {
@@ -102,7 +102,7 @@ func table4b(cfg *Config) error {
 func table4c(cfg *Config) error {
 	dev := cfg.Device()
 	tbl := &Table{
-		Title:   "GPU dot-product attention (simulated cycles as ms @ 1 GHz; cuSPARSE via ConstrainedGeMM, paper footnote 3)",
+		Title:   "GPU dot-product attention (simulated cycles; cuSPARSE via ConstrainedGeMM, paper footnote 3)",
 		Columns: []string{"dataset", "d", "Gunrock", "cuSPARSE", "FeatGraph", "FG vs Gunrock"},
 	}
 	for _, ds := range cfg.Datasets() {
@@ -236,7 +236,7 @@ func fig15(cfg *Config) error {
 	}
 	tbl := &Table{
 		Title:   fmt.Sprintf("CUDA-block sensitivity on %s, d=%d", ds.Name, d),
-		Columns: []string{"blocks", "sim time"},
+		Columns: []string{"blocks", "sim cycles"},
 	}
 	for _, c := range cells {
 		tbl.Rows = append(tbl.Rows, []string{fmt.Sprint(c.Blocks), cyc(c.SimCycles)})

@@ -223,7 +223,7 @@ func TestBlockedLoopsMatchReferenceOnTails(t *testing.T) {
 // on a, each twice (runTwice), against the float64 references within the
 // fused tests' tolerances, checks that every non-empty row's α sums to 1,
 // and returns the forward's output and the backward's gradient. Odd
-// in-degrees reach dotRows' leftover edge, odd out-degrees scaledSumRows2's.
+// in-degrees reach vec.DotRows' leftover edge, odd out-degrees scaledSumRows2's.
 func requireFusedMatchesReference(t *testing.T, what string, a *sparse.CSR, x, y, dout *tensor.Tensor, opts core.Options) (out, grad *tensor.Tensor) {
 	t.Helper()
 	n, d := a.NumRows, x.Dim(1)

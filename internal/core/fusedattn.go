@@ -255,8 +255,8 @@ func (k *FusedAttnKernel) runCPU(ctx context.Context, out *tensor.Tensor) (RunSt
 }
 
 // fwdRows runs the fused forward for destination rows [rlo, rhi), one body
-// for every feature width: raw scores four in-edges at a time (dotRows,
-// which prefetches the in-edge rows two passes ahead), the score transform
+// for every feature width: raw scores from one vec.DotRows walk over the
+// in-edges (which prefetches the rows two groups ahead), the score transform
 // with the row maximum, vec.ExpShiftSum's one exponential per edge, α into
 // the alpha buffer, and vec.ScaledSumRows reading α back by edge id to fold
 // four neighbours per group into the output row. out rows must be pre-zeroed.
@@ -279,7 +279,7 @@ func (k *FusedAttnKernel) fwdRows(out *tensor.Tensor, sc *fusedAttnScratch, rlo,
 		}
 		cols, eids := adj.ColIdx[lo:hi], adj.EID[lo:hi]
 		scores := sc.scores[:hi-lo]
-		dotRows(scores, xd, xs, cols, yd[v*ys:v*ys+d])
+		vec.DotRows(scores, xd, xs, cols, yd[v*ys:v*ys+d])
 
 		// The scores are buffered, so the sum waits for vec.ExpShiftSum: one
 		// exponential per edge serves both the sum and the probabilities.

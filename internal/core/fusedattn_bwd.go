@@ -243,7 +243,7 @@ func (k *FusedAttnBwdKernel) runCPU(ctx context.Context, out *tensor.Tensor) (Ru
 // bwdDstRows runs phase 1 for destination rows [rlo, rhi): per-edge dα,
 // the softmax Jacobian's row reduction, dE, and the dY accumulation. Writes
 // dE into dEdge[eid] and dY into out rows NumCols+v. One body for every
-// width: dα four in-edges at a time (dotRows, against the dOut row each),
+// width: dα, one vec.DotRows walk of the in-edge rows against the dOut row,
 // then vec.ScaledSumRows folds dE·x four neighbours per group.
 func (k *FusedAttnBwdKernel) bwdDstRows(out *tensor.Tensor, dEdge []float32, sc *fusedAttnScratch, rlo, rhi int) {
 	adj := k.adj
@@ -261,7 +261,7 @@ func (k *FusedAttnBwdKernel) bwdDstRows(out *tensor.Tensor, dEdge []float32, sc 
 		}
 		cols, eids := adj.ColIdx[lo:hi], adj.EID[lo:hi]
 		dA := sc.scores[:hi-lo]
-		dotRows(dA, xd, xs, cols, gd[v*gs:v*gs+d])
+		vec.DotRows(dA, xd, xs, cols, gd[v*gs:v*gs+d])
 
 		// The Jacobian's row dot Σ α·dα accumulates in float64 to match the
 		// 3-pass edge softmax's backward, which the oracle diffs against

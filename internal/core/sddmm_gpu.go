@@ -7,9 +7,9 @@ import (
 	"featgraph/internal/codegen"
 	"featgraph/internal/cudasim"
 	"featgraph/internal/expr"
-	"featgraph/internal/partition"
 	"featgraph/internal/schedule"
 	"featgraph/internal/tensor"
+	"featgraph/internal/vec"
 	"featgraph/internal/workpool"
 )
 
@@ -123,21 +123,22 @@ func (k *SDDMMKernel) runGPU(ctx context.Context, out *tensor.Tensor) (RunStats,
 	return RunStats{SimCycles: stats.SimCycles, EdgesProcessed: uint64(nnz)}, nil
 }
 
-// gpuDotBlock runs the dot fast path for one block's edges with dotEdges'
-// arithmetic over the whole reduce axis. The two schedules differ only in
-// what they charge: tree reduction spreads the products across the block's
-// threads and combines them in log depth (Figure 7b); the naive strategy,
-// what Gunrock does and Figure 12's baseline, runs the dot on one thread.
+// gpuDotBlock runs the dot fast path for one block's edges, vec.Dot of each
+// edge's two rows over the whole reduce axis: the CPU path's bits. The two
+// schedules differ only in what they charge: tree reduction spreads the
+// products across the block's threads and combines them in log depth
+// (Figure 7b); the naive strategy, what Gunrock does and Figure 12's
+// baseline, runs the dot on one thread.
 func (k *SDDMMKernel) gpuDotBlock(b *cudasim.Block, out *tensor.Tensor, blocks int) {
 	nnz := k.adj.NNZ()
+	x, y, ed := k.match.X, k.match.Y, k.edges
 	odata := out.Data()
 	d := k.redAxis.Extent
-	whole := partition.Range{Hi: d}
 	for e := b.Idx(); e < nnz; e += blocks {
 		if b.Cancelled() {
 			return
 		}
-		k.dotEdges(odata, e, e+1, whole, false)
+		odata[ed.EID[e]] = vec.Dot(x.Row(int(ed.Col[e]))[:d], y.Row(int(ed.Row[e]))[:d])
 		if k.gpu.treeReduce {
 			b.ChargeParallel(d, 2*cudasim.CostGlobal+cudasim.CostFLOP)
 			b.ChargeTreeReduce(b.Dim())

@@ -3,29 +3,30 @@
 // o += (wa·a+wb·b)+(wc·c+wd·d), the whole neighbour walk of an output row
 // (o += the rows at a list of indices, four per group, plain or each
 // scaled by its edge's weight), the 8-block dot product summed in four
-// lanes, for one pair of rows or for four pairs at once (prefetching the
-// four rows dotted next), the softmax step s ← e^(s−shift) with the sum of
-// the results (Expf32, the float32 exponential, per element), and the MLP
-// message o ⊕= act(t × W) folded by sum, max or min; and one integer scan,
-// the largest of a slice of ids read as uint32.
+// lanes, of one pair of rows or, four per group, of an edge range's x[col]
+// and y[row] stored by edge id or of a list of rows against one row, the
+// softmax step s ← e^(s−shift) with the sum of the results (Expf32, the
+// float32 exponential, per element), and the MLP message o ⊕= act(t × W)
+// folded by sum, max or min; and one integer scan, the largest of a slice
+// of ids read as uint32.
 //
 // On amd64 each kernel runs an SSE2 loop (vec_amd64.s; SSE2 is the amd64
-// baseline, so nothing is probed), and the neighbour walks an AVX2 body
+// baseline, so nothing is probed), and the neighbour sums an AVX2 body
 // where CPUID and XCR0 say the CPU and the OS support it. Every lane
 // evaluates the Go loop's per-element expression in the same order, with
 // no fused multiply-add, under Go's default MXCSR (round to nearest, no
 // flush-to-zero), so the result is the Go loop's to the bit; only a NaN's
 // payload may differ.
-// Elements past the last block (len mod 4, mod 8 for Dot and the AVX2
-// walks) take the Go loop, which is also the whole body on other platforms
-// and under the race detector, and what the tests compare against: each
-// kernel's lower-case twin runs it alone when asm is false. (Dot4's SSE
-// body runs its pairs' tails too, in the Go loop's order; ExpShiftSum also
+// Elements past the last block (len mod 4, mod 8 for the AVX2 walks) take
+// the Go loop, which is also the whole body on other platforms and under
+// the race detector, and what the tests compare against: each kernel's
+// lower-case twin runs it alone when asm is false. (The dots' SSE bodies
+// run their tails too, in the Go loop's order; ExpShiftSum also
 // hands the Go loop an element of each group of four with a NaN or too
 // large an argument.)
-// Every operand is resliced to len(o) (len(x), len(x1) for the dots) first,
-// and a neighbour walk checks every index first, so one without that
-// capacity, or an index out of range, panics with o untouched.
+// Every operand is resliced to len(o) (len(x) for Dot) first, and a walk
+// checks every index and edge id first, so one without that capacity, or
+// an index out of range, panics with o untouched.
 package vec
 
 import "math"
@@ -178,51 +179,18 @@ func rowsIn(n, size, stride int, idx []int32) {
 // Dot returns x·y over len(x) elements. Lane k sums x[f+k]·y[f+k] +
 // x[f+k+4]·y[f+k+4] over the 8-blocks f (four chains: one running sum
 // serializes on FP-add latency), the tail adds into lane 0, and the lanes
-// combine as (s0+s1) + (s2+s3).
+// combine as (s0+s1) + (s2+s3). The SSE body is DotRows' over one row.
 func Dot(x, y []float32) float32 { return dot(x, y, sse) }
 
 func dot(x, y []float32, asm bool) float32 {
 	y = y[:len(x)]
-	var s [4]float32
-	f := 0
-	if asm && len(x) >= 8 {
-		f = len(x) &^ 7
-		dotSSE(&s, &x[0], &y[0], f)
+	if asm && len(x) > 0 {
+		var s float32
+		var row int32
+		dotRowsSSE(&s, &x[0], 0, &row, 1, &y[0], len(x))
+		return s
 	}
-	if f < len(x) {
-		dotGo(&s, x[f:], y[f:])
-	}
-	return (s[0] + s[1]) + (s[2] + s[3])
-}
-
-// Dot4 returns Dot(x1, y1), Dot(x2, y2), Dot(x3, y3) and Dot(x4, y4), bit
-// for bit, every pair over len(x1) elements. The SSE body runs the four
-// pairs' lane chains side by side and combines the lanes in registers: a
-// 4×4 transpose of the four pairs' lanes, then (L0+L1) + (L2+L3), which is
-// each pair's (s0+s1) + (s2+s3). Below 8 elements each pair takes dot.
-//
-// Unless next is nil, its four pointers are at rows the caller dots next:
-// the SSE body first prefetches (PREFETCHT0) every 64-byte line of the
-// len(x1) elements at each, so their loads overlap this call's dots. A
-// prefetch never faults and changes no result; the Go loop ignores next.
-func Dot4(x1, y1, x2, y2, x3, y3, x4, y4 []float32, next *[4]*float32) [4]float32 {
-	return dot4(x1, y1, x2, y2, x3, y3, x4, y4, next, sse)
-}
-
-func dot4(x1, y1, x2, y2, x3, y3, x4, y4 []float32, next *[4]*float32, asm bool) (r [4]float32) {
-	n := len(x1)
-	y1, x2, y2, x3, y3, x4, y4 = y1[:n], x2[:n], y2[:n], x3[:n], y3[:n], x4[:n], y4[:n]
-	if asm && n >= 8 {
-		dot4SSE(&r, &x1[0], &y1[0], &x2[0], &y2[0], &x3[0], &y3[0], &x4[0], &y4[0], next, n)
-		return r
-	}
-	return [4]float32{dot(x1, y1, asm), dot(x2, y2, asm), dot(x3, y3, asm), dot(x4, y4, asm)}
-}
-
-// dotGo carries the lanes s on over x·y as Dot describes.
-func dotGo(s *[4]float32, x, y []float32) {
-	y = y[:len(x)]
-	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	var s0, s1, s2, s3 float32
 	f := 0
 	for ; f+8 <= len(x); f += 8 {
 		xb, yb := (*[8]float32)(x[f:f+8]), (*[8]float32)(y[f:f+8])
@@ -234,7 +202,56 @@ func dotGo(s *[4]float32, x, y []float32) {
 	for ; f < len(x); f++ {
 		s0 += x[f] * y[f]
 	}
-	*s = [4]float32{s0, s1, s2, s3}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// DotEdges sets out[eids[p]] to Dot(x[cols[p]·xs:][:n], y[rows[p]·ys:][:n])
+// for every position p in turn, or with acc adds the dot to what is there
+// (dot + out[eids[p]]): an SDDMM dot over a range of edges. The SSE body
+// runs four positions per group, their lane chains side by side, combined
+// in registers by a 4×4 transpose, a leftover position alone, and does the
+// index loads, row addresses and stores itself, so each dot is Dot's to the
+// bit. Every col, row and edge id is checked first, as SumRows' indices.
+func DotEdges(out, x []float32, xs int, y []float32, ys, n int, cols, rows, eids []int32, acc bool) {
+	dotEdges(out, x, xs, y, ys, n, cols, rows, eids, acc, sse)
+}
+
+func dotEdges(out, x []float32, xs int, y []float32, ys, n int, cols, rows, eids []int32, acc, asm bool) {
+	rows, eids = rows[:len(cols)], eids[:len(cols)]
+	rowsIn(n, len(x), xs, cols)
+	rowsIn(n, len(y), ys, rows)
+	rowsIn(1, len(out), 1, eids)
+	if asm && n > 0 && len(cols) > 0 {
+		dotEdgesSSE(&out[0], &x[0], xs, &y[0], ys, n, &cols[0], &rows[0], &eids[0], len(cols), acc)
+		return
+	}
+	for p, e := range eids {
+		s := dot(x[int(cols[p])*xs:][:n], y[int(rows[p])*ys:][:n], asm)
+		if acc {
+			s += out[e]
+		}
+		out[e] = s
+	}
+}
+
+// DotRows sets out[p] to Dot(x[idx[p]·xs:][:len(y)], y) for every p: the
+// scores of a row's in-edges against the row. It is DotEdges' body with y
+// shared, and before each group it prefetches (PREFETCHT0) the four rows 8
+// positions on, clamped to the last full group; a prefetch changes no bit.
+func DotRows(out, x []float32, xs int, idx []int32, y []float32) {
+	dotRows(out, x, xs, idx, y, sse)
+}
+
+func dotRows(out, x []float32, xs int, idx []int32, y []float32, asm bool) {
+	out = out[:len(idx)]
+	rowsIn(len(y), len(x), xs, idx)
+	if asm && len(y) > 0 && len(idx) > 0 {
+		dotRowsSSE(&out[0], &x[0], xs, &idx[0], len(idx), &y[0], len(y))
+		return
+	}
+	for p, i := range idx {
+		out[p] = dot(x[int(i)*xs:][:len(y)], y, asm)
+	}
 }
 
 // Fold is how MLP folds a message element v into its accumulator acc.

@@ -3,13 +3,12 @@
 package vec
 
 // sse selects vec_amd64.s: each body does the first n elements, n a positive
-// multiple of 4 (of 8 for dotSSE, which adds into the lanes s; dot4SSE takes
-// all n ≥ 8 elements of its four pairs, prefetches n elements at each
-// next[i] unless next is nil, and stores their dots in r; expShiftSumSSE
-// returns how many of its n elements it did; the mlp bodies take d1 > 0
-// rows of w, ws floats apart, and the ReLU floor; maxUint32SSE takes n a
-// positive multiple of 16; the row walks *AVX2 take m > 0 indices and n a
-// positive multiple of 8 columns, every row already proven in range).
+// multiple of 4 (the dot walks take any n > 0 and m > 0 positions, every
+// row and edge id already proven in range; expShiftSumSSE returns how many
+// of its n elements it did; the mlp bodies take d1 > 0 rows of w, ws floats
+// apart, and the ReLU floor; maxUint32SSE takes n a positive multiple of
+// 16; the row walks *AVX2 take m > 0 indices and n a positive multiple of 8
+// columns, every row already proven in range).
 const sse = true
 
 // avx2 selects the row walks' AVX2 bodies, set once from CPUID and XCR0:
@@ -48,10 +47,10 @@ func axpy2SSE(o, a, b *float32, wa, wb float32, n int)
 func axpy4SSE(o, a, b, c, d *float32, wa, wb, wc, wd float32, n int)
 
 //go:noescape
-func dotSSE(s *[4]float32, x, y *float32, n int)
+func dotEdgesSSE(out, x *float32, xs int, y *float32, ys, n int, cols, rows, eids *int32, m int, acc bool)
 
 //go:noescape
-func dot4SSE(r *[4]float32, x1, y1, x2, y2, x3, y3, x4, y4 *float32, next *[4]*float32, n int)
+func dotRowsSSE(out, x *float32, xs int, idx *int32, m int, y *float32, n int)
 
 //go:noescape
 func expShiftSumSSE(s *float32, n int, shift, sum float32) (done int, total float32)

@@ -2,7 +2,8 @@
 
 #include "textflag.h"
 
-// Loops step AX over [0, n) by 4 (8 for dots), testing at the bottom as n > 0;
+// Loops step AX over [0, n) by 4, testing at the bottom as n > 0 (the dots
+// step by 8 and test at the top);
 // MOVUPS, as rows need not be aligned; each MULPS/ADDPS is a Go-loop step.
 
 // func add4SSE(o, a, b, c, d *float32, n int)
@@ -275,110 +276,211 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	ADDPS  t1, t0; \
 	ADDPS  t0, acc
 
-// DOT1 adds x[AX]·y[AX] into lane 0 of acc, as dotGo's tail does.
+// DOT1 adds x[AX]·y[AX] into lane 0 of acc, as Dot's Go tail does.
 #define DOT1(x, y, acc, t) \
 	MOVSS (x)(AX*4), t; \
 	MULSS (y)(AX*4), t; \
 	ADDSS t, acc
 
-// func dotSSE(s *[4]float32, x, y *float32, n int): lane k of X0 is chain s_k.
-TEXT ·dotSSE(SB), NOSPLIT, $0-32
-	MOVQ   s+0(FP), DI
-	MOVQ   x+8(FP), SI
-	MOVQ   y+16(FP), DX
-	MOVQ   n+24(FP), CX
-	MOVUPS (DI), X0
-	XORQ   AX, AX
-dotloop:
-	DOT8(SI, DX, X0, X1, X2, X3, X4)
-	ADDQ   $8, AX
-	CMPQ   AX, CX
-	JLT    dotloop
-	MOVUPS X0, (DI)
+// The dot walks: four positions per group side by side (DOTS4), a leftover
+// one alone (DOTS1), each dot Dot's. MOVL zero-extends each index and edge
+// id, which the Go wrapper has proven in range read as a uint32. Registers:
+// SI, BX, R8, R10 the x rows, AX the element, CX n &^ 7, R14 n, R12 the
+// position p, R13 the x indices; a TEXT hands its arguments to a macro,
+// where go vet's asmdecl checks them.
+
+// ROWPTR sets r to base + 4·stride·index, the index the uint32 at idx.
+#define ROWPTR(idx, stride, base, r) \
+	MOVL  idx, r; \
+	IMULQ stride, r; \
+	SHLQ  $2, r; \
+	ADDQ  base, r
+
+// ROWS4 sets r0…r3 to the rows at the four indices from idx[pos].
+#define ROWS4(idx, pos, stride, base, r0, r1, r2, r3) \
+	ROWPTR(0(idx)(pos*4), stride, base, r0); \
+	ROWPTR(4(idx)(pos*4), stride, base, r1); \
+	ROWPTR(8(idx)(pos*4), stride, base, r2); \
+	ROWPTR(12(idx)(pos*4), stride, base, r3)
+
+// DOTS4 sets X6 to the dots of the pairs (SI, y1), (BX, y2), (R8, y3) and
+// (R10, y4), chains a, b, c, d in X0–X3. The 4×4 transpose makes X4 =
+// a0 b0 a1 b1, X0 = a2 b2 a3 b3, X5 = c0 d0 c1 d1 and X2 = c2 d2 c3 d3,
+// then L0 (lane 0 of every chain) in X6, L1 in X5, L2 in X7 and L3 in X2,
+// and (L0+L1)+(L2+L3) is every pair's (s0+s1)+(s2+s3).
+#define DOTS4(y1, y2, y3, y4) \
+	XORPS X0, X0; \
+	XORPS X1, X1; \
+	XORPS X2, X2; \
+	XORPS X3, X3; \
+	XORQ  AX, AX; \
+	JMP   test8; \
+blk8: \
+	DOT8(SI, y1, X0, X4, X5, X6, X7); \
+	DOT8(BX, y2, X1, X8, X9, X10, X11); \
+	DOT8(R8, y3, X2, X12, X13, X14, X15); \
+	DOT8(R10, y4, X3, X4, X5, X6, X7); \
+	ADDQ  $8, AX; \
+test8: \
+	CMPQ  AX, CX; \
+	JLT   blk8; \
+	JMP   test1; \
+blk1: \
+	DOT1(SI, y1, X0, X4); \
+	DOT1(BX, y2, X1, X5); \
+	DOT1(R8, y3, X2, X6); \
+	DOT1(R10, y4, X3, X7); \
+	INCQ  AX; \
+test1: \
+	CMPQ  AX, R14; \
+	JLT   blk1; \
+	MOVAPS   X0, X4; \
+	UNPCKLPS X1, X4; \
+	UNPCKHPS X1, X0; \
+	MOVAPS   X2, X5; \
+	UNPCKLPS X3, X5; \
+	UNPCKHPS X3, X2; \
+	MOVAPS   X4, X6; \
+	MOVLHPS  X5, X6; \
+	MOVHLPS  X4, X5; \
+	MOVAPS   X0, X7; \
+	MOVLHPS  X2, X7; \
+	MOVHLPS  X0, X2; \
+	ADDPS    X5, X6; \
+	ADDPS    X2, X7; \
+	ADDPS    X7, X6
+
+// DOTS1 sets lane 0 of X6 to the dot of the pair (SI, y), lanes s0…s3 in
+// X0: X6 = s0+s1, ·, s2+s3, ·, then lane 0 (s0+s1)+(s2+s3).
+#define DOTS1(y) \
+	XORPS X0, X0; \
+	XORQ  AX, AX; \
+	JMP   one8test; \
+one8: \
+	DOT8(SI, y, X0, X4, X5, X6, X7); \
+	ADDQ  $8, AX; \
+one8test: \
+	CMPQ  AX, CX; \
+	JLT   one8; \
+	JMP   one1test; \
+one1: \
+	DOT1(SI, y, X0, X4); \
+	INCQ  AX; \
+one1test: \
+	CMPQ  AX, R14; \
+	JLT   one1; \
+	MOVAPS  X0, X6; \
+	SHUFPS  $0xb1, X0, X0; \
+	ADDPS   X0, X6; \
+	MOVHLPS X6, X0; \
+	ADDSS   X0, X6
+
+// PUT stores lane 0 of X6 at out[eids[p+off/4]], DI out and SI eids, first
+// adding what is there unless DX (acc) is 0, then rotates X6's next lane
+// down.
+#define PUT(off, skip) \
+	MOVL   off(SI)(R12*4), BX; \
+	TESTQ  DX, DX; \
+	JZ     skip; \
+	ADDSS  (DI)(BX*4), X6; \
+skip: \
+	MOVSS  X6, (DI)(BX*4); \
+	SHUFPS $0x39, X6, X6
+
+// func dotEdgesSSE(out, x *float32, xs int, y *float32, ys, n int, cols, rows, eids *int32, m int, acc bool):
+// R15 rows; the y rows of a group in DI, DX, R9, R11. No prefetch.
+TEXT ·dotEdgesSSE(SB), NOSPLIT, $0-81
+	MOVQ n+40(FP), R14
+	MOVQ R14, CX
+	ANDQ $-8, CX
+	MOVQ cols+48(FP), R13
+	MOVQ rows+56(FP), R15
+	XORQ R12, R12
+	JMP  edge4test
+edge4:
+	ROWS4(R13, R12, xs+16(FP), x+8(FP), SI, BX, R8, R10)
+	ROWS4(R15, R12, ys+32(FP), y+24(FP), DI, DX, R9, R11)
+	DOTS4(DI, DX, R9, R11)
+	MOVQ    out+0(FP), DI
+	MOVQ    eids+64(FP), SI
+	MOVBQZX acc+80(FP), DX
+	PUT(0, put0)
+	PUT(4, put1)
+	PUT(8, put2)
+	PUT(12, put3)
+	ADDQ    $4, R12
+edge4test:
+	LEAQ 4(R12), AX
+	CMPQ AX, m+72(FP)
+	JLE  edge4
+	JMP  edge1test
+edge1:
+	ROWPTR(0(R13)(R12*4), xs+16(FP), x+8(FP), SI)
+	ROWPTR(0(R15)(R12*4), ys+32(FP), y+24(FP), DI)
+	DOTS1(DI)
+	MOVQ    out+0(FP), DI
+	MOVQ    eids+64(FP), SI
+	MOVBQZX acc+80(FP), DX
+	PUT(0, put)
+	INCQ    R12
+edge1test:
+	CMPQ R12, m+72(FP)
+	JLT  edge1
 	RET
 
-// func dot4SSE(r *[4]float32, x1, y1, x2, y2, x3, y3, x4, y4 *float32, next *[4]*float32, n int):
-// unless next is nil, first PREFETCHT0 every 64-byte line of the 4n bytes
-// at each next[i]: offsets 0, 64, … below 4n, then the last byte, whose
-// line the steps miss when the row is not 64-byte aligned. Then pair i's
-// lanes in X(i-1), four independent chains; the n mod 8 tail into lane 0 of
-// each; then a 4×4 transpose puts lane k of every pair in Lk, and
-// (L0+L1)+(L2+L3) is each pair's (s0+s1)+(s2+s3), stored at once.
-TEXT ·dot4SSE(SB), NOSPLIT, $0-88
-	MOVQ  next+72(FP), AX
-	MOVQ  n+80(FP), R13
-	TESTQ AX, AX
-	JZ    dot4dots
-	MOVQ  0(AX), SI
-	MOVQ  8(AX), DI
-	MOVQ  16(AX), BX
-	MOVQ  24(AX), DX
-	LEAQ  (R13*4), CX
-	XORQ  AX, AX
-dot4prefetch:
-	PREFETCHT0 (SI)(AX*1)
-	PREFETCHT0 (DI)(AX*1)
-	PREFETCHT0 (BX)(AX*1)
-	PREFETCHT0 (DX)(AX*1)
-	ADDQ  $64, AX
-	CMPQ  AX, CX
-	JLT   dot4prefetch
-	PREFETCHT0 -1(SI)(CX*1)
-	PREFETCHT0 -1(DI)(CX*1)
-	PREFETCHT0 -1(BX)(CX*1)
-	PREFETCHT0 -1(DX)(CX*1)
-dot4dots:
-	MOVQ  r+0(FP), R12
-	MOVQ  x1+8(FP), SI
-	MOVQ  y1+16(FP), DI
-	MOVQ  x2+24(FP), BX
-	MOVQ  y2+32(FP), DX
-	MOVQ  x3+40(FP), R8
-	MOVQ  y3+48(FP), R9
-	MOVQ  x4+56(FP), R10
-	MOVQ  y4+64(FP), R11
-	MOVQ  R13, CX
-	ANDQ  $-8, CX
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORQ  AX, AX
-dot4loop:
-	DOT8(SI, DI, X0, X4, X5, X6, X7)
-	DOT8(BX, DX, X1, X8, X9, X10, X11)
-	DOT8(R8, R9, X2, X12, X13, X14, X15)
-	DOT8(R10, R11, X3, X4, X5, X6, X7)
-	ADDQ $8, AX
-	CMPQ AX, CX
-	JLT  dot4loop
-	CMPQ AX, R13
-	JGE  dot4combine
-dot4tail:
-	DOT1(SI, DI, X0, X4)
-	DOT1(BX, DX, X1, X5)
-	DOT1(R8, R9, X2, X6)
-	DOT1(R10, R11, X3, X7)
-	INCQ AX
-	CMPQ AX, R13
-	JLT  dot4tail
-dot4combine:
-	MOVAPS   X0, X4
-	UNPCKLPS X1, X4   // a0 b0 a1 b1
-	UNPCKHPS X1, X0   // a2 b2 a3 b3
-	MOVAPS   X2, X5
-	UNPCKLPS X3, X5   // c0 d0 c1 d1
-	UNPCKHPS X3, X2   // c2 d2 c3 d3
-	MOVAPS   X4, X6
-	MOVLHPS  X5, X6   // L0 = a0 b0 c0 d0
-	MOVHLPS  X4, X5   // L1 = a1 b1 c1 d1
-	MOVAPS   X0, X7
-	MOVLHPS  X2, X7   // L2 = a2 b2 c2 d2
-	MOVHLPS  X0, X2   // L3 = a3 b3 c3 d3
-	ADDPS    X5, X6   // L0+L1
-	ADDPS    X2, X7   // L2+L3
-	ADDPS    X7, X6
-	MOVUPS   X6, (R12)
+#define PREFETCH4(off, i) \
+	PREFETCHT0 off(SI)(i*1); PREFETCHT0 off(BX)(i*1); PREFETCHT0 off(R8)(i*1); PREFETCHT0 off(R10)(i*1)
+
+// func dotRowsSSE(out, x *float32, xs int, idx *int32, m int, y *float32, n int):
+// DI y, dotted by every row; R9 x, R15 xs, R11 the last full group's
+// position. Before a group's dots, PREFETCH4 takes every 64-byte line of
+// the 4n bytes (DX) at the four rows at position min(p+8, R11): offsets 0,
+// 64, … below 4n, then the last byte, whose line the steps miss when the
+// row is not 64-byte aligned.
+TEXT ·dotRowsSSE(SB), NOSPLIT, $0-56
+	MOVQ x+8(FP), R9
+	MOVQ xs+16(FP), R15
+	MOVQ idx+24(FP), R13
+	MOVQ m+32(FP), R11
+	ANDQ $-4, R11
+	SUBQ $4, R11
+	MOVQ y+40(FP), DI
+	MOVQ n+48(FP), R14
+	MOVQ R14, CX
+	ANDQ $-8, CX
+	LEAQ (R14*4), DX
+	XORQ R12, R12
+	JMP  row4test
+row4:
+	LEAQ    8(R12), AX
+	CMPQ    AX, R11
+	CMOVQGT R11, AX
+	ROWS4(R13, AX, R15, R9, SI, BX, R8, R10)
+	XORQ    AX, AX
+prefetch:
+	PREFETCH4(0, AX)
+	ADDQ    $64, AX
+	CMPQ    AX, DX
+	JLT     prefetch
+	PREFETCH4(-1, DX)
+	ROWS4(R13, R12, R15, R9, SI, BX, R8, R10)
+	DOTS4(DI, DI, DI, DI)
+	MOVQ   out+0(FP), AX
+	MOVUPS X6, (AX)(R12*4)
+	ADDQ   $4, R12
+row4test:
+	CMPQ R12, R11
+	JLE  row4
+	JMP  row1test
+row1:
+	ROWPTR(0(R13)(R12*4), R15, R9, SI)
+	DOTS1(DI)
+	MOVQ  out+0(FP), AX
+	MOVSS X6, (AX)(R12*4)
+	INCQ  R12
+row1test:
+	CMPQ R12, m+32(FP)
+	JLT  row1
 	RET
 
 // The mlp bodies: o ⊕= max(floor, t × W[:, :n]), one TEXT per fold, for one

@@ -13,8 +13,10 @@ func add4SSE(o, a, b, c, d *float32, n int)                          { panic("ve
 func axpySSE(o, a *float32, wa float32, n int)                       { panic("vec: no SSE body") }
 func axpy2SSE(o, a, b *float32, wa, wb float32, n int)               { panic("vec: no SSE body") }
 func axpy4SSE(o, a, b, c, d *float32, wa, wb, wc, wd float32, n int) { panic("vec: no SSE body") }
-func dotSSE(s *[4]float32, x, y *float32, n int)                     { panic("vec: no SSE body") }
-func dot4SSE(r *[4]float32, x1, y1, x2, y2, x3, y3, x4, y4 *float32, next *[4]*float32, n int) {
+func dotRowsSSE(out, x *float32, xs int, idx *int32, m int, y *float32, n int) {
+	panic("vec: no SSE body")
+}
+func dotEdgesSSE(out, x *float32, xs int, y *float32, ys, n int, cols, rows, eids *int32, m int, acc bool) {
 	panic("vec: no SSE body")
 }
 func expShiftSumSSE(s *float32, n int, shift, sum float32) (done int, total float32) {

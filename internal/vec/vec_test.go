@@ -50,46 +50,70 @@ var kernels = append([]kernel{
 	{"Dot", 2, 0,
 		func(r [][]float32, w []float32) []float32 { return []float32{Dot(r[0], r[1])} },
 		func(r [][]float32, w []float32) []float32 { return []float32{dot(r[0], r[1], false)} }, nil},
-	{"Dot4", 12, 0,
-		func(r [][]float32, w []float32) []float32 {
-			s := Dot4(r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7], next(r[8], r[9], r[10], r[11]))
-			return s[:]
-		},
-		dot4Ref(0, 1, 2, 3, 4, 5, 6, 7), nil},
-	// The prefetched rows are the dotted ones, as in a caller's last group.
-	{"Dot4 shared y", 5, 0,
-		func(r [][]float32, w []float32) []float32 {
-			s := Dot4(r[0], r[4], r[1], r[4], r[2], r[4], r[3], r[4], next(r[0], r[1], r[2], r[3]))
-			return s[:]
-		},
-		dot4Ref(0, 4, 1, 4, 2, 4, 3, 4), nil},
-	{"Dot4 x==y", 4, 0,
-		func(r [][]float32, w []float32) []float32 {
-			s := Dot4(r[0], r[0], r[1], r[1], r[2], r[2], r[3], r[3], nil)
-			return s[:]
-		},
-		dot4Ref(0, 0, 1, 1, 2, 2, 3, 3), nil},
 	{"ExpShiftSum", 1, 1,
 		func(r [][]float32, w []float32) []float32 { return []float32{ExpShiftSum(r[0], w[0])} },
 		func(r [][]float32, w []float32) []float32 { return []float32{expShiftSum(r[0], w[0], false)} }, nil},
-}, append(rowKernels(), mlpKernels()...)...)
+}, append(append(rowKernels(), dotKernels()...), mlpKernels()...)...)
 
-// next points at the rows' first elements, or is nil when they are empty.
-func next(r1, r2, r3, r4 []float32) *[4]*float32 {
-	if len(r1) == 0 {
-		return nil
+// dotKernels is DotEdges (storing, adding with acc, and with y the same
+// rows as x, as a self-attention score) and DotRows over m ∈ {0…9, 33}
+// positions (every leftover count after the groups of four, and many
+// groups) into six rows of x and of y at row stride n (whole rows) and n+5
+// (a tile of wider ones), rows repeated and the last row among them; the
+// edge ids run backwards over m+1 outputs, so out[0] is never written. The
+// operands are out (m+1; DotRows' m), x's rows, and y's rows (DotRows' y).
+func dotKernels() []kernel {
+	const rows = 6
+	var ks []kernel
+	for _, m := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 33} {
+		cols, ys, eids := make([]int32, m), make([]int32, m), make([]int32, m)
+		for p := range cols {
+			cols[p], ys[p], eids[p] = int32((5*p+2)%rows), int32((p+4)%rows), int32(m-p)
+		}
+		for _, pad := range []int{0, 5} {
+			// width is n, from the size of x's rows.
+			width := func(x []float32) int { return (len(x) - (rows-1)*pad) / rows }
+			size := func(i, n int) int { return [3]int{m + 1, (rows-1)*(n+pad) + n, (rows-1)*(n+pad) + n}[i] }
+			name := fmt.Sprintf("m=%d stride=n+%d", m, pad)
+			for _, acc := range []bool{false, true} {
+				ks = append(ks, kernel{fmt.Sprintf("DotEdges acc=%v %s", acc, name), 3, 0,
+					func(r [][]float32, w []float32) []float32 {
+						n := width(r[1])
+						DotEdges(r[0], r[1], n+pad, r[2], n+pad, n, cols, ys, eids, acc)
+						return r[0]
+					},
+					func(r [][]float32, w []float32) []float32 {
+						n := width(r[1])
+						dotEdges(r[0], r[1], n+pad, r[2], n+pad, n, cols, ys, eids, acc, false)
+						return r[0]
+					},
+					size})
+			}
+			ks = append(ks, kernel{"DotEdges x==y " + name, 2, 0,
+				func(r [][]float32, w []float32) []float32 {
+					n := width(r[1])
+					DotEdges(r[0], r[1], n+pad, r[1], n+pad, n, cols, ys, eids, false)
+					return r[0]
+				},
+				func(r [][]float32, w []float32) []float32 {
+					n := width(r[1])
+					dotEdges(r[0], r[1], n+pad, r[1], n+pad, n, cols, ys, eids, false, false)
+					return r[0]
+				},
+				size})
+			ks = append(ks, kernel{"DotRows " + name, 3, 0,
+				func(r [][]float32, w []float32) []float32 {
+					DotRows(r[0], r[1], len(r[2])+pad, cols, r[2])
+					return r[0]
+				},
+				func(r [][]float32, w []float32) []float32 {
+					dotRows(r[0], r[1], len(r[2])+pad, cols, r[2], false)
+					return r[0]
+				},
+				func(i, n int) int { return [3]int{m, (rows-1)*(n+pad) + n, n}[i] }})
+		}
 	}
-	return &[4]*float32{&r1[0], &r2[0], &r3[0], &r4[0]}
-}
-
-// dot4Ref is four independent Go-loop dots over operands (x1, y1) … (x4,
-// y4): Dot4's running the pairs side by side and combining their lanes in
-// registers must not change a bit.
-func dot4Ref(x1, y1, x2, y2, x3, y3, x4, y4 int) func(r [][]float32, w []float32) []float32 {
-	return func(r [][]float32, w []float32) []float32 {
-		return []float32{dot(r[x1], r[y1], false), dot(r[x2], r[y2], false),
-			dot(r[x3], r[y3], false), dot(r[x4], r[y4], false)}
-	}
+	return ks
 }
 
 // rowKernels is SumRows and ScaledSumRows walking deg ∈ {0, 1, 3, 4, 5, 9,
@@ -324,10 +348,9 @@ func FuzzVec(f *testing.F) {
 func TestShortOperandPanicsBeforeWriting(t *testing.T) {
 	full, short := make([]float32, 9), make([]float32, 8)
 	t1, w := []float32{1, 2}, make([]float32, 2*9) // two rows of W at stride 9
-	ids := []int32{0, 1, 2, 3, 4}
+	ids, ok := []int32{0, 1, 2, 3, 4}, []int32{0, 1, 0, 1, 1}
 	for name, call := range map[string]func(o []float32){
 		"Add4":            func(o []float32) { Add4(o, full, full, full, short) },
-		"Dot4 short y4":   func(o []float32) { o[0] = Dot4(o, full, o, full, o, full, o, short, next(o, o, o, o))[0] },
 		"MLP short W":     func(o []float32) { MLP(o, t1, w[:17:17], 9, false, FoldSum) },
 		"MLP2 short t2":   func(o []float32) { MLP2(o, t1, t1[:1:1], w, 9, false, FoldMax) },
 		"MLP2 short W":    func(o []float32) { MLP2(o, t1, t1, w[:17:17], 9, true, FoldMin) },
@@ -341,6 +364,18 @@ func TestShortOperandPanicsBeforeWriting(t *testing.T) {
 		"ScaledSumRows negative eid":  func(o []float32) { ScaledSumRows(o, w, 9, []int32{0, 1, 0, 1, 0}, []int32{0, 1, 2, 3, -1}, full) },
 		"ScaledSumRows short w":       func(o []float32) { ScaledSumRows(o, w, 9, []int32{0, 1, 0, 1, 0}, ids, full[:4]) },
 		"ScaledSumRows short eid":     func(o []float32) { ScaledSumRows(o, w, 9, []int32{0, 1, 0, 1, 0}, ids[:4:4], full) },
+		// The dot walks' x and y are w's two rows; o is their out, and every
+		// index list but the bad one is in range (ok: rows 0 and 1, ids < 9).
+		"DotEdges col past x":   func(o []float32) { DotEdges(o, w, 9, w, 9, 9, []int32{0, 1, 0, 1, 2}, ok, ids, false) },
+		"DotEdges negative col": func(o []float32) { DotEdges(o, w, 9, w, 9, 9, []int32{0, 1, 0, 1, -1}, ok, ids, true) },
+		"DotEdges row past y":   func(o []float32) { DotEdges(o, w, 9, w, 9, 9, ok, []int32{0, 1, 0, 1, 2}, ids, false) },
+		"DotEdges short y":      func(o []float32) { DotEdges(o, w, 9, w[:17:17], 9, 9, ok, ok, ids, true) },
+		"DotEdges eid past out": func(o []float32) { DotEdges(o, w, 9, w, 9, 9, ok, ok, []int32{0, 1, 2, 3, 9}, false) },
+		"DotEdges negative eid": func(o []float32) { DotEdges(o, w, 9, w, 9, 9, ok, ok, []int32{0, 1, 2, 3, -1}, true) },
+		"DotEdges short rows":   func(o []float32) { DotEdges(o, w, 9, w, 9, 9, ok, ok[:4:4], ids, false) },
+		"DotRows idx past x":    func(o []float32) { DotRows(o, w, 9, []int32{0, 1, 0, 1, 2}, full) },
+		"DotRows short x":       func(o []float32) { DotRows(o, w[:17:17], 9, ok, full) },
+		"DotRows short out":     func(o []float32) { DotRows(o[:4:4], w, 9, ok, full) },
 	} {
 		o := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9}
 		func() {
