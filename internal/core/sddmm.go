@@ -169,11 +169,16 @@ func (k *SDDMMKernel) RunCtx(ctx context.Context, out *tensor.Tensor) (RunStats,
 
 // cpuEdges computes traversal positions [elo, ehi) of one phase, polling the
 // run control every cancelChunk edges. dot selects the dot fast path over
-// reduce tile t (see dotEdges); otherwise the compiled UDF writes output
-// columns t of each edge's row directly (no aggregation in SDDMM).
+// reduce tile t, one vec.DotEdges walk per chunk, which prefetches nothing
+// (a Hilbert-ordered walk meets its rows again while they are cached, and a
+// prefetch 8 positions on made it slower); the first tile stores its
+// partial dot product and later tiles accumulate onto it (acc), so the
+// output needs no zeroing pass and a single-tile schedule never reads it.
+// Otherwise the compiled UDF writes output columns t of each edge's row
+// directly (no aggregation in SDDMM).
 func (k *SDDMMKernel) cpuEdges(rc *runControl, env *codegen.Env, out *tensor.Tensor, elo, ehi int, t partition.Range, dot, acc bool) {
 	faultinject.Hit(faultinject.SiteSDDMMCPUWorker, rc.done, rc.quit)
-	ed := k.edges
+	ed, x, y := k.edges, k.match.X, k.match.Y
 	odata, ostride := out.Data(), out.RowStride()
 	for clo := elo; clo < ehi; clo += cancelChunk {
 		if rc.stop() {
@@ -181,7 +186,8 @@ func (k *SDDMMKernel) cpuEdges(rc *runControl, env *codegen.Env, out *tensor.Ten
 		}
 		chi := min(clo+cancelChunk, ehi)
 		if dot {
-			k.dotEdges(odata, clo, chi, t, acc)
+			vec.DotEdges(odata, x.Data()[t.Lo:], x.RowStride(), y.Data()[t.Lo:], y.RowStride(), t.Hi-t.Lo,
+				ed.Col[clo:chi], ed.Row[clo:chi], ed.EID[clo:chi], acc)
 			continue
 		}
 		for i := clo; i < chi; i++ {
@@ -190,16 +196,4 @@ func (k *SDDMMKernel) cpuEdges(rc *runControl, env *codegen.Env, out *tensor.Ten
 		}
 	}
 	faultinject.CorruptFloats(faultinject.SiteSDDMMCPUOutput, odata[elo*ostride:ehi*ostride])
-}
-
-// dotEdges is the dot fast path over traversal positions [elo, ehi) and
-// reduce-axis tile t: one vec.DotEdges walk, which prefetches nothing (a
-// Hilbert-ordered walk meets its rows again while they are cached, and a
-// prefetch 8 positions on made it slower). The first tile stores its
-// partial dot product and later tiles accumulate onto it, so the output
-// needs no zeroing pass and a single-tile schedule never reads it.
-func (k *SDDMMKernel) dotEdges(odata []float32, elo, ehi int, t partition.Range, acc bool) {
-	x, y := k.match.X, k.match.Y
-	vec.DotEdges(odata, x.Data()[t.Lo:], x.RowStride(), y.Data()[t.Lo:], y.RowStride(), t.Hi-t.Lo,
-		k.edges.Col[elo:ehi], k.edges.Row[elo:ehi], k.edges.EID[elo:ehi], acc)
 }
