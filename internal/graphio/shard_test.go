@@ -3,8 +3,11 @@ package graphio
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -53,6 +56,25 @@ func sameCSR(t *testing.T, got, want *sparse.CSR, label string) {
 			t.Fatalf("%s: edge %d = (%d,%d,%v), want (%d,%d,%v)", label, p,
 				got.ColIdx[p], got.EID[p], got.Val[p], want.ColIdx[p], want.EID[p], want.Val[p])
 		}
+	}
+}
+
+// TestWriteShardedBytesPinned pins every byte WriteSharded writes for a
+// fixed graph cut into shards that split rows, so a change to the array
+// codec or the container cannot silently change the on-disk gshard format.
+func TestWriteShardedBytesPinned(t *testing.T) {
+	g := sparse.Random(rand.New(rand.NewSource(14)), 30, 25, 5)
+	for i := range g.Val {
+		g.Val[i] = float32(i)*0.375 - 3
+	}
+	g.Val[0], g.Val[1] = math.Float32frombits(0x7fc00001), float32(math.Copysign(0, -1))
+	var buf bytes.Buffer
+	if err := WriteSharded(&buf, g, 16); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got, want := hex.EncodeToString(sum[:]), "81cce8a2a4542269229355209168e4521fc72e7650104c63c70829a2ce4dac8f"; got != want {
+		t.Fatalf("gshard bytes hash to %s, want %s", got, want)
 	}
 }
 

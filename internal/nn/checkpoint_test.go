@@ -2,7 +2,10 @@ package nn
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -256,5 +259,43 @@ func TestCheckpointSaveSweepsStaleTemps(t *testing.T) {
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatalf("stale temp survived the first checkpoint save: %v", err)
+	}
+}
+
+// TestSaveCheckpointBytesPinned pins every byte SaveCheckpoint writes for
+// fixed parameters and optimizer state, so a change to the array codec or
+// the container cannot silently change the on-disk checkpoint format.
+func TestSaveCheckpointBytesPinned(t *testing.T) {
+	_, g := trainSetup(t, 3)
+	m := newGCN(t, g, 1)
+	params := m.Params()
+	fill := func(ts *tensor.Tensor, k int) {
+		for i := range ts.Data() {
+			ts.Data()[i] = float32(i*7+k)*0.125 - 2
+		}
+	}
+	st := AdamState{T: 3, M: make([]*tensor.Tensor, len(params)), V: make([]*tensor.Tensor, len(params))}
+	for i, p := range params {
+		fill(p, i)
+		st.M[i], st.V[i] = tensor.New(p.Shape()...), tensor.New(p.Shape()...)
+		fill(st.M[i], 100+i)
+		fill(st.V[i], 200+i)
+	}
+	params[0].Data()[0] = math.Float32frombits(0x7fc00001)
+	opt := NewAdam(0.01)
+	if err := opt.SetState(params, st); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ck.fgc")
+	if err := SaveCheckpoint(path, 4, 0.625, m, opt); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	if got, want := hex.EncodeToString(sum[:]), "f45046df2a1b9190f4de947cc5e953e8013e99c71170da2e76c9edcf99ba0f36"; got != want {
+		t.Fatalf("checkpoint bytes hash to %s, want %s", got, want)
 	}
 }
