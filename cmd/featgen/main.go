@@ -4,11 +4,14 @@
 //
 // Usage:
 //
-//	featgen -gen proteins -scale quick -o proteins.fgg    # generate
-//	featgen -gen uniform -n 10000 -deg 50 -o g.fgg        # custom uniform
-//	featgen -gen twotier -n 20000 -o rand100k.fgg         # paper's recipe
-//	featgen -gen skewed -shard-edges -1 -o g.fgs          # out-of-core sharded
-//	featgen -info g.fgg                                   # inspect (either format)
+//	featgen -gen proteins -scale quick -o proteins.fgs    # generate
+//	featgen -gen uniform -n 10000 -deg 50 -o g.fgs        # custom uniform
+//	featgen -gen twotier -n 20000 -o rand100k.fgs         # paper's recipe
+//	featgen -gen skewed -shard-edges 8000 -o g.fgs        # smaller shards
+//	featgen -info g.fgs                                   # inspect
+//
+// Every file is in the sharded out-of-core format, which traingnn -graph
+// loads whole and a ShardedCSR streams under a residency budget.
 package main
 
 import (
@@ -27,13 +30,13 @@ func main() {
 	var (
 		gen   = flag.String("gen", "", "generator: proteins | reddit | rand100k | uniform | twotier | skewed")
 		info  = flag.String("info", "", "print statistics for a stored graph")
-		out   = flag.String("o", "graph.fgg", "output path for -gen")
+		out   = flag.String("o", "graph.fgs", "output path for -gen")
 		scale = flag.String("scale", "quick", "quick | full (for the named datasets)")
 		seed  = flag.Int64("seed", 1, "generator seed")
 		n     = flag.Int("n", 10000, "vertices (uniform/twotier/skewed)")
 		deg   = flag.Int("deg", 50, "average degree (uniform/skewed)")
 		skew  = flag.Float64("skew", 1.4, "zipf exponent (skewed)")
-		shard = flag.Int("shard-edges", 0, "write the sharded out-of-core format with this shard edge target (0 = plain format, -1 = sharded default)")
+		shard = flag.Int("shard-edges", 0, "edge target of one shard of the written file (<= 0 = the default, 262144)")
 	)
 	flag.Parse()
 
@@ -72,14 +75,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "featgen: unknown generator %q\n", *gen)
 		os.Exit(2)
 	}
-	if *shard != 0 {
-		// -shard-edges selects the out-of-core format: destination-row
-		// shards a ShardedCSR can stream under a residency budget.
-		if err := graphio.SaveSharded(*out, g, *shard); err != nil {
-			fmt.Fprintln(os.Stderr, "featgen:", err)
-			os.Exit(1)
-		}
-	} else if err := graphio.SaveGraph(*out, g); err != nil {
+	if err := graphio.SaveSharded(*out, g, *shard); err != nil {
 		fmt.Fprintln(os.Stderr, "featgen:", err)
 		os.Exit(1)
 	}
@@ -87,7 +83,7 @@ func main() {
 }
 
 func printInfo(path string) error {
-	g, err := graphio.LoadAnyGraph(path)
+	g, err := graphio.LoadGraph(path)
 	if err != nil {
 		return err
 	}

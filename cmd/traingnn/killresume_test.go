@@ -115,8 +115,8 @@ func TestGPUCycleTotalCountsSparseKernels(t *testing.T) {
 	bin := buildTraingnn(t, dir)
 	var totals [2]float64
 	for i, deg := range []int{2, 16} {
-		path := filepath.Join(dir, fmt.Sprintf("deg%d.fgg", deg))
-		if err := graphio.SaveGraph(path, sparse.Random(rand.New(rand.NewSource(3)), 2000, 2000, deg)); err != nil {
+		path := filepath.Join(dir, fmt.Sprintf("deg%d.fgs", deg))
+		if err := graphio.SaveSharded(path, sparse.Random(rand.New(rand.NewSource(3)), 2000, 2000, deg), 0); err != nil {
 			t.Fatal(err)
 		}
 		out := runToCompletion(t, bin, "-graph", path, "-backend", "featgraph", "-target", "gpu",

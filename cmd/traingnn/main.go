@@ -7,8 +7,7 @@
 //	traingnn -model gcn -backend featgraph -epochs 100
 //	traingnn -model gat -backend naive -target gpu
 //	traingnn -model gat-multihead -heads 4
-//	traingnn -graph mygraph.fgr       # train on a graph saved by featgen
-//	                                  # (plain or sharded out-of-core format)
+//	traingnn -graph mygraph.fgs       # train on a graph saved by featgen
 //	traingnn -checkpoint run.fgc      # durable snapshot after every epoch
 //	traingnn -checkpoint run.fgc -resume   # continue after a crash
 //	traingnn -planstore ./plans       # warm-start tuned schedules
@@ -132,7 +131,7 @@ func run(ctx context.Context, rc runConfig) error {
 	rng := rand.New(rand.NewSource(rc.seed))
 	var ds *graphgen.Classified
 	if rc.graph != "" {
-		adj, err := graphio.LoadAnyGraph(rc.graph)
+		adj, err := graphio.LoadGraph(rc.graph)
 		if err != nil {
 			return fmt.Errorf("loading -graph: %w", err)
 		}

@@ -1,7 +1,6 @@
 package delta
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -40,19 +39,13 @@ func saveBase(path string, c *sparse.CSR, ver uint64) error {
 		if err := wr.Section("meta", meta); err != nil {
 			return err
 		}
-		if err := wr.Stream("rowptr", int64(len(c.RowPtr))*4, func(sw io.Writer) error {
-			return writeInt32s(sw, c.RowPtr)
-		}); err != nil {
+		if err := wr.Stream("rowptr", 4*int64(len(c.RowPtr)), durable.StreamInt32s(c.RowPtr)); err != nil {
 			return err
 		}
-		if err := wr.Stream("colidx", int64(len(c.ColIdx))*4, func(sw io.Writer) error {
-			return writeInt32s(sw, c.ColIdx)
-		}); err != nil {
+		if err := wr.Stream("colidx", 4*int64(len(c.ColIdx)), durable.StreamInt32s(c.ColIdx)); err != nil {
 			return err
 		}
-		if err := wr.Stream("val", int64(len(c.Val))*4, func(sw io.Writer) error {
-			return writeFloat32s(sw, c.Val)
-		}); err != nil {
+		if err := wr.Stream("val", 4*int64(len(c.Val)), durable.StreamFloat32s(c.Val)); err != nil {
 			return err
 		}
 		return wr.Close()
@@ -82,15 +75,15 @@ func loadBase(path string) (*sparse.CSR, uint64, error) {
 	if meta.NumVertices < 0 || meta.NumEdges < 0 {
 		return nil, 0, durable.NewCorruptError(path, baseKind, "meta", "negative counts", nil)
 	}
-	rowptr, err := readInt32s(secs["rowptr"], meta.NumVertices+1)
+	rowptr, err := durable.DecodeInt32s(secs["rowptr"], meta.NumVertices+1)
 	if err != nil {
 		return nil, 0, durable.NewCorruptError(path, baseKind, "rowptr", err.Error(), nil)
 	}
-	colidx, err := readInt32s(secs["colidx"], meta.NumEdges)
+	colidx, err := durable.DecodeInt32s(secs["colidx"], meta.NumEdges)
 	if err != nil {
 		return nil, 0, durable.NewCorruptError(path, baseKind, "colidx", err.Error(), nil)
 	}
-	val, err := readFloat32s(secs["val"], meta.NumEdges)
+	val, err := durable.DecodeFloat32s(secs["val"], meta.NumEdges)
 	if err != nil {
 		return nil, 0, durable.NewCorruptError(path, baseKind, "val", err.Error(), nil)
 	}
@@ -110,65 +103,4 @@ func loadBase(path string) (*sparse.CSR, uint64, error) {
 		return nil, 0, durable.NewCorruptError(path, baseKind, "", "invalid topology", err)
 	}
 	return c, meta.Version, nil
-}
-
-// writeInt32s emits xs little-endian in bounded chunks.
-func writeInt32s(w io.Writer, xs []int32) error {
-	buf := make([]byte, 0, 1<<16)
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
-		if len(buf) == cap(buf) {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeFloat32s(w io.Writer, xs []float32) error {
-	buf := make([]byte, 0, 1<<16)
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint32(buf, floatBits(x))
-		if len(buf) == cap(buf) {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readInt32s(p []byte, n int) ([]int32, error) {
-	if n < 0 || len(p) != n*4 {
-		return nil, fmt.Errorf("section is %d bytes, meta implies %d", len(p), n*4)
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(p[i*4:]))
-	}
-	return out, nil
-}
-
-func readFloat32s(p []byte, n int) ([]float32, error) {
-	if n < 0 || len(p) != n*4 {
-		return nil, fmt.Errorf("section is %d bytes, meta implies %d", len(p), n*4)
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = floatFromBits(binary.LittleEndian.Uint32(p[i*4:]))
-	}
-	return out, nil
 }

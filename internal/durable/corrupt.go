@@ -28,7 +28,7 @@ type region struct {
 
 // parseRegions maps a well-formed blob into its structural regions.
 func parseRegions(blob []byte) ([]region, error) {
-	if len(blob) < 7 || [4]byte(blob[0:4]) != Magic {
+	if len(blob) < 7 || [4]byte(blob[0:4]) != magic {
 		return nil, fmt.Errorf("durable: blob is not a container")
 	}
 	kindLen := int(blob[6])

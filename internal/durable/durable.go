@@ -36,10 +36,8 @@ import (
 	"math"
 )
 
-// Magic is the 4-byte signature of every durable container file. Loaders
-// that accept several container kinds sniff it (with the kind string after
-// it) to route a file to the right reader.
-var Magic = [4]byte{'F', 'G', 'D', 'C'}
+// magic is the 4-byte signature of every durable container file.
+var magic = [4]byte{'F', 'G', 'D', 'C'}
 
 // ContainerVersion is the layout revision of the container itself,
 // independent of each kind's own version.
@@ -79,7 +77,7 @@ func NewWriter(w io.Writer, kind string, version uint16, sections int) (*Writer,
 		return nil, fmt.Errorf("durable: section count %d out of range", sections)
 	}
 	hdr := make([]byte, 0, 16+len(kind))
-	hdr = append(hdr, Magic[:]...)
+	hdr = append(hdr, magic[:]...)
 	hdr = binary.LittleEndian.AppendUint16(hdr, ContainerVersion)
 	hdr = append(hdr, byte(len(kind)))
 	hdr = append(hdr, kind...)
@@ -215,7 +213,7 @@ func OpenReader(r io.Reader, path, kind string, maxVersion uint16) (*Reader, err
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
 		return nil, corrupt(path, kind, "", "short header", err)
 	}
-	if [4]byte(fixed[0:4]) != Magic {
+	if [4]byte(fixed[0:4]) != magic {
 		return nil, corrupt(path, kind, "", fmt.Sprintf("bad magic %q", fixed[0:4]), nil)
 	}
 	if cv := binary.LittleEndian.Uint16(fixed[4:6]); cv != ContainerVersion {

@@ -22,7 +22,7 @@ var mCorruptReads = telemetry.NewCounter("featgraph_durable_corrupt_reads_total"
 // rebuild instead of crash.
 type CorruptError struct {
 	Path    string // file path when known, "" for stream reads
-	Kind    string // container kind ("graph", "plan", ...) when known
+	Kind    string // container kind ("gshard", "plan", ...) when known
 	Section string // section name when the damage is localized
 	Reason  string // human-readable diagnosis
 	Err     error  // underlying error, may be nil

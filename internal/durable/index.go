@@ -40,7 +40,7 @@ func ReadIndex(r io.ReadSeeker, path, kind string, maxVersion uint16) (uint16, [
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
 		return 0, nil, corrupt(path, kind, "", "short header", err)
 	}
-	if [4]byte(fixed[0:4]) != Magic {
+	if [4]byte(fixed[0:4]) != magic {
 		return 0, nil, corrupt(path, kind, "", fmt.Sprintf("bad magic %q", fixed[0:4]), nil)
 	}
 	if cv := binary.LittleEndian.Uint16(fixed[4:6]); cv != ContainerVersion {

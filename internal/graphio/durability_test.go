@@ -23,30 +23,14 @@ import (
 // eid and val): a 2×2 graph with one edge. No reader accepts it any more.
 var v1Graph = append(append([]byte("FGG1"), le32(2, 2, 1, 0, 1, 1, 0, 0)...), le32(math.Float32bits(1))...)
 
-// TestLoadAnyGraphRejectsV1File: a v1 file handed to the tools' loader
-// fails the container's magic check with a typed error naming the file,
-// which is what `traingnn -graph old.fgg` reports.
-func TestLoadAnyGraphRejectsV1File(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "old.fgg")
-	if err := os.WriteFile(path, v1Graph, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := LoadAnyGraph(path)
-	var ce *durable.CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want *durable.CorruptError, got %T: %v", err, err)
-	}
-	if ce.Path != path || ce.Kind != graphKind || !strings.Contains(ce.Reason, "bad magic") {
-		t.Fatalf("error %+v, want kind %q, path %q and a bad-magic reason", ce, graphKind, path)
-	}
-}
-
-// TestValSectionLengthMismatchReportsGraphKind: a container whose sections
-// all checksum cleanly but whose val section disagrees with the header's
-// edge count is damage to a graph, reported against the val section.
-func TestValSectionLengthMismatchReportsGraphKind(t *testing.T) {
+// graphV2Blob is a well-formed container of the unsharded graph kind that
+// earlier releases wrote (version 2: a u32 rows/cols/nnz header, then
+// rowptr, colidx, eid and val), holding the same 2×2 graph. No reader
+// accepts it any more.
+func graphV2Blob(t testing.TB) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	dw, err := durable.NewWriter(&buf, graphKind, graphVersion, 5)
+	dw, err := durable.NewWriter(&buf, "graph", 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +38,11 @@ func TestValSectionLengthMismatchReportsGraphKind(t *testing.T) {
 		name    string
 		payload []byte
 	}{
-		{"header", le32(2, 2, 1)}, // one edge declared
+		{"header", le32(2, 2, 1)},
 		{"rowptr", le32(0, 1, 1)},
 		{"colidx", le32(0)},
 		{"eid", le32(0)},
-		{"val", le32(math.Float32bits(1), math.Float32bits(2))}, // two values stored
+		{"val", le32(math.Float32bits(1))},
 	} {
 		if err := dw.Section(sec.name, sec.payload); err != nil {
 			t.Fatal(err)
@@ -67,19 +51,82 @@ func TestValSectionLengthMismatchReportsGraphKind(t *testing.T) {
 	if err := dw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = ReadGraph(&buf)
+	return buf.Bytes()
+}
+
+// loadBytes writes data to a fresh file and loads it with LoadGraph, the
+// loader featgen -info and traingnn -graph use.
+func loadBytes(t testing.TB, data []byte) (*sparse.CSR, string, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.fgs")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, err := LoadGraph(path)
+	return g, path, err
+}
+
+// TestLoadGraphRejectsEarlierFormats: a v1 file fails the container's
+// magic check and a v2 graph container its kind check, each with a typed
+// error naming the file, which is what `traingnn -graph old.fgg` reports.
+func TestLoadGraphRejectsEarlierFormats(t *testing.T) {
+	for _, tc := range []struct {
+		name, reason string
+		blob         []byte
+	}{
+		{"v1", "bad magic", v1Graph},
+		{"graph-v2", `container holds "graph"`, graphV2Blob(t)},
+	} {
+		_, path, err := loadBytes(t, tc.blob)
+		var ce *durable.CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: want *durable.CorruptError, got %T: %v", tc.name, err, err)
+		}
+		if ce.Path != path || ce.Kind != shardKind || !strings.Contains(ce.Reason, tc.reason) {
+			t.Fatalf("%s: error %+v, want kind %q, path %q and a reason containing %q", tc.name, ce, shardKind, path, tc.reason)
+		}
+	}
+}
+
+// TestValSectionLengthMismatchReportsShardSection: a container whose
+// sections all checksum cleanly but whose val section disagrees with the
+// manifest's edge count is damage to that section.
+func TestValSectionLengthMismatchReportsShardSection(t *testing.T) {
+	var buf bytes.Buffer
+	dw, err := durable.NewWriter(&buf, shardKind, shardVersion, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"manifest", le64(2, 2, 1, 1, 0, 2, 0, 1)}, // one edge in one shard
+		{"rowptr64", le64(0, 1, 1)},
+		{"s0.colidx", le32(0)},
+		{"s0.eid", le32(0)},
+		{"s0.val", le32(math.Float32bits(1), math.Float32bits(2))}, // two values stored
+	} {
+		if err := dw.Section(sec.name, sec.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = loadBytes(t, buf.Bytes())
 	var ce *durable.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want *durable.CorruptError, got %T: %v", err, err)
 	}
-	if ce.Kind != graphKind || ce.Section != "val" {
-		t.Fatalf("error kind %q section %q, want %q and %q", ce.Kind, ce.Section, graphKind, "val")
+	if ce.Kind != shardKind || ce.Section != "s0.val" {
+		t.Fatalf("error kind %q section %q, want %q and %q", ce.Kind, ce.Section, shardKind, "s0.val")
 	}
 }
 
 // TestSaveGraphSurvivesTornWrite is the regression for the original
-// non-atomic SaveGraph: a crash mid-write used to leave a truncated file
-// that a later LoadGraph misparsed. Routed through the atomic writer, a
+// non-atomic graph save: a crash mid-write used to leave a truncated file
+// that a later load misparsed. Routed through the atomic writer, a
 // torn write fails the save and the previous file still loads bitwise
 // intact.
 func TestSaveGraphSurvivesTornWrite(t *testing.T) {
@@ -87,12 +134,12 @@ func TestSaveGraphSurvivesTornWrite(t *testing.T) {
 	path := filepath.Join(dir, "g.fgg")
 	rng := rand.New(rand.NewSource(9))
 	old := sparse.Random(rng, 30, 30, 4)
-	if err := SaveGraph(path, old); err != nil {
+	if err := SaveSharded(path, old, 0); err != nil {
 		t.Fatal(err)
 	}
 	replacement := sparse.Random(rng, 50, 50, 6)
 	defer faultinject.Arm(faultinject.SiteDurableTornWrite, &faultinject.Fault{Kind: faultinject.Err})()
-	if err := SaveGraph(path, replacement); err == nil {
+	if err := SaveSharded(path, replacement, 0); err == nil {
 		t.Fatal("torn write should fail the save")
 	}
 	got, err := LoadGraph(path)
@@ -113,11 +160,11 @@ func TestSaveGraphSurvivesFsyncFailure(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.fgg")
 	rng := rand.New(rand.NewSource(11))
 	old := sparse.Random(rng, 20, 20, 3)
-	if err := SaveGraph(path, old); err != nil {
+	if err := SaveSharded(path, old, 0); err != nil {
 		t.Fatal(err)
 	}
 	defer faultinject.Arm(faultinject.SiteDurableFsync, &faultinject.Fault{Kind: faultinject.Err})()
-	if err := SaveGraph(path, sparse.Random(rng, 30, 30, 4)); err == nil {
+	if err := SaveSharded(path, sparse.Random(rng, 30, 30, 4), 0); err == nil {
 		t.Fatal("fsync failure should fail the save")
 	}
 	got, err := LoadGraph(path)
@@ -127,18 +174,23 @@ func TestSaveGraphSurvivesFsyncFailure(t *testing.T) {
 }
 
 // TestCorruptionMatrixGraphFormat runs the durability acceptance matrix
-// over the current graph container: truncation at every boundary and a bit
-// flip in every section must yield typed errors, never panics or silent
+// over LoadGraph and a file saved with the default shard size, as featgen
+// writes it: truncation at every boundary and a bit flip in every section
+// must yield typed errors carrying the path, never panics or silent
 // garbage.
 func TestCorruptionMatrixGraphFormat(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	g := sparse.Random(rng, 25, 25, 4)
 	var buf bytes.Buffer
-	if err := WriteGraph(&buf, g); err != nil {
+	if err := WriteSharded(&buf, g, 0); err != nil {
 		t.Fatal(err)
 	}
 	err := durable.VerifyReader(buf.Bytes(), func(data []byte) error {
-		_, err := ReadGraph(bytes.NewReader(data))
+		_, path, err := loadBytes(t, data)
+		var ce *durable.CorruptError
+		if errors.As(err, &ce) && ce.Path != path {
+			return fmt.Errorf("error %v names %q, want %q", err, ce.Path, path)
+		}
 		return err
 	})
 	if err != nil {
@@ -189,11 +241,11 @@ func TestCorruptionMatrixShardFormat(t *testing.T) {
 }
 
 // v1 bytes — whole, truncated anywhere, or with adversarial headers that
-// once drove giant allocations — must fail with a typed error, never a
-// panic.
+// once drove giant allocations — must fail LoadGraph with a typed error,
+// never a panic.
 func TestLegacyTruncationYieldsTypedErrors(t *testing.T) {
 	for cut := 0; cut <= len(v1Graph); cut++ {
-		_, err := ReadGraph(bytes.NewReader(v1Graph[:cut]))
+		_, _, err := loadBytes(t, v1Graph[:cut])
 		var ce *durable.CorruptError
 		if !errors.As(err, &ce) {
 			t.Fatalf("v1 prefix of %d bytes gave %T: %v", cut, err, err)
@@ -217,7 +269,7 @@ func TestLegacyAdversarialHeaders(t *testing.T) {
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			_, err := ReadGraph(bytes.NewReader(data))
+			_, _, err := loadBytes(t, data)
 			var ce *durable.CorruptError
 			if !errors.As(err, &ce) {
 				t.Fatalf("want *durable.CorruptError, got %T: %v", err, err)
@@ -234,8 +286,15 @@ func le32(vals ...uint32) []byte {
 	return out
 }
 
-// New saves must leave no temp debris, and LoadGraph must stamp the path
-// onto typed errors.
+func le64(vals ...uint64) []byte {
+	out := make([]byte, 0, 8*len(vals))
+	for _, v := range vals {
+		out = binary.LittleEndian.AppendUint64(out, v)
+	}
+	return out
+}
+
+// LoadGraph must stamp the path onto typed errors.
 func TestLoadGraphErrorCarriesPath(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bad.fgg")

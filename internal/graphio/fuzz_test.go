@@ -32,45 +32,6 @@ func requireTypedOrNil(t *testing.T, err error) {
 	}
 }
 
-func FuzzLoadGraph(f *testing.F) {
-	// A well-formed container, then v1 bytes that must now be rejected
-	// with a typed error: a whole v1 file and the historical crashers
-	// whose headers declared huge arrays.
-	rng := rand.New(rand.NewSource(1))
-	g := sparse.Random(rng, 12, 10, 3)
-	var v2 bytes.Buffer
-	if err := WriteGraph(&v2, g); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2.Bytes())
-	f.Add(v1Graph)
-	f.Add(append([]byte("FGG1"), le32(100, 100, 1<<30)...))
-	f.Add(append([]byte("FGG1"), le32(1<<30, 1<<30, 1<<29)...))
-	f.Add([]byte("FGDC"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadGraph(bytes.NewReader(data))
-		requireTypedOrNil(t, err)
-		if err != nil {
-			return
-		}
-		if verr := got.Validate(); verr != nil {
-			t.Fatalf("accepted structurally invalid graph: %v", verr)
-		}
-		var re bytes.Buffer
-		if err := WriteGraph(&re, got); err != nil {
-			t.Fatalf("re-encoding accepted graph failed: %v", err)
-		}
-		again, err := ReadGraph(&re)
-		if err != nil {
-			t.Fatalf("re-reading re-encoded graph failed: %v", err)
-		}
-		if again.NumRows != got.NumRows || again.NumCols != got.NumCols || again.NNZ() != got.NNZ() {
-			t.Fatal("round trip changed dimensions")
-		}
-	})
-}
-
 // FuzzLoadShard drives the sharded out-of-core loader end to end:
 // arbitrary bytes must open with a typed error or parse into shards that
 // all pin and materialize into a structurally valid graph, which must
@@ -103,6 +64,12 @@ func FuzzLoadShard(f *testing.F) {
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
 	f.Add([]byte("FGDC"))
+	// The graph formats that predate this one: a v2 graph container, a
+	// whole v1 file and the v1 headers that once declared huge arrays.
+	f.Add(graphV2Blob(f))
+	f.Add(v1Graph)
+	f.Add(append([]byte("FGG1"), le32(100, 100, 1<<30)...))
+	f.Add(append([]byte("FGG1"), le32(1<<30, 1<<30, 1<<29)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := OpenShardedReader(bytes.NewReader(data), int64(len(data)), ShardedOptions{BudgetBytes: 1})

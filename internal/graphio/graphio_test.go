@@ -2,6 +2,8 @@ package graphio
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,28 +13,23 @@ import (
 	"featgraph/internal/sparse"
 )
 
+// A graph saved with the default shard size, as featgen saves it, loads
+// back bit for bit.
 func TestGraphRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := sparse.Random(rng, 50, 40, 6)
 	for i := range g.Val {
 		g.Val[i] = rng.Float32()
 	}
-	var buf bytes.Buffer
-	if err := WriteGraph(&buf, g); err != nil {
+	path := filepath.Join(t.TempDir(), "g.fgs")
+	if err := SaveSharded(path, g, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadGraph(&buf)
+	got, err := LoadGraph(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumRows != g.NumRows || got.NumCols != g.NumCols || got.NNZ() != g.NNZ() {
-		t.Fatal("dimensions changed")
-	}
-	for i := range g.ColIdx {
-		if got.ColIdx[i] != g.ColIdx[i] || got.EID[i] != g.EID[i] || got.Val[i] != g.Val[i] {
-			t.Fatalf("entry %d changed", i)
-		}
-	}
+	sameCSR(t, got, g, "round trip")
 }
 
 func TestGraphRoundTripProperty(t *testing.T) {
@@ -40,14 +37,20 @@ func TestGraphRoundTripProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := sparse.Random(rng, 1+rng.Intn(30), 1+rng.Intn(30), 1+rng.Intn(4))
 		var buf bytes.Buffer
-		if err := WriteGraph(&buf, g); err != nil {
+		if err := WriteSharded(&buf, g, rng.Intn(40)); err != nil {
 			return false
 		}
-		got, err := ReadGraph(&buf)
+		s, err := OpenShardedReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), ShardedOptions{})
 		if err != nil {
 			return false
 		}
-		return got.NNZ() == g.NNZ() && got.Validate() == nil
+		defer s.Close()
+		got, err := s.Materialize(context.Background())
+		if err != nil {
+			return false
+		}
+		sameCSR(t, got, g, fmt.Sprintf("seed %d", seed))
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -58,7 +61,7 @@ func TestRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := sparse.Random(rng, 10, 10, 2)
 	var buf bytes.Buffer
-	if err := WriteGraph(&buf, g); err != nil {
+	if err := WriteSharded(&buf, g, 0); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -66,38 +69,33 @@ func TestRejectsCorruption(t *testing.T) {
 	// Bad magic.
 	bad := append([]byte(nil), data...)
 	bad[0] = 'X'
-	if _, err := ReadGraph(bytes.NewReader(bad)); err == nil {
+	if _, _, err := loadBytes(t, bad); err == nil {
 		t.Error("bad magic should fail")
 	}
 	// Truncated.
-	if _, err := ReadGraph(bytes.NewReader(data[:len(data)/2])); err == nil {
+	if _, _, err := loadBytes(t, data[:len(data)/2]); err == nil {
 		t.Error("truncation should fail")
 	}
-	// A damaged byte inside the sections fails a checksum.
-	off := 4 + 3*4 + (g.NumRows+1)*4
+	// A damaged word in the last section (the values) fails its checksum.
 	bad = append([]byte(nil), data...)
-	bad[off] = 0xFF
-	bad[off+1] = 0xFF
-	bad[off+2] = 0xFF
-	bad[off+3] = 0x7F
-	if _, err := ReadGraph(bytes.NewReader(bad)); err == nil {
-		t.Error("corrupt column index should fail validation")
+	copy(bad[len(bad)-8:], []byte{0xFF, 0xFF, 0xFF, 0x7F})
+	if _, _, err := loadBytes(t, bad); err == nil {
+		t.Error("a damaged value should fail its checksum")
 	}
 	// Another container kind.
-	var sbuf bytes.Buffer
-	if err := WriteSharded(&sbuf, g, 16); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadGraph(bytes.NewReader(sbuf.Bytes())); err == nil {
-		t.Error("sharded bytes should not parse as graph")
+	if _, _, err := loadBytes(t, graphV2Blob(t)); err == nil {
+		t.Error("a graph-v2 container should not load")
 	}
 }
 
 func TestWriteRejectsInvalidGraph(t *testing.T) {
 	bad := &sparse.CSR{NumRows: 2, NumCols: 2, RowPtr: []int32{0, 5, 1}}
-	var buf bytes.Buffer
-	if err := WriteGraph(&buf, bad); err == nil {
+	path := filepath.Join(t.TempDir(), "g.fgs")
+	if err := SaveSharded(path, bad, 0); err == nil {
 		t.Fatal("invalid graph should be rejected at write time")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a refused save left a file: %v", err)
 	}
 }
 
@@ -105,8 +103,8 @@ func TestFileHelpers(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(4))
 	g := sparse.Random(rng, 20, 20, 3)
-	gp := filepath.Join(dir, "g.fgg")
-	if err := SaveGraph(gp, g); err != nil {
+	gp := filepath.Join(dir, "g.fgs")
+	if err := SaveSharded(gp, g, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadGraph(gp)
@@ -123,13 +121,13 @@ func TestFileHelpers(t *testing.T) {
 }
 
 // TestSaveSweepsStaleTemps: the first save into a directory collects temp
-// files stranded there by a crashed previous process, for every save
-// entry point.
+// files stranded there by a crashed previous process, at the default
+// shard size and at a small one.
 func TestSaveSweepsStaleTemps(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := sparse.Random(rng, 16, 16, 3)
 	cases := map[string]func(dir string) error{
-		"graph":   func(dir string) error { return SaveGraph(filepath.Join(dir, "g.fgg"), g) },
+		"graph":   func(dir string) error { return SaveSharded(filepath.Join(dir, "g.fgs"), g, 0) },
 		"sharded": func(dir string) error { return SaveSharded(filepath.Join(dir, "g.fgs"), g, 16) },
 	}
 	for name, save := range cases {

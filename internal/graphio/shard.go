@@ -1,7 +1,8 @@
-// The out-of-core shard format: a graph too large to hold as one
-// in-memory CSR, stored as contiguous destination-row shards that kernels
-// stream through a bounded resident budget (ROADMAP item 2; NGra's
-// chunk-at-a-time discipline applied to FeatGraph's partitioned kernels).
+// The graph file format: contiguous destination-row shards that kernels
+// stream through a bounded resident budget when the graph is too large to
+// hold as one in-memory CSR (ROADMAP item 2; NGra's chunk-at-a-time
+// discipline applied to FeatGraph's partitioned kernels), and that
+// Materialize assembles into one CSR when it is not.
 //
 // Format (kind "gshard", version 1, durable container):
 //
@@ -15,9 +16,9 @@
 //	          — shard i's edge arrays (i32/i32/f32 LE), each its own CRC'd
 //	            section so damage is detected at the shard that loads it
 //
-// All counts are u64 natively — unlike the v2 "graph" kind there is no u32
-// header to overflow — while per-shard edge counts stay below 2^30 so the
-// materialized arrays remain int32-indexed like every in-memory CSR.
+// All counts are u64, so no header field can overflow, while per-shard
+// edge counts stay below 2^30 so the materialized arrays remain
+// int32-indexed like every in-memory CSR.
 package graphio
 
 import (
@@ -27,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -92,7 +92,7 @@ func writeShards(w io.Writer, g *sparse.CSR, shards []partition.EdgeShard) error
 		return err
 	}
 	if err := dw.Stream("rowptr64", 8*int64(len(g.RowPtr)), func(w io.Writer) error {
-		buf := make([]byte, 0, min(8*len(g.RowPtr), ioChunk))
+		buf := make([]byte, 0, min(8*len(g.RowPtr), 1<<16))
 		for _, v := range g.RowPtr {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 			if len(buf) == cap(buf) {
@@ -112,13 +112,13 @@ func writeShards(w io.Writer, g *sparse.CSR, shards []partition.EdgeShard) error
 	}
 	for i, s := range shards {
 		nnz := int64(s.NNZ())
-		if err := dw.Stream(fmt.Sprintf("s%d.colidx", i), 4*nnz, streamInt32s(g.ColIdx[s.EdgeLo:s.EdgeHi])); err != nil {
+		if err := dw.Stream(fmt.Sprintf("s%d.colidx", i), 4*nnz, durable.StreamInt32s(g.ColIdx[s.EdgeLo:s.EdgeHi])); err != nil {
 			return err
 		}
-		if err := dw.Stream(fmt.Sprintf("s%d.eid", i), 4*nnz, streamInt32s(g.EID[s.EdgeLo:s.EdgeHi])); err != nil {
+		if err := dw.Stream(fmt.Sprintf("s%d.eid", i), 4*nnz, durable.StreamInt32s(g.EID[s.EdgeLo:s.EdgeHi])); err != nil {
 			return err
 		}
-		if err := dw.Stream(fmt.Sprintf("s%d.val", i), 4*nnz, streamFloat32s(g.Val[s.EdgeLo:s.EdgeHi])); err != nil {
+		if err := dw.Stream(fmt.Sprintf("s%d.val", i), 4*nnz, durable.StreamFloat32s(g.Val[s.EdgeLo:s.EdgeHi])); err != nil {
 			return err
 		}
 	}
@@ -216,7 +216,7 @@ func OpenSharded(path string, opts ShardedOptions) (*ShardedCSR, error) {
 	s, err := openSharded(src, path, opts)
 	if err != nil {
 		src.Close()
-		return nil, withPath(err, path)
+		return nil, err
 	}
 	return s, nil
 }
@@ -419,7 +419,7 @@ func (s *ShardedCSR) Pin(ctx context.Context, i int) (*sparse.CSR, func(), error
 		s.evictLocked(4*int64(m.rowHi-m.rowLo+1) + 12*(m.edgeHi-m.edgeLo))
 		var err error
 		if rs, err = s.load(ctx, i); err != nil {
-			return nil, nil, withPath(err, s.path)
+			return nil, nil, err
 		}
 		s.resident[i] = rs
 		s.used += rs.bytes
@@ -672,46 +672,4 @@ func (s *ShardedCSR) Close() error {
 
 func shardCorrupt(path, section, reason string, err error) error {
 	return durable.NewCorruptError(path, shardKind, section, reason, err)
-}
-
-// LoadAnyGraph reads a graph from path in either on-disk kind: the graph
-// container or the sharded out-of-core format — sharded files are
-// assembled into one in-memory CSR (use OpenSharded to stream one
-// instead). This is the loader tools should reach for when the user hands
-// them "a graph file". Anything else, a v1 file included, fails with a
-// *durable.CorruptError carrying the path.
-func LoadAnyGraph(path string) (*sparse.CSR, error) {
-	sharded, err := sniffSharded(path)
-	if err != nil {
-		return nil, err
-	}
-	if !sharded {
-		return LoadGraph(path)
-	}
-	s, err := OpenSharded(path, ShardedOptions{})
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	g, err := s.Materialize(context.Background())
-	return g, withPath(err, path)
-}
-
-// sniffSharded reports whether path holds a durable container of the
-// sharded kind, by peeking at the container preamble's kind string.
-// Graph containers and garbage both report false and are left for
-// LoadGraph to parse (and produce its own error for).
-func sniffSharded(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	pre := make([]byte, 7+len(shardKind))
-	if _, err := io.ReadFull(f, pre); err != nil {
-		return false, nil
-	}
-	return [4]byte(pre[0:4]) == durable.Magic &&
-		int(pre[6]) == len(shardKind) &&
-		string(pre[7:7+len(shardKind)]) == shardKind, nil
 }

@@ -322,38 +322,10 @@ func TestShardedFromFile(t *testing.T) {
 	sameCSR(t, got, g, "file materialize")
 }
 
-// LoadAnyGraph must accept every on-disk generation, sharded included.
-func TestLoadAnyGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	g := sparse.Random(rng, 30, 25, 5)
-	dir := t.TempDir()
-
-	plain := filepath.Join(dir, "plain.fgg")
-	if err := SaveGraph(plain, g); err != nil {
-		t.Fatal(err)
-	}
-	sharded := filepath.Join(dir, "sharded.fgs")
-	if err := SaveSharded(sharded, g, 16); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{plain, sharded} {
-		got, err := LoadAnyGraph(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		sameCSR(t, got, g, path)
-	}
-}
-
 // A container of the wrong kind must fail with a typed error, not parse.
 func TestOpenShardedRejectsGraphContainer(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	g := sparse.Random(rng, 10, 10, 3)
-	var buf bytes.Buffer
-	if err := WriteGraph(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	_, err := OpenShardedReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), ShardedOptions{})
+	blob := graphV2Blob(t)
+	_, err := OpenShardedReader(bytes.NewReader(blob), int64(len(blob)), ShardedOptions{})
 	var ce *durable.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want CorruptError, got %T: %v", err, err)

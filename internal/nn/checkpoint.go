@@ -181,22 +181,7 @@ func writeTensorSection(dw *durable.Writer, name string, t *tensor.Tensor) error
 		if _, err := w.Write(hdr); err != nil {
 			return err
 		}
-		buf := make([]byte, 0, min(4*t.Len(), 1<<16))
-		for _, v := range t.Data() {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
-			if len(buf) == cap(buf) {
-				if _, err := w.Write(buf); err != nil {
-					return err
-				}
-				buf = buf[:0]
-			}
-		}
-		if len(buf) > 0 {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-		}
-		return nil
+		return durable.StreamFloat32s(t.Data())(w)
 	})
 }
 
@@ -219,14 +204,9 @@ func decodeTensorSection(path, name string, payload []byte) (*tensor.Tensor, err
 		shape[i] = d
 		total *= d
 	}
-	data := payload[4*(1+rank):]
-	if len(data) != 4*total {
-		return nil, durable.NewCorruptError(path, ckptKind, name,
-			fmt.Sprintf("tensor data is %d bytes, shape %v wants %d", len(data), shape, 4*total), nil)
-	}
-	out := make([]float32, total)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+	out, err := durable.DecodeFloat32s(payload[4*(1+rank):], total)
+	if err != nil {
+		return nil, durable.NewCorruptError(path, ckptKind, name, fmt.Sprintf("tensor of shape %v: %v", shape, err), nil)
 	}
 	return tensor.FromSlice(out, shape...), nil
 }
