@@ -87,12 +87,7 @@ func ConstrainedGeMM(dev *cudasim.Device, a *sparse.CSR, x, y, att *tensor.Tenso
 	if att.Dim(0) != nnz {
 		return 0, fmt.Errorf("cusparse: att has %d rows, graph has %d edges", att.Dim(0), nnz)
 	}
-	rows := make([]int32, nnz)
-	for r := 0; r < a.NumRows; r++ {
-		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
-			rows[p] = int32(r)
-		}
-	}
+	rows := a.EdgeRows()
 	xd, yd, ad := x.Data(), y.Data(), att.Data()
 	blocks := min(nnz, 4096)
 	threads := min(nextPow2(d), 256)

@@ -173,19 +173,12 @@ func (h *HilbertEdges) Locality() uint64 {
 // RowMajorEdges lists a's edges in row-major (CSR) order with the same
 // layout as Hilbert, for baseline comparison.
 func RowMajorEdges(a *sparse.CSR) *HilbertEdges {
-	nnz := a.NNZ()
-	out := &HilbertEdges{
-		Row: make([]int32, nnz),
+	return &HilbertEdges{
+		Row: a.EdgeRows(),
 		Col: append([]int32(nil), a.ColIdx...),
 		EID: append([]int32(nil), a.EID...),
 		Val: append([]float32(nil), a.Val...),
 	}
-	for r := 0; r < a.NumRows; r++ {
-		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
-			out.Row[p] = int32(r)
-		}
-	}
-	return out
 }
 
 func absDiff(a, b int32) uint64 {

@@ -259,6 +259,18 @@ func (c *CSR) Transpose() *CSR {
 	return t
 }
 
+// EdgeRows returns the row of every stored entry in storage order: the
+// destination vertex of each edge.
+func (c *CSR) EdgeRows() []int32 {
+	rows := make([]int32, c.NNZ())
+	for r := 0; r < c.NumRows; r++ {
+		for p := c.RowPtr[r]; p < c.RowPtr[r+1]; p++ {
+			rows[p] = int32(r)
+		}
+	}
+	return rows
+}
+
 // RowDegree returns the number of stored entries in row r (in-degree of
 // destination vertex r).
 func (c *CSR) RowDegree(r int) int { return int(c.RowPtr[r+1] - c.RowPtr[r]) }
