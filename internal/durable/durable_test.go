@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -200,5 +202,57 @@ func TestVerifyReaderCatchesBadReaders(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("untyped errors and accepted bit flips must be reported")
+	}
+}
+
+// The array codec round-trips every bit, across the encoder's chunk
+// boundary, and the decoders refuse a payload whose length disagrees with
+// the element count, one whose 4*n would overflow included.
+func TestArrayCodec(t *testing.T) {
+	ints := make([]int32, streamChunk/4+3)
+	floats := make([]float32, len(ints))
+	for i := range ints {
+		ints[i] = int32(i*2654435761) - 7
+		floats[i] = math.Float32frombits(uint32(ints[i]))
+	}
+	var ib, fb bytes.Buffer
+	if err := StreamInt32s(ints)(&ib); err != nil {
+		t.Fatal(err)
+	}
+	if err := StreamFloat32s(floats)(&fb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ib.Bytes(), fb.Bytes()) || ib.Len() != 4*len(ints) {
+		t.Fatalf("encoders wrote %d and %d bytes for the same bits, want %d of each", ib.Len(), fb.Len(), 4*len(ints))
+	}
+	gotI, err := DecodeInt32s(ib.Bytes(), len(ints))
+	if err != nil || !slices.Equal(gotI, ints) {
+		t.Fatalf("int32 round trip: %v", err)
+	}
+	gotF, err := DecodeFloat32s(fb.Bytes(), len(floats))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range gotF {
+		if math.Float32bits(gotF[i]) != math.Float32bits(floats[i]) {
+			t.Fatalf("float32 %d decoded as %#x, want %#x", i, math.Float32bits(gotF[i]), math.Float32bits(floats[i]))
+		}
+	}
+	for _, tc := range []struct {
+		payload []byte
+		n       int
+	}{
+		{ib.Bytes(), len(ints) - 1},
+		{ib.Bytes()[:ib.Len()-1], len(ints)},
+		{nil, -1},
+		{nil, 1 << 62},
+		{[]byte{1, 2, 3, 4}, 1 + 1<<62},
+	} {
+		if _, err := DecodeInt32s(tc.payload, tc.n); err == nil {
+			t.Errorf("DecodeInt32s accepted %d bytes as %d elements", len(tc.payload), tc.n)
+		}
+		if _, err := DecodeFloat32s(tc.payload, tc.n); err == nil {
+			t.Errorf("DecodeFloat32s accepted %d bytes as %d elements", len(tc.payload), tc.n)
+		}
 	}
 }
