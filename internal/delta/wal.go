@@ -46,7 +46,7 @@ func encodeRecord(ver uint64, b Batch) []byte {
 	for _, e := range b.Insert {
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(e.Src))
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(e.Dst))
-		payload = binary.LittleEndian.AppendUint32(payload, floatBits(e.Val))
+		payload = binary.LittleEndian.AppendUint32(payload, math.Float32bits(e.Val))
 	}
 	for _, e := range b.Delete {
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(e.Src))
@@ -90,7 +90,7 @@ func decodePayload(p []byte) (uint64, Batch, error) {
 			b.Insert[i] = Edge{
 				Src: int32(binary.LittleEndian.Uint32(p[off:])),
 				Dst: int32(binary.LittleEndian.Uint32(p[off+4:])),
-				Val: floatFromBits(binary.LittleEndian.Uint32(p[off+8:])),
+				Val: math.Float32frombits(binary.LittleEndian.Uint32(p[off+8:])),
 			}
 			off += 12
 		}
@@ -311,6 +311,3 @@ func (w *wal) close() error {
 	w.f = nil
 	return err
 }
-
-func floatBits(f float32) uint32     { return math.Float32bits(f) }
-func floatFromBits(u uint32) float32 { return math.Float32frombits(u) }
