@@ -36,7 +36,7 @@ func main() {
 		n     = flag.Int("n", 10000, "vertices (uniform/twotier/skewed)")
 		deg   = flag.Int("deg", 50, "average degree (uniform/skewed)")
 		skew  = flag.Float64("skew", 1.4, "zipf exponent (skewed)")
-		shard = flag.Int("shard-edges", 0, "edge target of one shard of the written file (<= 0 = the default, 262144)")
+		shard = flag.Int("shard-edges", 0, fmt.Sprintf("edge target of one shard of the written file (<= 0 = %d)", graphio.DefaultShardEdges))
 	)
 	flag.Parse()
 
