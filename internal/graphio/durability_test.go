@@ -23,27 +23,22 @@ import (
 // eid and val): a 2×2 graph with one edge. No reader accepts it any more.
 var v1Graph = append(append([]byte("FGG1"), le32(2, 2, 1, 0, 1, 1, 0, 0)...), le32(math.Float32bits(1))...)
 
-// graphV2Blob is a well-formed container of the unsharded graph kind that
-// earlier releases wrote (version 2: a u32 rows/cols/nnz header, then
-// rowptr, colidx, eid and val), holding the same 2×2 graph. No reader
-// accepts it any more.
-func graphV2Blob(t testing.TB) []byte {
+// section is one named payload of a hand-built container.
+type section struct {
+	name    string
+	payload []byte
+}
+
+// containerBlob writes a CRC-valid durable container of the given kind and
+// version holding secs, in order.
+func containerBlob(t testing.TB, kind string, version uint16, secs ...section) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	dw, err := durable.NewWriter(&buf, "graph", 2, 5)
+	dw, err := durable.NewWriter(&buf, kind, version, len(secs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sec := range []struct {
-		name    string
-		payload []byte
-	}{
-		{"header", le32(2, 2, 1)},
-		{"rowptr", le32(0, 1, 1)},
-		{"colidx", le32(0)},
-		{"eid", le32(0)},
-		{"val", le32(math.Float32bits(1))},
-	} {
+	for _, sec := range secs {
 		if err := dw.Section(sec.name, sec.payload); err != nil {
 			t.Fatal(err)
 		}
@@ -54,16 +49,29 @@ func graphV2Blob(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// graphV2Blob is a well-formed container of the unsharded graph kind that
+// earlier releases wrote (version 2: a u32 rows/cols/nnz header, then
+// rowptr, colidx, eid and val), holding the same 2×2 graph. No reader
+// accepts it any more.
+func graphV2Blob(t testing.TB) []byte {
+	return containerBlob(t, "graph", 2,
+		section{"header", le32(2, 2, 1)},
+		section{"rowptr", le32(0, 1, 1)},
+		section{"colidx", le32(0)},
+		section{"eid", le32(0)},
+		section{"val", le32(math.Float32bits(1))})
+}
+
 // loadBytes writes data to a fresh file and loads it with LoadGraph, the
 // loader featgen -info and traingnn -graph use.
-func loadBytes(t testing.TB, data []byte) (*sparse.CSR, string, error) {
+func loadBytes(t testing.TB, data []byte) (string, error) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.fgs")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g, err := LoadGraph(path)
-	return g, path, err
+	_, err := LoadGraph(path)
+	return path, err
 }
 
 // TestLoadGraphRejectsEarlierFormats: a v1 file fails the container's
@@ -77,7 +85,7 @@ func TestLoadGraphRejectsEarlierFormats(t *testing.T) {
 		{"v1", "bad magic", v1Graph},
 		{"graph-v2", `container holds "graph"`, graphV2Blob(t)},
 	} {
-		_, path, err := loadBytes(t, tc.blob)
+		path, err := loadBytes(t, tc.blob)
 		var ce *durable.CorruptError
 		if !errors.As(err, &ce) {
 			t.Fatalf("%s: want *durable.CorruptError, got %T: %v", tc.name, err, err)
@@ -92,29 +100,13 @@ func TestLoadGraphRejectsEarlierFormats(t *testing.T) {
 // sections all checksum cleanly but whose val section disagrees with the
 // manifest's edge count is damage to that section.
 func TestValSectionLengthMismatchReportsShardSection(t *testing.T) {
-	var buf bytes.Buffer
-	dw, err := durable.NewWriter(&buf, shardKind, shardVersion, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sec := range []struct {
-		name    string
-		payload []byte
-	}{
-		{"manifest", le64(2, 2, 1, 1, 0, 2, 0, 1)}, // one edge in one shard
-		{"rowptr64", le64(0, 1, 1)},
-		{"s0.colidx", le32(0)},
-		{"s0.eid", le32(0)},
-		{"s0.val", le32(math.Float32bits(1), math.Float32bits(2))}, // two values stored
-	} {
-		if err := dw.Section(sec.name, sec.payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := dw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = loadBytes(t, buf.Bytes())
+	blob := containerBlob(t, shardKind, shardVersion,
+		section{"manifest", le64(2, 2, 1, 1, 0, 2, 0, 1)}, // one edge in one shard
+		section{"rowptr64", le64(0, 1, 1)},
+		section{"s0.colidx", le32(0)},
+		section{"s0.eid", le32(0)},
+		section{"s0.val", le32(math.Float32bits(1), math.Float32bits(2))}) // two values stored
+	_, err := loadBytes(t, blob)
 	var ce *durable.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want *durable.CorruptError, got %T: %v", err, err)
@@ -131,7 +123,7 @@ func TestValSectionLengthMismatchReportsShardSection(t *testing.T) {
 // intact.
 func TestSaveGraphSurvivesTornWrite(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "g.fgg")
+	path := filepath.Join(dir, "g.fgs")
 	rng := rand.New(rand.NewSource(9))
 	old := sparse.Random(rng, 30, 30, 4)
 	if err := SaveSharded(path, old, 0); err != nil {
@@ -157,7 +149,7 @@ func TestSaveGraphSurvivesTornWrite(t *testing.T) {
 }
 
 func TestSaveGraphSurvivesFsyncFailure(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "g.fgg")
+	path := filepath.Join(t.TempDir(), "g.fgs")
 	rng := rand.New(rand.NewSource(11))
 	old := sparse.Random(rng, 20, 20, 3)
 	if err := SaveSharded(path, old, 0); err != nil {
@@ -186,7 +178,7 @@ func TestCorruptionMatrixGraphFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := durable.VerifyReader(buf.Bytes(), func(data []byte) error {
-		_, path, err := loadBytes(t, data)
+		path, err := loadBytes(t, data)
 		var ce *durable.CorruptError
 		if errors.As(err, &ce) && ce.Path != path {
 			return fmt.Errorf("error %v names %q, want %q", err, ce.Path, path)
@@ -245,7 +237,7 @@ func TestCorruptionMatrixShardFormat(t *testing.T) {
 // never a panic.
 func TestLegacyTruncationYieldsTypedErrors(t *testing.T) {
 	for cut := 0; cut <= len(v1Graph); cut++ {
-		_, _, err := loadBytes(t, v1Graph[:cut])
+		_, err := loadBytes(t, v1Graph[:cut])
 		var ce *durable.CorruptError
 		if !errors.As(err, &ce) {
 			t.Fatalf("v1 prefix of %d bytes gave %T: %v", cut, err, err)
@@ -269,7 +261,7 @@ func TestLegacyAdversarialHeaders(t *testing.T) {
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			_, _, err := loadBytes(t, data)
+			_, err := loadBytes(t, data)
 			var ce *durable.CorruptError
 			if !errors.As(err, &ce) {
 				t.Fatalf("want *durable.CorruptError, got %T: %v", err, err)
@@ -297,7 +289,7 @@ func le64(vals ...uint64) []byte {
 // LoadGraph must stamp the path onto typed errors.
 func TestLoadGraphErrorCarriesPath(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.fgg")
+	path := filepath.Join(dir, "bad.fgs")
 	// A container prelude with a valid version but garbage after it: the
 	// header checksum rejects it.
 	bad := append([]byte("FGDC"), 1, 0) // container version 1

@@ -69,21 +69,21 @@ func TestRejectsCorruption(t *testing.T) {
 	// Bad magic.
 	bad := append([]byte(nil), data...)
 	bad[0] = 'X'
-	if _, _, err := loadBytes(t, bad); err == nil {
+	if _, err := loadBytes(t, bad); err == nil {
 		t.Error("bad magic should fail")
 	}
 	// Truncated.
-	if _, _, err := loadBytes(t, data[:len(data)/2]); err == nil {
+	if _, err := loadBytes(t, data[:len(data)/2]); err == nil {
 		t.Error("truncation should fail")
 	}
 	// A damaged word in the last section (the values) fails its checksum.
 	bad = append([]byte(nil), data...)
 	copy(bad[len(bad)-8:], []byte{0xFF, 0xFF, 0xFF, 0x7F})
-	if _, _, err := loadBytes(t, bad); err == nil {
+	if _, err := loadBytes(t, bad); err == nil {
 		t.Error("a damaged value should fail its checksum")
 	}
 	// Another container kind.
-	if _, _, err := loadBytes(t, graphV2Blob(t)); err == nil {
+	if _, err := loadBytes(t, graphV2Blob(t)); err == nil {
 		t.Error("a graph-v2 container should not load")
 	}
 }
