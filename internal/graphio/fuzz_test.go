@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"featgraph/internal/durable"
@@ -30,6 +32,59 @@ func requireTypedOrNil(t *testing.T, err error) {
 	if !errors.As(err, &ce) && !errors.As(err, &ve) {
 		t.Fatalf("untyped error %T: %v", err, err)
 	}
+}
+
+// FuzzLoadGraph drives LoadGraph, the whole-graph loader, over file
+// bytes: a well-formed graph file, then bytes that must be rejected with a
+// typed error naming the file: a whole v1 file, the historical crashers
+// whose v1 headers declared huge arrays, a bare container preamble and a
+// graph-v2 container from the release before the gshard format.
+func FuzzLoadGraph(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	g := sparse.Random(rng, 12, 10, 3)
+	var well bytes.Buffer
+	if err := WriteSharded(&well, g, 0); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(well.Bytes())
+	f.Add(v1Graph)
+	f.Add(append([]byte("FGG1"), le32(100, 100, 1<<30)...))
+	f.Add(append([]byte("FGG1"), le32(1<<30, 1<<30, 1<<29)...))
+	f.Add([]byte("FGDC"))
+	f.Add(graphV2Blob(f))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "g.fgs")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadGraph(path)
+		var le *LimitError
+		if errors.As(err, &le) {
+			return // validly sharded but too large to assemble in memory
+		}
+		requireTypedOrNil(t, err)
+		var ce *durable.CorruptError
+		if errors.As(err, &ce) && ce.Path != path {
+			t.Fatalf("error path %q, want %q: %v", ce.Path, path, err)
+		}
+		if err != nil {
+			return
+		}
+		if verr := got.Validate(); verr != nil {
+			t.Fatalf("accepted structurally invalid graph: %v", verr)
+		}
+		again := filepath.Join(dir, "again.fgs")
+		if err := SaveSharded(again, got, 0); err != nil {
+			t.Fatalf("re-saving accepted graph failed: %v", err)
+		}
+		g2, err := LoadGraph(again)
+		if err != nil {
+			t.Fatalf("re-loading re-saved graph failed: %v", err)
+		}
+		sameCSR(t, g2, got, "round trip")
+	})
 }
 
 // FuzzLoadShard drives the sharded out-of-core loader end to end:
@@ -64,12 +119,6 @@ func FuzzLoadShard(f *testing.F) {
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
 	f.Add([]byte("FGDC"))
-	// The graph formats that predate this one: a v2 graph container, a
-	// whole v1 file and the v1 headers that once declared huge arrays.
-	f.Add(graphV2Blob(f))
-	f.Add(v1Graph)
-	f.Add(append([]byte("FGG1"), le32(100, 100, 1<<30)...))
-	f.Add(append([]byte("FGG1"), le32(1<<30, 1<<30, 1<<29)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := OpenShardedReader(bytes.NewReader(data), int64(len(data)), ShardedOptions{BudgetBytes: 1})

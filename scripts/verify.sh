@@ -147,6 +147,7 @@ stage() {
 		# -fuzzminimizetime: each new interesting input is otherwise minimized
 		# for up to 60s with the exec counter frozen, which dwarfs a 20s smoke
 		# budget on a CRC-sectioned format.
+		go test -run='^$' -fuzz='^FuzzLoadGraph$'     -fuzztime=20s -fuzzminimizetime=2s ./internal/graphio
 		go test -run='^$' -fuzz='^FuzzLoadShard$'     -fuzztime=20s -fuzzminimizetime=2s ./internal/graphio
 		go test -run='^$' -fuzz='^FuzzDeltaLog$'      -fuzztime=20s -fuzzminimizetime=2s ./internal/delta
 		;;
